@@ -196,13 +196,14 @@ void FrontierEngine::materialize_bits(std::span<const std::uint64_t> words,
   });
 }
 
-void FrontierEngine::ensure_workers(std::size_t workers) {
-  if (worker_lists_.size() < workers) {
-    worker_lists_.resize(workers);
-    worker_decode_.resize(workers);
-    worker_emitted_.resize(workers);
-    worker_claimed_.resize(workers);
-    worker_blocks_.resize(workers);
+void FrontierEngine::reset_workers(std::size_t workers) {
+  if (workers_.size() < workers) workers_.resize(workers);
+  // Every slot, not just the round's: the driver sums over all of them.
+  for (WorkerSlot& slot : workers_) {
+    slot.claims.clear();
+    slot.emitted = 0;
+    slot.claimed = 0;
+    slot.blocks = 0;
   }
 }
 
@@ -296,77 +297,25 @@ void FrontierEngine::audit_graph_once() {
   if (!g_->validate(&why)) audit::report_violation("graph-csr", why);
 }
 
-void FrontierEngine::audit_frontier(const Frontier& next, bool dense) {
+void FrontierEngine::audit_round(const Frontier& next) {
   if (!audit::sample_round(audit_seq_++)) return;
   audit_graph_once();
   const std::size_t n = g_->num_vertices();
   std::string why;
-  if (dense) {
-    if (!audit::check_bitmap(next.bits_, next.count_, n, &why)) {
-      audit::report_violation("bitmap", why);
-    }
-  } else {
-    if (!audit::check_canonical_list(next.list_, n, &why)) {
-      audit::report_violation("canonical-order", why);
-    }
-    if (!audit::check_stamps(next.list_, stamp_, epoch_, &why)) {
-      audit::report_violation("epoch-stamps", why);
-    }
-  }
-}
-
-void FrontierEngine::audit_list(std::span<const Vertex> next, bool dense) {
-  if (!audit::sample_round(audit_seq_++)) return;
-  audit_graph_once();
-  const std::size_t n = g_->num_vertices();
-  std::string why;
-  if (!audit::check_canonical_list(next, n, &why)) {
+  if (next.list_valid_ &&
+      !audit::check_canonical_list(next.list_, n, &why)) {
     audit::report_violation("canonical-order", why);
   }
-  if (dense) {
-    // The materialized list came from the scratch bitmap — the two must
-    // agree on the count, and the bitmap itself must be healthy.
-    if (!audit::check_bitmap(scratch_bits_, next.size(), n, &why)) {
+  if (next.dense_) {
+    // A materialized list came from the bitmap — the two must agree on the
+    // count, and the bitmap itself must be healthy.
+    const std::size_t count =
+        next.list_valid_ ? next.list_.size() : next.count_;
+    if (!audit::check_bitmap(next.bits_, count, n, &why)) {
       audit::report_violation("bitmap", why);
     }
-  } else if (!audit::check_stamps(next, stamp_, epoch_, &why)) {
+  } else if (!audit::check_stamps(next.list_, stamp_, epoch_, &why)) {
     audit::report_violation("epoch-stamps", why);
-  }
-}
-
-void FrontierEngine::audit_retain(const Frontier& next, bool dense) {
-  if (!audit::sample_round(audit_seq_++)) return;
-  audit_graph_once();
-  const std::size_t n = g_->num_vertices();
-  std::string why;
-  if (dense) {
-    if (!audit::check_bitmap(next.bits_, next.count_, n, &why)) {
-      audit::report_violation("bitmap", why);
-    }
-  } else {
-    // Retain rounds filter an existing canonical frontier: no vertex is
-    // claimed, so the epoch/stamp record is deliberately untouched and the
-    // expand-path check_stamps would misfire here. Canonical order (which
-    // implies the subset property held) is the whole contract.
-    if (!audit::check_canonical_list(next.list_, n, &why)) {
-      audit::report_violation("canonical-order", why);
-    }
-  }
-}
-
-void FrontierEngine::audit_retain_list(std::span<const Vertex> next,
-                                       bool dense) {
-  if (!audit::sample_round(audit_seq_++)) return;
-  audit_graph_once();
-  const std::size_t n = g_->num_vertices();
-  std::string why;
-  if (!audit::check_canonical_list(next, n, &why)) {
-    audit::report_violation("canonical-order", why);
-  }
-  // Same stamp-check omission as audit_retain; when the round ran dense the
-  // materialized list still must agree with the scratch bitmap.
-  if (dense && !audit::check_bitmap(scratch_bits_, next.size(), n, &why)) {
-    audit::report_violation("bitmap", why);
   }
 }
 

@@ -5,7 +5,9 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -28,6 +30,19 @@
 /// not per-trial work, is the unit of parallelism that matters (the same
 /// altitude at which Ghaffari & Uitto's sparsified MPC rounds and parallel
 /// greedy MIS operate).
+///
+/// One round driver (`run_round`) executes every round: for each active
+/// vertex v it calls a per-vertex body `body(v, rng, sink)` and
+/// deduplicates what the body emits. `expand` passes the client's sampler
+/// as the body; `retain` — the removal round shrinking processes (greedy
+/// MIS, LLL resampling) step — passes the filter `if (keep(v)) sink(v)`,
+/// which draws no randomness, so a removal round is just an expand whose
+/// offspring are its own survivors. The driver owns the whole round
+/// skeleton once: the empty-frontier return, the fault round clock, the
+/// step timer, the representation choice, the one output audit and the
+/// trace line. The span overload of `expand` runs the same driver over a
+/// scratch Frontier that borrows the caller's vector and materializes the
+/// dense form into it.
 ///
 /// Representations (the Beamer-style sparse/dense switch): a frontier is
 /// either a SPARSE sorted vertex list or a DENSE bitmap over [0, n). The
@@ -65,16 +80,22 @@
 /// so the advance wipes the array on wrap (`advance_epoch`). Dense rounds
 /// do not touch the stamps at all — their bitmap is cleared at round start
 /// — so representation switches compose with the epoch scheme with no
-/// extra invalidation. `expand` returns before touching any state when the
+/// extra invalidation. A round returns before touching any state when the
 /// frontier is empty: an extinct process stepped in a loop burns neither
 /// epochs nor bitmap clears.
 ///
-/// Scheduling: chunks are claimed dynamically by a fixed set of workers
-/// (par::parallel_for_chunks), each owning a reusable flat offspring
-/// buffer and a decode scratch — no per-chunk allocation in steady state.
-/// The sampling loop software-prefetches the CSR adjacency row a few
-/// vertices ahead (ascending visit order makes the offsets stream
-/// sequential, so only the targets row needs the hint).
+/// Scheduling: one chunk walker serves every round. Pool rounds claim
+/// chunks dynamically over a fixed set of workers
+/// (par::parallel_for_chunks), each owning a reusable claim buffer and a
+/// decode scratch — no per-chunk allocation in steady state. In-line
+/// rounds run as worker 0 and walk a sparse input run by run, so a small
+/// frontier never scans empty chunks. Claims go through one of two sinks
+/// (stamp list or bitmap), each in a plain flavour for in-line rounds and
+/// an atomic one for pool rounds (filter rounds, whose claims never
+/// collide, stay plain); sinks are inlined lambdas, never an indirect call
+/// per sample. The sampling loop software-prefetches the CSR
+/// adjacency row a few vertices ahead (ascending visit order makes the
+/// offsets stream sequential, so only the targets row needs the hint).
 
 namespace cobra::core {
 
@@ -196,13 +217,15 @@ class Frontier {
 };
 
 /// Non-owning view of a frontier in either representation — what the
-/// engine's expansion loops walk. Sparse views require the span to be
-/// sorted ascending and duplicate-free (asserted in debug builds).
+/// engine's round driver walks. Sparse views require the span to be
+/// sorted ascending and duplicate-free, i.e. strictly ascending (asserted
+/// in debug builds).
 class FrontierView {
  public:
   /* implicit */ FrontierView(std::span<const Vertex> sorted) noexcept
       : list_(sorted), count_(sorted.size()) {
-    assert(std::is_sorted(sorted.begin(), sorted.end()));
+    assert(std::adjacent_find(sorted.begin(), sorted.end(),
+                              std::greater_equal<>()) == sorted.end());
   }
 
   FrontierView(std::span<const std::uint64_t> words, std::size_t count) noexcept
@@ -285,7 +308,11 @@ class FrontierEngine {
   /// shared state without synchronization.
   template <typename Sampler>
   void expand(const Frontier& frontier, Frontier& next,
-              std::uint64_t round_seed, const Sampler& sampler);
+              std::uint64_t round_seed, const Sampler& sampler) {
+    assert(&frontier != &next);
+    run_round</*kFilter=*/false>(FrontierView(frontier), next, round_seed,
+                                 sampler, /*materialize=*/false);
+  }
 
   /// Span-in / vector-out variant for processes that maintain their own
   /// lists (gossip). `frontier` must be sorted ascending and duplicate-free
@@ -294,25 +321,37 @@ class FrontierEngine {
   /// rounds (via the engine's scratch bitmap).
   template <typename Sampler>
   void expand(std::span<const Vertex> frontier, std::vector<Vertex>& next,
-              std::uint64_t round_seed, const Sampler& sampler);
+              std::uint64_t round_seed, const Sampler& sampler) {
+    // A scratch Frontier borrows the caller's vector as its list and the
+    // engine's scratch bitmap as its dense form; the driver materializes
+    // dense rounds into the list, so both forms hold the round's output.
+    Frontier out;
+    out.list_.swap(next);
+    out.bits_.swap(scratch_bits_);
+    run_round</*kFilter=*/false>(FrontierView(frontier), out, round_seed,
+                                 sampler, /*materialize=*/true);
+    out.list_.swap(next);
+    out.bits_.swap(scratch_bits_);
+  }
 
   /// Filter one round: `next` receives exactly the frontier vertices v with
   /// keep(v) true, in the representation the round's mode picked. This is
-  /// the remove-from-frontier path that shrinking processes (greedy MIS,
-  /// LLL resampling) step — the dual of expand: no sampling, no dedup (a
-  /// subset of a canonical frontier is canonical), no RNG at all, so the
-  /// output is trivially a pure function of (frontier, keep) regardless of
-  /// thread count or representation. `keep` is shared across worker
-  /// threads — it must be const-callable on concurrent vertices.
+  /// the remove-from-frontier round that shrinking processes (greedy MIS,
+  /// LLL resampling) step — an expand whose body emits v when v survives.
+  /// It draws no RNG at all, so the output is a pure function of
+  /// (frontier, keep) regardless of thread count or representation. `keep`
+  /// is shared across worker threads — it must be const-callable on
+  /// concurrent vertices.
   template <typename Pred>
-  void retain(const Frontier& frontier, Frontier& next, const Pred& keep);
-
-  /// Span-in / vector-out retain for processes that maintain their own
-  /// lists. `frontier` must be sorted ascending and duplicate-free; `next`
-  /// receives the kept vertices ascending (cleared first).
-  template <typename Pred>
-  void retain(std::span<const Vertex> frontier, std::vector<Vertex>& next,
-              const Pred& keep);
+  void retain(const Frontier& frontier, Frontier& next, const Pred& keep) {
+    assert(&frontier != &next);
+    run_round</*kFilter=*/true>(
+        FrontierView(frontier), next, /*round_seed=*/0,
+        [&keep](Vertex v, ChunkRng& /*rng*/, const auto& sink) {
+          if (keep(v)) sink(v);
+        },
+        /*materialize=*/false);
+  }
 
   /// Serial dedup of `in` into `out` (reset paths): keeps the first
   /// occurrence of each vertex, preserving order. Shares the stamp array,
@@ -328,7 +367,7 @@ class FrontierEngine {
   /// Mutable knobs — tests pin chunk_size / threshold / pool explicitly.
   [[nodiscard]] FrontierOptions& options() noexcept { return opts_; }
 
-  /// How many expand rounds took each execution path (observability).
+  /// How many rounds took each execution path (observability).
   [[nodiscard]] std::uint64_t parallel_rounds() const noexcept {
     return parallel_rounds_;
   }
@@ -336,7 +375,7 @@ class FrontierEngine {
     return serial_rounds_;
   }
 
-  /// How many expand rounds ran each representation, and how often the
+  /// How many rounds ran each representation, and how often the
   /// representation changed between consecutive rounds (the benches record
   /// all three next to their timings).
   [[nodiscard]] std::uint64_t dense_rounds() const noexcept {
@@ -362,12 +401,12 @@ class FrontierEngine {
   /// stepping 2^32 sparse rounds first.
   void set_epoch_for_testing(std::uint32_t epoch) noexcept { epoch_ = epoch; }
 
-  /// Total sink() invocations of the most recent expand round — i.e. the
-  /// offspring emitted before dedup. Counted per worker and summed at the
-  /// end (no shared atomic in the sampling loop), so callers whose
-  /// per-vertex emission count is data-dependent (random branching
-  /// schedules) read their work measure here instead of maintaining a
-  /// contended counter inside the sampler.
+  /// Total sink() invocations of the most recent round — i.e. the
+  /// offspring emitted before dedup (for a retain round, the survivors).
+  /// Counted per worker and summed at the end (no shared atomic in the
+  /// sampling loop), so callers whose per-vertex emission count is
+  /// data-dependent (random branching schedules) read their work measure
+  /// here instead of maintaining a contended counter inside the sampler.
   [[nodiscard]] std::uint64_t last_emitted() const noexcept {
     return last_emitted_;
   }
@@ -380,13 +419,29 @@ class FrontierEngine {
     return last_switch_reason_;
   }
 
-  /// Batched-RNG blocks drawn during the most recent expand round (summed
-  /// over chunks) — the trace sink's "rng_blocks" field.
+  /// Batched-RNG blocks drawn during the most recent round (summed over
+  /// chunks) — the trace sink's "rng_blocks" field.
   [[nodiscard]] std::uint64_t last_rng_blocks() const noexcept {
     return last_rng_blocks_;
   }
 
  private:
+  /// Reusable per-worker round state (sized once, reset per round).
+  struct WorkerSlot {
+    std::vector<Vertex> claims;  ///< sparse-round claims
+    std::vector<Vertex> decode;  ///< dense-input chunk decode
+    std::uint64_t emitted = 0;
+    std::uint64_t claimed = 0;  ///< dense-round newly set bits
+    std::uint64_t blocks = 0;   ///< RNG refills
+  };
+
+  /// What a sink counts over one chunk — locals, so the sampling loop
+  /// keeps them in registers; folded into the worker's slot per chunk.
+  struct Tally {
+    std::uint64_t emitted = 0;
+    std::uint64_t claimed = 0;
+  };
+
   /// Advance the epoch, wiping stamps on 32-bit wrap (the aliasing guard).
   std::uint32_t advance_epoch();
 
@@ -420,7 +475,8 @@ class FrontierEngine {
     return (static_cast<std::size_t>(g_->num_vertices()) + 63) / 64;
   }
 
-  void ensure_workers(std::size_t workers);
+  /// Size the worker slots to `workers` and reset them for a round.
+  void reset_workers(std::size_t workers);
 
   /// Zero `bits` (sized to num_words()) — in parallel over `pool` once the
   /// bitmap outgrows cache scale (the dense rounds' fixed O(n/64) cost the
@@ -429,7 +485,7 @@ class FrontierEngine {
   void clear_words(std::vector<std::uint64_t>& bits, par::ThreadPool* pool);
 
   /// Decode `words` (holding `count` set bits) into `out` ascending — the
-  /// span-overload output path. Parallel two-pass (per-range popcount,
+  /// span overload's output path. Parallel two-pass (per-range popcount,
   /// prefix offsets, in-place range decode) on large bitmaps; identical
   /// output to the serial decode by construction.
   void materialize_bits(std::span<const std::uint64_t> words,
@@ -448,100 +504,46 @@ class FrontierEngine {
   void occupancy_stats(const FrontierView& in, std::size_t span,
                        std::uint64_t& chunks, std::uint64_t& max_occ) const;
 
-  /// Append the finished round to the global trace sink (call sites gate
+  /// Append the finished round to the global trace sink (the driver gates
   /// on obs::trace_enabled() so untraced rounds pay one relaxed load).
   void emit_trace(const FrontierView& in, std::size_t produced, bool dense,
                   const obs::Stopwatch& watch);
 
-  /// Invariant audits of a finished round's output (call sites gate on
+  /// Invariant audit of a finished round's output (the driver gates on
   /// audit::enabled(), the one relaxed load). Sampling policy and the
-  /// checks themselves live in core/audit.*; these adapters hand them the
-  /// engine's private state (stamps, epoch, scratch bitmap).
-  void audit_frontier(const Frontier& next, bool dense);
-  void audit_list(std::span<const Vertex> next, bool dense);
-  /// Retain-round variants: removal rounds never claim vertices, so the
-  /// epoch/stamp record is untouched and the expand-path stamp check would
-  /// misfire on them — these check canonical order / bitmap health only.
-  void audit_retain(const Frontier& next, bool dense);
-  void audit_retain_list(std::span<const Vertex> next, bool dense);
+  /// checks themselves live in core/audit.*; this adapter hands them the
+  /// engine's private state (stamps, epoch). Every round — expand or
+  /// retain — claims its output through the same sinks, so one check set
+  /// covers all of them: bitmap health for dense output, stamps for
+  /// sparse output, canonical order for any materialized list.
+  void audit_round(const Frontier& next);
   void audit_graph_once();
 
-  /// Drive `sampler` over one chunk's active vertices with CSR row
-  /// prefetch a few vertices ahead.
-  template <typename Sampler, typename Sink>
-  void process_run(std::span<const Vertex> vs, ChunkRng& rng,
-                   const Sampler& sampler, const Sink& sink) const {
-    constexpr std::size_t kLookahead = 8;
-    [[maybe_unused]] const auto& offsets = g_->offsets();
-    [[maybe_unused]] const Vertex* targets = g_->targets().data();
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-      if (i + kLookahead < vs.size()) {
-        __builtin_prefetch(targets + offsets[vs[i + kLookahead]]);
-      }
-#endif
-      sampler(vs[i], rng, sink);
-    }
-  }
+  /// THE round: runs `body` over `in` and publishes the deduplicated
+  /// output into `next` (cleared first) in the representation the mode
+  /// picks; `materialize` also decodes a dense output into `next`'s list
+  /// (the span overload's output). `kFilter` marks a body that emits only
+  /// its own vertex and reads no adjacency: such a round is billed to
+  /// "frontier.retain" instead of "frontier.step", skips the CSR prefetch,
+  /// and its claims never collide — a chunk's vertices, stamps and
+  /// (word-aligned) bitmap words belong to the one worker that walks it —
+  /// so it keeps the plain sinks on the pool too.
+  template <bool kFilter, typename Body>
+  void run_round(const FrontierView& in, Frontier& next,
+                 std::uint64_t round_seed, const Body& body,
+                 bool materialize);
 
-  /// Serial in-line visit of every chunk with active vertices. For sparse
-  /// input this walks the sorted list run by run (no scan over empty
-  /// chunks — a 24-vertex ring frontier touches 1-2 chunks, not n/span);
-  /// dense input scans the bitmap words once.
-  template <typename Sampler, typename Sink>
-  void serial_visit(const FrontierView& in, std::size_t span,
-                    std::uint64_t round_seed, const Sampler& sampler,
-                    const Sink& sink) {
-    if (!in.dense()) {
-      const auto list = in.list();
-      std::size_t i = 0;
-      while (i < list.size()) {
-        const std::size_t c = list[i] / span;
-        const auto limit = static_cast<Vertex>(
-            std::min<std::uint64_t>((c + 1) * span, g_->num_vertices()));
-        const auto end = static_cast<std::size_t>(
-            std::lower_bound(list.begin() + static_cast<std::ptrdiff_t>(i),
-                             list.end(), limit) -
-            list.begin());
-        ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
-        process_run(list.subspan(i, end - i), rng, sampler, sink);
-        last_rng_blocks_ += rng.refills();
-        i = end;
-      }
-      return;
-    }
-    const std::size_t n_chunks =
-        (g_->num_vertices() + span - 1) / span;
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const auto vs = chunk_vertices(in, span, c, scratch_decode_);
-      if (vs.empty()) continue;
-      ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
-      process_run(vs, rng, sampler, sink);
-      last_rng_blocks_ += rng.refills();
-    }
-  }
-
-  /// One sparse round into `out` (unsorted claims, sorted before return).
-  template <typename Sampler>
-  void expand_sparse(const FrontierView& in, std::vector<Vertex>& out,
-                     std::uint64_t round_seed, const Sampler& sampler);
-
-  /// One dense round into `out_bits` / `out_count`.
-  template <typename Sampler>
-  void expand_dense(const FrontierView& in, std::vector<std::uint64_t>& out_bits,
-                    std::size_t& out_count, std::uint64_t round_seed,
-                    const Sampler& sampler);
-
-  /// One sparse retain round into `out` (ascending by construction).
-  template <typename Pred>
-  void retain_sparse(const FrontierView& in, std::vector<Vertex>& out,
-                     const Pred& keep);
-
-  /// One dense retain round into `out_bits` / `out_count`.
-  template <typename Pred>
-  void retain_dense(const FrontierView& in,
-                    std::vector<std::uint64_t>& out_bits,
-                    std::size_t& out_count, const Pred& keep);
+  /// The chunk walker: visit every chunk with active vertices in
+  /// ascending order, seeding chunk c's RNG from derive_seed(round_seed,
+  /// c), with the sink `make_sink(w, atomic, tally)` builds for worker w.
+  /// In-line rounds run as worker 0 with `atomic` = std::false_type (plain
+  /// sinks); pool rounds pass std::true_type unless `kFilter`. Expand
+  /// bodies get the CSR row prefetched a few vertices ahead. Leaves the
+  /// per-worker tallies in `workers_`.
+  template <bool kFilter, typename Body, typename MakeSink>
+  void walk_chunks(const FrontierView& in, std::uint64_t round_seed,
+                   par::ThreadPool* pool, const Body& body,
+                   const MakeSink& make_sink);
 
   const Graph* g_;
   FrontierOptions opts_;
@@ -550,13 +552,7 @@ class FrontierEngine {
   bool last_dense_ = false;  ///< hysteresis memory
   bool have_mode_ = false;   ///< false until the first non-empty round
   std::vector<std::uint64_t> scratch_bits_;  ///< span-overload dense output
-  std::vector<Vertex> scratch_decode_;       ///< serial dense-input decode
-  // Reusable flat per-worker state (sized once, cleared per round).
-  std::vector<std::vector<Vertex>> worker_lists_;    ///< sparse claims
-  std::vector<std::vector<Vertex>> worker_decode_;   ///< dense-input decode
-  std::vector<std::uint64_t> worker_emitted_;
-  std::vector<std::uint64_t> worker_claimed_;
-  std::vector<std::uint64_t> worker_blocks_;  ///< per-worker RNG refills
+  std::vector<WorkerSlot> workers_;
   std::uint64_t parallel_rounds_ = 0;
   std::uint64_t serial_rounds_ = 0;
   std::uint64_t dense_rounds_ = 0;
@@ -572,288 +568,90 @@ class FrontierEngine {
   bool audit_graph_checked_ = false;  ///< CSR validated once per engine
 };
 
-template <typename Sampler>
-void FrontierEngine::expand_sparse(const FrontierView& in,
-                                   std::vector<Vertex>& out,
-                                   std::uint64_t round_seed,
-                                   const Sampler& sampler) {
+template <bool kFilter, typename Body, typename MakeSink>
+void FrontierEngine::walk_chunks(const FrontierView& in,
+                                 std::uint64_t round_seed,
+                                 par::ThreadPool* pool, const Body& body,
+                                 const MakeSink& make_sink) {
   const std::size_t span = chunk_span();
   const std::size_t n_chunks =
       (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
-  const std::uint32_t epoch = advance_epoch();
-  par::ThreadPool* pool = pick_pool(in.size());
-  last_rng_blocks_ = 0;
-
-  if (pool == nullptr || n_chunks <= 1) {
-    ++serial_rounds_;
-    last_parallel_ = false;
-    std::uint64_t emitted = 0;
-    const auto sink = [&](Vertex u) {
-      ++emitted;
-      if (stamp_[u] != epoch) {
-        stamp_[u] = epoch;
-        out.push_back(u);
+  [[maybe_unused]] const auto& offsets = g_->offsets();
+  [[maybe_unused]] const Vertex* targets = g_->targets().data();
+  const auto run_chunk = [&](std::size_t w, std::size_t c,
+                             std::span<const Vertex> vs, auto atomic) {
+    Tally tally;
+    const auto sink = make_sink(w, atomic, tally);
+    ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
+    for (std::size_t i = 0; i < vs.size(); ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+      // Ascending visits stream the offsets; only the targets row needs
+      // the hint.
+      constexpr std::size_t kLookahead = 8;
+      if (!kFilter && i + kLookahead < vs.size()) {
+        __builtin_prefetch(targets + offsets[vs[i + kLookahead]]);
       }
-    };
-    serial_visit(in, span, round_seed, sampler, sink);
-    last_emitted_ = emitted;
-  } else {
-    ++parallel_rounds_;
-    last_parallel_ = true;
-    const std::size_t workers = std::min(pool->size(), n_chunks);
-    ensure_workers(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      worker_lists_[w].clear();
-      worker_emitted_[w] = 0;
-      worker_blocks_[w] = 0;
+#endif
+      body(vs[i], rng, sink);
     }
-    par::parallel_for_chunks(
-        *pool, n_chunks, workers, [&](std::size_t w, std::size_t c) {
-          const auto vs = chunk_vertices(in, span, c, worker_decode_[w]);
-          if (vs.empty()) return;
-          ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
-          auto& claims = worker_lists_[w];
-          std::uint64_t emitted = 0;
-          const auto sink = [&](Vertex u) {
-            ++emitted;
-            std::atomic_ref<std::uint32_t> cell(stamp_[u]);
-            std::uint32_t cur = cell.load(std::memory_order_relaxed);
-            // One strong CAS suffices: every contending write this round
-            // installs the same epoch value, so failure == already claimed.
-            if (cur != epoch &&
-                cell.compare_exchange_strong(cur, epoch,
-                                             std::memory_order_relaxed)) {
-              claims.push_back(u);
-            }
-          };
-          process_run(vs, rng, sampler, sink);
-          worker_emitted_[w] += emitted;
-          worker_blocks_[w] += rng.refills();
-        });
-    std::uint64_t emitted = 0;
-    std::size_t total = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      emitted += worker_emitted_[w];
-      total += worker_lists_[w].size();
-      last_rng_blocks_ += worker_blocks_[w];
-    }
-    out.reserve(out.size() + total);
-    for (std::size_t w = 0; w < workers; ++w) {
-      out.insert(out.end(), worker_lists_[w].begin(), worker_lists_[w].end());
-    }
-    last_emitted_ = emitted;
-  }
-  // Canonical ascending order: what makes the result independent of both
-  // the schedule (claim sets are schedule-independent) and the
-  // representation (the dense path is ascending by construction).
-  std::sort(out.begin(), out.end());
-}
-
-template <typename Sampler>
-void FrontierEngine::expand_dense(const FrontierView& in,
-                                  std::vector<std::uint64_t>& out_bits,
-                                  std::size_t& out_count,
-                                  std::uint64_t round_seed,
-                                  const Sampler& sampler) {
-  const std::size_t span = chunk_span();
-  const std::size_t n_chunks =
-      (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
-  par::ThreadPool* pool = pick_pool(in.size());
-  clear_words(out_bits, pool);  // the round's one O(n/64) clear
-  last_rng_blocks_ = 0;
+    WorkerSlot& slot = workers_[w];
+    slot.emitted += tally.emitted;
+    slot.claimed += tally.claimed;
+    slot.blocks += rng.refills();
+  };
 
   if (pool == nullptr || n_chunks <= 1) {
     ++serial_rounds_;
     last_parallel_ = false;
-    std::uint64_t emitted = 0;
-    std::size_t claimed = 0;
-    std::uint64_t* bits = out_bits.data();
-    const auto sink = [&](Vertex u) {
-      ++emitted;
-      std::uint64_t& word = bits[u >> 6];
-      const std::uint64_t bit = 1ULL << (u & 63);
-      claimed += (word & bit) == 0;
-      word |= bit;
-    };
-    serial_visit(in, span, round_seed, sampler, sink);
-    last_emitted_ = emitted;
-    out_count = claimed;
-  } else {
-    ++parallel_rounds_;
-    last_parallel_ = true;
-    const std::size_t workers = std::min(pool->size(), n_chunks);
-    ensure_workers(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      worker_emitted_[w] = 0;
-      worker_claimed_[w] = 0;
-      worker_blocks_[w] = 0;
-    }
-    std::uint64_t* bits = out_bits.data();
-    par::parallel_for_chunks(
-        *pool, n_chunks, workers, [&](std::size_t w, std::size_t c) {
-          const auto vs = chunk_vertices(in, span, c, worker_decode_[w]);
-          if (vs.empty()) return;
-          ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
-          std::uint64_t emitted = 0;
-          std::uint64_t claimed = 0;
-          const auto sink = [&](Vertex u) {
-            ++emitted;
-            std::atomic_ref<std::uint64_t> word(bits[u >> 6]);
-            const std::uint64_t bit = 1ULL << (u & 63);
-            const std::uint64_t old =
-                word.fetch_or(bit, std::memory_order_relaxed);
-            claimed += (old & bit) == 0;
-          };
-          process_run(vs, rng, sampler, sink);
-          worker_emitted_[w] += emitted;
-          worker_claimed_[w] += claimed;
-          worker_blocks_[w] += rng.refills();
-        });
-    std::uint64_t emitted = 0;
-    std::size_t claimed = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      emitted += worker_emitted_[w];
-      claimed += worker_claimed_[w];
-      last_rng_blocks_ += worker_blocks_[w];
-    }
-    last_emitted_ = emitted;
-    out_count = claimed;
-  }
-}
-
-template <typename Pred>
-void FrontierEngine::retain_sparse(const FrontierView& in,
-                                   std::vector<Vertex>& out,
-                                   const Pred& keep) {
-  const std::size_t span = chunk_span();
-  const std::size_t n_chunks =
-      (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
-  par::ThreadPool* pool = pick_pool(in.size());
-  last_rng_blocks_ = 0;
-
-  if (pool == nullptr || n_chunks <= 1) {
-    ++serial_rounds_;
-    last_parallel_ = false;
+    reset_workers(1);
     if (!in.dense()) {
-      // The input list is already ascending; a filtered copy stays so.
-      for (const Vertex v : in.list()) {
-        if (keep(v)) out.push_back(v);
+      // Run by run over the sorted list: no scan over empty chunks — a
+      // 24-vertex ring frontier touches 1-2 chunks, not n/span.
+      const auto list = in.list();
+      std::size_t i = 0;
+      while (i < list.size()) {
+        const std::size_t c = list[i] / span;
+        const auto limit = static_cast<Vertex>(
+            std::min<std::uint64_t>((c + 1) * span, g_->num_vertices()));
+        const auto end = static_cast<std::size_t>(
+            std::lower_bound(list.begin() + static_cast<std::ptrdiff_t>(i),
+                             list.end(), limit) -
+            list.begin());
+        run_chunk(0, c, list.subspan(i, end - i), std::false_type{});
+        i = end;
       }
     } else {
-      const auto words = in.words();
-      for (std::size_t w = 0; w < words.size(); ++w) {
-        std::uint64_t word = words[w];
-        while (word != 0) {
-          const auto v = static_cast<Vertex>(
-              (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-          if (keep(v)) out.push_back(v);
-          word &= word - 1;
-        }
+      for (std::size_t c = 0; c < n_chunks; ++c) {
+        const auto vs = chunk_vertices(in, span, c, workers_[0].decode);
+        if (!vs.empty()) run_chunk(0, c, vs, std::false_type{});
       }
     }
   } else {
     ++parallel_rounds_;
     last_parallel_ = true;
     const std::size_t workers = std::min(pool->size(), n_chunks);
-    ensure_workers(workers);
-    for (std::size_t w = 0; w < workers; ++w) worker_lists_[w].clear();
+    reset_workers(workers);
     par::parallel_for_chunks(
         *pool, n_chunks, workers, [&](std::size_t w, std::size_t c) {
-          const auto vs = chunk_vertices(in, span, c, worker_decode_[w]);
-          auto& kept = worker_lists_[w];
-          for (const Vertex v : vs) {
-            if (keep(v)) kept.push_back(v);
-          }
+          const auto vs = chunk_vertices(in, span, c, workers_[w].decode);
+          if (!vs.empty()) run_chunk(w, c, vs, std::bool_constant<!kFilter>{});
         });
-    std::size_t total = 0;
-    for (std::size_t w = 0; w < workers; ++w) total += worker_lists_[w].size();
-    out.reserve(out.size() + total);
-    for (std::size_t w = 0; w < workers; ++w) {
-      out.insert(out.end(), worker_lists_[w].begin(), worker_lists_[w].end());
-    }
-    // Chunks are claimed dynamically, so worker lists interleave chunk
-    // ranges; the sort restores the canonical ascending order. The kept
-    // SET is schedule-independent (keep draws no RNG), so the sorted
-    // result is bit-identical to the serial path.
-    std::sort(out.begin(), out.end());
   }
-  // The work measure: keep() evaluated once per frontier vertex.
-  last_emitted_ = in.size();
-}
-
-template <typename Pred>
-void FrontierEngine::retain_dense(const FrontierView& in,
-                                  std::vector<std::uint64_t>& out_bits,
-                                  std::size_t& out_count, const Pred& keep) {
-  const std::size_t span = chunk_span();
-  const std::size_t n_chunks =
-      (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
-  par::ThreadPool* pool = pick_pool(in.size());
-  clear_words(out_bits, pool);  // may reallocate — take .data() after
+  last_emitted_ = 0;
   last_rng_blocks_ = 0;
-  std::uint64_t* bits = out_bits.data();
-
-  if (pool == nullptr || n_chunks <= 1) {
-    ++serial_rounds_;
-    last_parallel_ = false;
-    std::size_t kept = 0;
-    const auto mark = [&](Vertex v) {
-      if (keep(v)) {
-        bits[v >> 6] |= 1ULL << (v & 63);
-        ++kept;
-      }
-    };
-    if (!in.dense()) {
-      for (const Vertex v : in.list()) mark(v);
-    } else {
-      const auto words = in.words();
-      for (std::size_t w = 0; w < words.size(); ++w) {
-        std::uint64_t word = words[w];
-        while (word != 0) {
-          mark(static_cast<Vertex>(
-              (w << 6) + static_cast<std::size_t>(std::countr_zero(word))));
-          word &= word - 1;
-        }
-      }
-    }
-    out_count = kept;
-  } else {
-    ++parallel_rounds_;
-    last_parallel_ = true;
-    const std::size_t workers = std::min(pool->size(), n_chunks);
-    ensure_workers(workers);
-    for (std::size_t w = 0; w < workers; ++w) worker_claimed_[w] = 0;
-    par::parallel_for_chunks(
-        *pool, n_chunks, workers, [&](std::size_t w, std::size_t c) {
-          const auto vs = chunk_vertices(in, span, c, worker_decode_[w]);
-          std::uint64_t kept = 0;
-          // Chunk ranges are word-aligned and a retain only sets bits of
-          // its own chunk's vertices, so workers own disjoint words —
-          // plain stores, no fetch_or.
-          for (const Vertex v : vs) {
-            if (keep(v)) {
-              bits[v >> 6] |= 1ULL << (v & 63);
-              ++kept;
-            }
-          }
-          worker_claimed_[w] += kept;
-        });
-    std::size_t kept = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      kept += static_cast<std::size_t>(worker_claimed_[w]);
-    }
-    out_count = kept;
+  for (const WorkerSlot& slot : workers_) {
+    last_emitted_ += slot.emitted;
+    last_rng_blocks_ += slot.blocks;
   }
-  last_emitted_ = in.size();
 }
 
-template <typename Sampler>
-void FrontierEngine::expand(const Frontier& frontier, Frontier& next,
-                            std::uint64_t round_seed, const Sampler& sampler) {
-  assert(&frontier != &next);
+template <bool kFilter, typename Body>
+void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
+                               std::uint64_t round_seed, const Body& body,
+                               bool materialize) {
   next.clear();
   last_emitted_ = 0;
-  if (frontier.empty()) return;  // no epoch/bitmap burn for extinct processes
+  if (in.size() == 0) return;  // no epoch/bitmap burn for extinct processes
 
   // Advance the chaos round clock (event-log context for fault firings).
   // Gated on the fault registry's relaxed load — free in fault-free runs.
@@ -861,7 +659,8 @@ void FrontierEngine::expand(const Frontier& frontier, Frontier& next,
 
 #if COBRA_OBS_LEVEL >= 1
   static obs::Timer& step_timer = obs::registry().timer("frontier.step");
-  obs::ScopedTimer timed(step_timer);
+  static obs::Timer& retain_timer = obs::registry().timer("frontier.retain");
+  obs::ScopedTimer timed(kFilter ? retain_timer : step_timer);
 #endif
   // One relaxed load when untraced; everything trace-priced (occupancy
   // scan, clock reads) stays behind it. Telemetry reads state only — the
@@ -870,113 +669,82 @@ void FrontierEngine::expand(const Frontier& frontier, Frontier& next,
   obs::Stopwatch watch;
   if (traced) watch.start();
 
-  const FrontierView in(frontier);
-  bool dense = choose_dense(in.size(), next.bits_);
+  const bool dense = choose_dense(in.size(), next.bits_);
+  par::ThreadPool* pool = pick_pool(in.size());
   if (dense) {
-    expand_dense(in, next.bits_, next.count_, round_seed, sampler);
+    clear_words(next.bits_, pool);  // the round's one O(n/64) clear
+    std::uint64_t* bits = next.bits_.data();  // after the clear: may realloc
+    walk_chunks<kFilter>(
+        in, round_seed, pool, body,
+        [bits](std::size_t, auto atomic, Tally& tally) {
+          return [bits, &tally](Vertex u) {
+            ++tally.emitted;
+            const std::uint64_t bit = 1ULL << (u & 63);
+            if constexpr (decltype(atomic)::value) {
+              std::atomic_ref<std::uint64_t> word(bits[u >> 6]);
+              const std::uint64_t old =
+                  word.fetch_or(bit, std::memory_order_relaxed);
+              tally.claimed += (old & bit) == 0;
+            } else {
+              std::uint64_t& word = bits[u >> 6];
+              tally.claimed += (word & bit) == 0;
+              word |= bit;
+            }
+          };
+        });
+    std::size_t claimed = 0;
+    for (const WorkerSlot& slot : workers_) claimed += slot.claimed;
+    next.count_ = claimed;
     next.dense_ = true;
-    next.list_valid_ = false;  // materialized lazily by vertices()
+    next.list_valid_ = materialize;  // else materialized lazily by vertices()
+    if (materialize) materialize_bits(next.bits_, claimed, next.list_);
   } else {
-    expand_sparse(in, next.list_, round_seed, sampler);
-    next.count_ = next.list_.size();
+    const std::uint32_t epoch = advance_epoch();
+    std::uint32_t* stamps = stamp_.data();
+    walk_chunks<kFilter>(
+        in, round_seed, pool, body,
+        [this, stamps, epoch](std::size_t w, auto atomic, Tally& tally) {
+          std::vector<Vertex>* claims = &workers_[w].claims;
+          return [stamps, epoch, claims, &tally](Vertex u) {
+            ++tally.emitted;
+            if constexpr (decltype(atomic)::value) {
+              std::atomic_ref<std::uint32_t> cell(stamps[u]);
+              std::uint32_t cur = cell.load(std::memory_order_relaxed);
+              // One strong CAS suffices: every contending write this round
+              // installs the same epoch value, so failure == already
+              // claimed.
+              if (cur != epoch &&
+                  cell.compare_exchange_strong(cur, epoch,
+                                               std::memory_order_relaxed)) {
+                claims->push_back(u);
+              }
+            } else if (stamps[u] != epoch) {
+              stamps[u] = epoch;
+              claims->push_back(u);
+            }
+          };
+        });
+    std::vector<Vertex>& out = next.list_;
+    std::size_t total = 0;
+    for (const WorkerSlot& slot : workers_) total += slot.claims.size();
+    out.reserve(total);
+    for (const WorkerSlot& slot : workers_) {
+      out.insert(out.end(), slot.claims.begin(), slot.claims.end());
+    }
+    // Canonical ascending order: what makes the result independent of both
+    // the schedule (claim sets are schedule-independent) and the
+    // representation (the dense path is ascending by construction). An
+    // in-line filter round claims in visit order, which already is
+    // ascending; the check costs one early-exit scan otherwise.
+    if (!std::is_sorted(out.begin(), out.end())) {
+      std::sort(out.begin(), out.end());
+    }
+    next.count_ = out.size();
   }
   // One relaxed load when unarmed, mirroring fault/trace; the sampled
   // checks read the produced frontier only, never mutate it.
-  if (audit::enabled()) audit_frontier(next, dense);
+  if (audit::enabled()) audit_round(next);
   if (traced) emit_trace(in, next.count_, dense, watch);
-}
-
-template <typename Sampler>
-void FrontierEngine::expand(std::span<const Vertex> frontier,
-                            std::vector<Vertex>& next,
-                            std::uint64_t round_seed, const Sampler& sampler) {
-  next.clear();
-  last_emitted_ = 0;
-  if (frontier.empty()) return;
-
-  if (util::fault::enabled()) util::fault::tick_round();
-
-#if COBRA_OBS_LEVEL >= 1
-  static obs::Timer& step_timer = obs::registry().timer("frontier.step");
-  obs::ScopedTimer timed(step_timer);
-#endif
-  const bool traced = obs::trace_enabled();
-  obs::Stopwatch watch;
-  if (traced) watch.start();
-
-  const FrontierView in(frontier);  // asserts sortedness in debug builds
-  bool dense = choose_dense(in.size(), scratch_bits_);
-  if (dense) {
-    std::size_t count = 0;
-    expand_dense(in, scratch_bits_, count, round_seed, sampler);
-    materialize_bits(scratch_bits_, count, next);
-  } else {
-    expand_sparse(in, next, round_seed, sampler);
-  }
-  if (audit::enabled()) audit_list(next, dense);
-  if (traced) emit_trace(in, next.size(), dense, watch);
-}
-
-template <typename Pred>
-void FrontierEngine::retain(const Frontier& frontier, Frontier& next,
-                            const Pred& keep) {
-  assert(&frontier != &next);
-  next.clear();
-  last_emitted_ = 0;
-  if (frontier.empty()) return;
-
-  if (util::fault::enabled()) util::fault::tick_round();
-
-#if COBRA_OBS_LEVEL >= 1
-  static obs::Timer& retain_timer = obs::registry().timer("frontier.retain");
-  obs::ScopedTimer timed(retain_timer);
-#endif
-  const bool traced = obs::trace_enabled();
-  obs::Stopwatch watch;
-  if (traced) watch.start();
-
-  const FrontierView in(frontier);
-  bool dense = choose_dense(in.size(), next.bits_);
-  if (dense) {
-    retain_dense(in, next.bits_, next.count_, keep);
-    next.dense_ = true;
-    next.list_valid_ = false;
-  } else {
-    retain_sparse(in, next.list_, keep);
-    next.count_ = next.list_.size();
-  }
-  if (audit::enabled()) audit_retain(next, dense);
-  if (traced) emit_trace(in, next.count_, dense, watch);
-}
-
-template <typename Pred>
-void FrontierEngine::retain(std::span<const Vertex> frontier,
-                            std::vector<Vertex>& next, const Pred& keep) {
-  next.clear();
-  last_emitted_ = 0;
-  if (frontier.empty()) return;
-
-  if (util::fault::enabled()) util::fault::tick_round();
-
-#if COBRA_OBS_LEVEL >= 1
-  static obs::Timer& retain_timer = obs::registry().timer("frontier.retain");
-  obs::ScopedTimer timed(retain_timer);
-#endif
-  const bool traced = obs::trace_enabled();
-  obs::Stopwatch watch;
-  if (traced) watch.start();
-
-  const FrontierView in(frontier);  // asserts sortedness in debug builds
-  bool dense = choose_dense(in.size(), scratch_bits_);
-  if (dense) {
-    std::size_t count = 0;
-    retain_dense(in, scratch_bits_, count, keep);
-    materialize_bits(scratch_bits_, count, next);
-  } else {
-    retain_sparse(in, next, keep);
-  }
-  if (audit::enabled()) audit_retain_list(next, dense);
-  if (traced) emit_trace(in, next.size(), dense, watch);
 }
 
 }  // namespace cobra::core

@@ -81,28 +81,9 @@ class Runner {
   /// Runner value is safely shared across replicate's pool workers.
   template <Process P, typename Stop, typename... Obs>
   RunResult run(P& p, core::Engine& gen, Stop&& stop, Obs&&... obs) const {
-    const std::uint64_t budget =
-        max_rounds_ != 0
-            ? max_rounds_
-            : core::default_step_budget(static_cast<std::uint32_t>(p.n()));
     start_hook(stop, p);
     (start_hook(obs, p), ...);
-    RunResult result;
-    while (!stop.done(p)) {
-      if (result.rounds >= budget) {  // stopped stays false
-        record_run(result);
-        return result;
-      }
-      p.step(gen);
-      ++result.rounds;
-      observe_hook(stop, p);
-      (observe_hook(obs, p), ...);
-    }
-    result.stopped = true;
-    // Metrics land AFTER the loop (per run, not per round) so the loop
-    // body stays the bare step loop the zero-observer contract promises.
-    record_run(result);
-    return result;
+    return loop(p, gen, 0, SnapshotPolicy{}, stop, obs...);
   }
 
   /// `run` with periodic durable snapshots: after rounds `every`,
@@ -221,10 +202,11 @@ class Runner {
     }
   }
 
-  /// Shared tail of run_snapshotting/resume_from: the run() step loop with
-  /// `rounds_done` already on the clock and periodic snapshotting.
-  template <typename P, typename Stop, typename... Obs>
-    requires Checkpointable<P>
+  /// THE step loop, shared by run/run_snapshotting/resume_from:
+  /// `rounds_done` already on the clock, and periodic snapshotting when
+  /// `policy.every` is set (only Checkpointable processes can snapshot;
+  /// for the rest the block compiles away).
+  template <Process P, typename Stop, typename... Obs>
   RunResult loop(P& p, core::Engine& gen, std::uint64_t rounds_done,
                  const SnapshotPolicy& policy, Stop& stop,
                  Obs&... obs) const {
@@ -243,19 +225,23 @@ class Runner {
       ++result.rounds;
       observe_hook(stop, p);
       (observe_hook(obs, p), ...);
-      if (policy.every != 0 && result.rounds % policy.every == 0) {
-        try {
-          save_snapshot(p, gen, result.rounds, policy.path, stop, obs...);
-          obs::count("sim.snapshots_saved");
-        } catch (const util::CheckpointError& e) {
-          obs::count("sim.snapshot_failures");
-          std::cerr << "[sim] WARNING: snapshot failed at round "
-                    << result.rounds << ": " << e.what()
-                    << " (run continues)\n";
+      if constexpr (Checkpointable<P>) {
+        if (policy.every != 0 && result.rounds % policy.every == 0) {
+          try {
+            save_snapshot(p, gen, result.rounds, policy.path, stop, obs...);
+            obs::count("sim.snapshots_saved");
+          } catch (const util::CheckpointError& e) {
+            obs::count("sim.snapshot_failures");
+            std::cerr << "[sim] WARNING: snapshot failed at round "
+                      << result.rounds << ": " << e.what()
+                      << " (run continues)\n";
+          }
         }
       }
     }
     result.stopped = true;
+    // Metrics land AFTER the loop (per run, not per round) so the loop
+    // body stays the bare step loop the zero-observer contract promises.
     record_run(result);
     return result;
   }

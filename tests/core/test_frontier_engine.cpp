@@ -458,5 +458,18 @@ TEST(FrontierEngine, DedupeKeepsFirstOccurrence) {
   EXPECT_EQ(out, (std::vector<Vertex>{3, 1, 2, 7}));
 }
 
+TEST(FrontierEngineDeathTest, SpanFrontierWithDuplicateIsRejected) {
+  // Sorted but not duplicate-free: the span contract is strictly
+  // ascending, and a plain sortedness check would let this through.
+  // Release builds compile the assert out and run the round normally.
+  const Graph g = make_cycle(16);
+  FrontierEngine engine(g);
+  const TwoSampler sampler{&g, NeighborSampler(g)};
+  const std::vector<Vertex> frontier{1, 4, 4, 9};
+  std::vector<Vertex> next;
+  EXPECT_DEBUG_DEATH(engine.expand(frontier, next, 1, sampler),
+                     "adjacent_find");
+}
+
 }  // namespace
 }  // namespace cobra::core

@@ -1,8 +1,9 @@
-/// Tests for the engine's remove-from-frontier path (FrontierEngine::retain):
-/// pure predicate filtering with canonical output, bit-identity across
-/// thread counts and representations, the span overload, and the dedicated
-/// removal-round audit (retain claims no vertices, so the expand path's
-/// epoch/stamp check must NOT fire).
+/// Tests for the engine's remove-from-frontier round (FrontierEngine::retain,
+/// an expand whose per-vertex body emits v when keep(v)): pure predicate
+/// filtering with canonical output, bit-identity across thread counts and
+/// representations, no RNG draws, and the shared output audit (survivors
+/// are claimed through the same sinks as offspring, so every check of an
+/// expand round applies unchanged).
 
 #include "core/frontier_engine.hpp"
 
@@ -140,30 +141,32 @@ TEST(FrontierRetain, BitIdenticalAcrossThreadCountsBothModes) {
   }
 }
 
-TEST(FrontierRetain, SpanOverloadAgreesWithFrontierOverload) {
+TEST(FrontierRetain, DrawsNoRandomnessAndCountsSurvivors) {
   Engine graph_gen(43);
   const Graph g = make_random_regular(graph_gen, 2048, 4);
-  FrontierEngine engine(g);
-  std::vector<Vertex> list(g.num_vertices());
-  std::iota(list.begin(), list.end(), 0u);
-  const auto keep = [](Vertex v) { return v % 5 != 2; };
-
-  std::vector<Vertex> out_list;
-  engine.retain(std::span<const Vertex>(list), out_list, keep);
-
-  Frontier frontier, next;
-  engine.dedupe(list, frontier);
-  engine.retain(frontier, next, keep);
-  const auto vs = next.vertices();
-  EXPECT_EQ(out_list, std::vector<Vertex>(vs.begin(), vs.end()));
+  FrontierOptions opts;
+  opts.chunk_size = kChunk;
+  for (const FrontierMode mode :
+       {FrontierMode::ForceSparse, FrontierMode::ForceDense}) {
+    opts.mode = mode;
+    FrontierEngine engine(g, opts);
+    std::vector<Vertex> all(g.num_vertices());
+    std::iota(all.begin(), all.end(), 0u);
+    Frontier frontier, next;
+    engine.dedupe(all, frontier);
+    engine.retain(frontier, next, [](Vertex v) { return v % 5 != 2; });
+    EXPECT_EQ(engine.last_rng_blocks(), 0u);
+    EXPECT_EQ(engine.last_emitted(), next.size());
+    EXPECT_EQ(next.size(), 2048u - 410u);  // 410 ids in [0, 2048) are 2 mod 5
+  }
 }
 
 TEST(FrontierRetain, AuditedRemovalRoundsPassAndObserveOnly) {
-  // The expand path's stamp check would misfire on retain rounds (a retain
-  // claims no vertices, so no stamp carries the current epoch); the
-  // dedicated removal-round audit checks canonical shape only. Under full
-  // auditing with throw-on-violation armed, interleaved expand/retain
-  // rounds must run clean and produce the unaudited trajectory.
+  // Retain rounds claim their survivors' stamps like any expand round, so
+  // the one output audit (stamps, canonical order, bitmap health) covers
+  // them too. Under full auditing with throw-on-violation armed,
+  // interleaved expand/retain rounds must run clean and produce the
+  // unaudited trajectory.
   audit::set_level(0);
   audit::set_throw_on_violation(true);
   Engine graph_gen(44);

@@ -15,7 +15,6 @@
 #include "core/walt.hpp"
 #include "graph/generators.hpp"
 #include "parallel/monte_carlo.hpp"
-#include "stats/bootstrap.hpp"
 
 namespace cobra {
 namespace {
@@ -104,14 +103,6 @@ TEST(Determinism, MonteCarloRepeatable) {
   const auto a = par::run_trials(par::global_pool(), opts, trial);
   const auto b = par::run_trials(par::global_pool(), opts, trial);
   EXPECT_EQ(a, b);
-}
-
-TEST(Determinism, BootstrapRepeatable) {
-  const std::vector<double> sample{3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
-  const auto a = stats::bootstrap_mean_ci(sample, 0.95, 300, 42);
-  const auto b = stats::bootstrap_mean_ci(sample, 0.95, 300, 42);
-  EXPECT_EQ(a.lo, b.lo);
-  EXPECT_EQ(a.hi, b.hi);
 }
 
 TEST(Determinism, EngineCopyIndependence) {
