@@ -4,11 +4,12 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "parallel/bucket_sort.hpp"
 #include "parallel/monte_carlo.hpp"
 #include "parallel/parallel_for.hpp"
 #include "rng/distributions.hpp"
@@ -37,16 +38,26 @@ constexpr std::uint64_t kBaEdgesPerChunk = 1u << 16;
 constexpr std::uint64_t kGeoPointsPerChunk = 1u << 16;
 constexpr std::uint64_t kGeoScanVerticesPerChunk = 1u << 14;
 
+// Work split of rreg's edge scans. rreg draws no per-chunk RNG stream, so
+// its graphs do not depend on this one.
+constexpr std::uint64_t kRregEdgesPerChunk = 1u << 16;
+
+/// The pool a generator phase spreads over, or nullptr for the in-line
+/// path: serial requested, a one-thread pool, or a call from inside a pool
+/// worker (which must not wait on its own pool).
+par::ThreadPool* usable_pool(const GenOptions& opts) {
+  if (opts.serial) return nullptr;
+  par::ThreadPool* pool =
+      opts.pool != nullptr ? opts.pool : &par::global_pool();
+  return pool->size() <= 1 || pool->on_worker_thread() ? nullptr : pool;
+}
+
 /// Run body(c) for every chunk, across the pool when one is usable. The
 /// parallel and serial paths produce identical side effects because each
 /// chunk writes only its own buffer/slice.
 template <typename Body>
 void run_chunks(const GenOptions& opts, std::size_t n_chunks, Body&& body) {
-  par::ThreadPool* pool = nullptr;
-  if (!opts.serial && n_chunks > 1) {
-    pool = opts.pool != nullptr ? opts.pool : &par::global_pool();
-    if (pool->size() <= 1 || pool->on_worker_thread()) pool = nullptr;
-  }
+  par::ThreadPool* pool = n_chunks > 1 ? usable_pool(opts) : nullptr;
   if (pool == nullptr) {
     for (std::size_t c = 0; c < n_chunks; ++c) body(c);
     return;
@@ -54,29 +65,66 @@ void run_chunks(const GenOptions& opts, std::size_t n_chunks, Body&& body) {
   par::parallel_for_dynamic(*pool, 0, n_chunks, body);
 }
 
+/// par::bucket_sorted of value_at(0..n) on `opts`' pool. `lead(value)` is
+/// the value's leading sort component, at most `lead_max`; its top bits
+/// pick the bucket, which keeps the buckets monotone in the value.
+template <typename ValueAt, typename Lead>
+auto parallel_sorted(const GenOptions& opts, std::size_t n,
+                     std::uint64_t lead_max, const ValueAt& value_at,
+                     const Lead& lead) {
+  const std::size_t n_buckets = par::sort_buckets(n);
+  const int bits = static_cast<int>(std::countr_zero(n_buckets));
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(lead_max)) - bits);
+  return par::bucket_sorted(
+      n, n_buckets, value_at,
+      [&](const auto& value) {
+        return bits == 0 ? 0 : static_cast<std::size_t>(lead(value) >> shift);
+      },
+      n > par::kSortChunk ? usable_pool(opts) : nullptr);
+}
+
+/// The chunks' elements in chunk order; the chunks are left empty.
+template <typename T>
+std::vector<T> concat(std::vector<std::vector<T>>& chunks) {
+  if (chunks.size() == 1) return std::move(chunks[0]);
+  std::size_t total = 0;
+  for (const auto& chunk : chunks) total += chunk.size();
+  std::vector<T> out;
+  out.reserve(total);
+  for (auto& chunk : chunks) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+    std::vector<T>().swap(chunk);
+  }
+  return out;
+}
+
 /// Concatenate per-chunk edge buffers in chunk order and compile into CSR
 /// (counting sort, then per-vertex adjacency sort — parallelized over
 /// vertex ranges, which is safe because each vertex's sorted list is
 /// independent of who sorts it). With `simplify`, self-loops and duplicate
-/// undirected edges are removed first (canonicalize + sort + unique, a
-/// deterministic function of the edge multiset).
+/// undirected edges are removed first (canonicalize per chunk, then one
+/// parallel sort + unique: a deterministic function of the edge multiset).
 Graph assemble(std::uint32_t n, std::vector<std::vector<Edge>>& chunks,
                bool simplify, const GenOptions& opts) {
-  std::size_t total = 0;
-  for (const auto& chunk : chunks) total += chunk.size();
-  std::vector<Edge> edges;
-  edges.reserve(total);
-  for (auto& chunk : chunks) {
-    edges.insert(edges.end(), chunk.begin(), chunk.end());
-    std::vector<Edge>().swap(chunk);
-  }
-
+#if COBRA_OBS_LEVEL >= 1
+  static obs::Timer& timer = obs::registry().timer("gen.assemble");
+  obs::ScopedTimer timed(timer);
+#endif
   if (simplify) {
-    std::erase_if(edges, [](const Edge& e) { return e.first == e.second; });
-    for (auto& [u, v] : edges) {
-      if (u > v) std::swap(u, v);
-    }
-    std::sort(edges.begin(), edges.end());
+    run_chunks(opts, chunks.size(), [&](std::size_t c) {
+      std::erase_if(chunks[c],
+                    [](const Edge& e) { return e.first == e.second; });
+      for (auto& [u, v] : chunks[c]) {
+        if (u > v) std::swap(u, v);
+      }
+    });
+  }
+  std::vector<Edge> edges = concat(chunks);
+  if (simplify) {
+    edges = parallel_sorted(
+        opts, edges.size(), n - 1, [&](std::size_t i) { return edges[i]; },
+        [](const Edge& e) { return e.first; });
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   }
 
@@ -130,6 +178,108 @@ std::uint64_t range_start(std::uint64_t total, std::uint64_t n_chunks,
   __extension__ using u128 = unsigned __int128;
   return static_cast<std::uint64_t>(static_cast<u128>(total) * c / n_chunks);
 }
+
+/// Canonical key of the undirected edge {a, b}: (min << 32) | max, so keys
+/// order like (min, max) pairs. A key with min < max is never 0 and never
+/// all ones.
+using EdgeKey = std::uint64_t;
+constexpr EdgeKey edge_key(Vertex a, Vertex b) {
+  return a < b ? (EdgeKey{a} << 32) | b : (EdgeKey{b} << 32) | a;
+}
+constexpr bool is_loop(EdgeKey key) {
+  return (key >> 32) == (key & 0xFFFFFFFFu);
+}
+
+/// The pairing's edges as (key, index) pairs, sorted.
+using KeyedEdges = std::vector<std::pair<EdgeKey, std::uint64_t>>;
+
+/// rreg's set of clean edges during repair. Its base is the pairing's
+/// KeyedEdges, where each key's first pair is its clean copy; `absent_`
+/// flags the base slots outside the set (defects, and clean edges that
+/// swaps removed). Keys that swaps added live in an open-addressing table
+/// (linear probing, power-of-two size); swaps touch O(defects) keys, so
+/// it stays small.
+class CleanEdges {
+ public:
+  CleanEdges(KeyedEdges sorted, std::vector<char> absent)
+      : base_(std::move(sorted)), absent_(std::move(absent)) {}
+
+  [[nodiscard]] bool contains(EdgeKey key) const {
+    const std::size_t at = base_slot(key);
+    if (at != kNone) return absent_[at] == 0;
+    if (added_.empty()) return false;
+    for (std::size_t s = home(key);; s = next(s)) {
+      if (added_[s] == key) return true;
+      if (added_[s] == kEmpty) return false;
+    }
+  }
+
+  /// Requires !contains(key) and min < max.
+  void insert(EdgeKey key) {
+    const std::size_t at = base_slot(key);
+    if (at != kNone) {
+      absent_[at] = 0;
+      return;
+    }
+    if (2 * (used_ + 1) > added_.size()) rehash();
+    std::size_t s = home(key);
+    while (added_[s] != kEmpty && added_[s] != kErased) s = next(s);
+    if (added_[s] == kEmpty) ++used_;
+    added_[s] = key;
+  }
+
+  /// Requires contains(key).
+  void erase(EdgeKey key) {
+    const std::size_t at = base_slot(key);
+    if (at != kNone) {
+      absent_[at] = 1;
+      return;
+    }
+    std::size_t s = home(key);
+    while (added_[s] != key) s = next(s);
+    added_[s] = kErased;
+  }
+
+ private:
+  static constexpr EdgeKey kEmpty = 0;
+  static constexpr EdgeKey kErased = ~EdgeKey{0};
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  /// Slot of the key's first (clean) base pair, or kNone.
+  [[nodiscard]] std::size_t base_slot(EdgeKey key) const {
+    const auto it = std::lower_bound(
+        base_.begin(), base_.end(), key,
+        [](const auto& pair, EdgeKey k) { return pair.first < k; });
+    return it != base_.end() && it->first == key
+               ? static_cast<std::size_t>(it - base_.begin())
+               : kNone;
+  }
+  [[nodiscard]] std::size_t home(EdgeKey key) const {
+    return static_cast<std::size_t>(rng::splitmix64_mix(key)) &
+           (added_.size() - 1);
+  }
+  [[nodiscard]] std::size_t next(std::size_t s) const {
+    return (s + 1) & (added_.size() - 1);
+  }
+  void rehash() {
+    std::vector<EdgeKey> live;
+    for (const EdgeKey key : added_) {
+      if (key != kEmpty && key != kErased) live.push_back(key);
+    }
+    added_.assign(std::bit_ceil(4 * live.size() + 16), kEmpty);
+    used_ = live.size();
+    for (const EdgeKey key : live) {
+      std::size_t s = home(key);
+      while (added_[s] != kEmpty) s = next(s);
+      added_[s] = key;
+    }
+  }
+
+  KeyedEdges base_;
+  std::vector<char> absent_;
+  std::vector<EdgeKey> added_;
+  std::size_t used_ = 0;  // non-empty slots of added_, erased ones included
+};
 
 }  // namespace
 
@@ -362,40 +512,74 @@ Graph random_regular(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
     throw std::invalid_argument("random_regular: n*d must be even");
   }
   const std::uint64_t num_stubs = static_cast<std::uint64_t>(n) * d;
-
-  // Uniform stub permutation by sorting hashed keys: key generation is
-  // chunk-parallel (a pure per-index hash), the sort is serial but
-  // deterministic, and ties (astronomically unlikely) break by index.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> keyed(num_stubs);
-  const std::uint64_t key_chunks =
-      std::max<std::uint64_t>(1, (num_stubs + kBaEdgesPerChunk - 1) /
-                                     kBaEdgesPerChunk);
-  run_chunks(opts, key_chunks, [&](std::size_t c) {
-    const std::uint64_t lo = range_start(num_stubs, key_chunks, c);
-    const std::uint64_t hi = range_start(num_stubs, key_chunks, c + 1);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      keyed[i] = {rng::derive_seed(seed, i), i};
-    }
-  });
-  std::sort(keyed.begin(), keyed.end());
-
   const std::size_t num_edges = num_stubs / 2;
-  std::vector<Edge> edges(num_edges);
-  std::set<Edge> present;
-  std::vector<char> bad(num_edges, 0);
-  auto canonical = [](Vertex a, Vertex b) {
-    return a < b ? Edge{a, b} : Edge{b, a};
+  const std::uint64_t edge_chunks = std::max<std::uint64_t>(
+      1, (num_edges + kRregEdgesPerChunk - 1) / kRregEdgesPerChunk);
+  const auto for_edge_ranges = [&](auto&& body) {
+    run_chunks(opts, edge_chunks, [&](std::size_t c) {
+      body(c, range_start(num_edges, edge_chunks, c),
+           range_start(num_edges, edge_chunks, c + 1));
+    });
   };
-  std::vector<std::size_t> defective;
-  for (std::size_t i = 0; i < num_edges; ++i) {
-    edges[i] = {static_cast<Vertex>(keyed[2 * i].second / d),
-                static_cast<Vertex>(keyed[2 * i + 1].second / d)};
-    const auto [a, b] = edges[i];
-    if (a == b || !present.insert(canonical(a, b)).second) {
-      bad[i] = 1;
-      defective.push_back(i);
-    }
+
+  // Uniform stub permutation: stub i gets the hashed key
+  // derive_seed(seed, i), and consecutive stubs in (key, i) order pair up
+  // (ties, astronomically unlikely, break by index).
+  std::vector<Edge> edges(num_edges);
+  {
+#if COBRA_OBS_LEVEL >= 1
+    static obs::Timer& timer = obs::registry().timer("gen.rreg.permute");
+    obs::ScopedTimer timed(timer);
+#endif
+    const auto keyed = parallel_sorted(
+        opts, num_stubs, ~std::uint64_t{0},
+        [seed](std::size_t i) {
+          return std::pair{rng::derive_seed(seed, i), std::uint64_t{i}};
+        },
+        [](const auto& k) { return k.first; });
+    for_edge_ranges([&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
+      for (std::uint64_t i = lo; i < hi; ++i) {
+        edges[i] = {static_cast<Vertex>(keyed[2 * i].second / d),
+                    static_cast<Vertex>(keyed[2 * i + 1].second / d)};
+      }
+    });
   }
+
+  // Defects, ascending: every self-loop, and every copy of an edge after
+  // its lowest-index one — exactly the edges a set of present edges,
+  // filled in index order, would reject. Sorting (key, index) pairs puts
+  // each edge's copies side by side, lowest index first.
+  std::vector<char> bad(num_edges, 0);
+  std::vector<std::size_t> defective;
+  KeyedEdges by_key;
+  std::vector<char> absent(num_edges, 0);  // by_key slots that are defects
+  {
+#if COBRA_OBS_LEVEL >= 1
+    static obs::Timer& timer = obs::registry().timer("gen.rreg.dedup");
+    obs::ScopedTimer timed(timer);
+#endif
+    by_key = parallel_sorted(
+        opts, num_edges, n - 1,
+        [&](std::size_t i) {
+          return std::pair{edge_key(edges[i].first, edges[i].second),
+                           std::uint64_t{i}};
+        },
+        [](const auto& k) { return k.first >> 32; });
+    std::vector<std::vector<std::size_t>> found(edge_chunks);
+    for_edge_ranges([&](std::size_t c, std::uint64_t lo, std::uint64_t hi) {
+      for (std::uint64_t p = lo; p < hi; ++p) {
+        const auto [key, i] = by_key[p];
+        if (is_loop(key) || (p > 0 && by_key[p - 1].first == key)) {
+          bad[i] = 1;
+          absent[p] = 1;
+          found[c].push_back(i);
+        }
+      }
+    });
+    defective = concat(found);
+    std::sort(defective.begin(), defective.end());
+  }
+  obs::count("gen.rreg.defects", defective.size());
 
   // Edge-swap repair: defective (u,v) + random clean (x,y) -> (u,x) +
   // (v,y), accepted when both results are loop-free and new. A raw
@@ -404,32 +588,39 @@ Graph random_regular(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
   // double-swap preserves the degree sequence exactly and (by the
   // standard switching argument) leaves the distribution asymptotically
   // uniform over simple d-regular graphs. Serial by design — its work is
-  // O(defects), and a serial pass with a derived seed keeps the result a
-  // pure function of (n, d, seed).
-  ChunkEngine repair_eng(rng::derive_seed(~seed, 0x5e9a1));
-  for (std::uint32_t pass = 0; pass < max_passes && !defective.empty();
-       ++pass) {
-    std::vector<std::size_t> still_bad;
-    for (const std::size_t i : defective) {
-      const auto [u, v] = edges[i];
-      const auto j =
-          static_cast<std::size_t>(rng::uniform_below(repair_eng, num_edges));
-      const auto [x, y] = edges[j];
-      if (j == i || bad[j] != 0 || u == x || v == y ||
-          canonical(u, x) == canonical(v, y) ||
-          present.contains(canonical(u, x)) ||
-          present.contains(canonical(v, y))) {
-        still_bad.push_back(i);
-        continue;
+  // O(defects) draws plus O(log m) lookups each, and a serial pass with a
+  // derived seed keeps the result a pure function of (n, d, seed).
+  {
+#if COBRA_OBS_LEVEL >= 1
+    static obs::Timer& timer = obs::registry().timer("gen.rreg.repair");
+    obs::ScopedTimer timed(timer);
+#endif
+    CleanEdges present(std::move(by_key), std::move(absent));
+    ChunkEngine repair_eng(rng::derive_seed(~seed, 0x5e9a1));
+    for (std::uint32_t pass = 0; pass < max_passes && !defective.empty();
+         ++pass) {
+      std::vector<std::size_t> still_bad;
+      for (const std::size_t i : defective) {
+        const auto [u, v] = edges[i];
+        const auto j = static_cast<std::size_t>(
+            rng::uniform_below(repair_eng, num_edges));
+        const auto [x, y] = edges[j];
+        if (j == i || bad[j] != 0 || u == x || v == y ||
+            edge_key(u, x) == edge_key(v, y) ||
+            present.contains(edge_key(u, x)) ||
+            present.contains(edge_key(v, y))) {
+          still_bad.push_back(i);
+          continue;
+        }
+        present.erase(edge_key(x, y));
+        present.insert(edge_key(u, x));
+        present.insert(edge_key(v, y));
+        edges[i] = {u, x};
+        edges[j] = {v, y};
+        bad[i] = 0;
       }
-      present.erase(canonical(x, y));
-      present.insert(canonical(u, x));
-      present.insert(canonical(v, y));
-      edges[i] = {u, x};
-      edges[j] = {v, y};
-      bad[i] = 0;
+      defective.swap(still_bad);
     }
-    defective.swap(still_bad);
   }
   if (!defective.empty()) {
     throw std::runtime_error(

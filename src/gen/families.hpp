@@ -36,9 +36,10 @@
 ///   * ba   — Barabási–Albert preferential attachment via the chunked
 ///            copy-model (Sanders–Schulz): each edge slot's random choice is
 ///            a pure hash of (seed, slot), so any slot resolves independently
-///   * rreg — random d-regular configuration model; the stub permutation is
-///            sort-by-hashed-key (keys generated chunk-parallel), followed
-///            by the serial edge-swap repair pass
+///   * rreg — random d-regular configuration model; the stub permutation
+///            and the self-loop/parallel-edge scan are deterministic
+///            parallel sorts (par::bucket_sorted), followed by an edge-swap
+///            repair whose O(defects) swaps are serial
 ///   * geo  — random geometric graph; points chunk-parallel, neighbor search
 ///            grid-bucketed, edge scan chunked over vertices
 
@@ -100,10 +101,12 @@ struct GenOptions {
                                            const GenOptions& opts = {});
 
 /// Random d-regular simple graph: configuration-model pairing through a
-/// sort-by-hashed-key stub permutation, then serial edge-swap repair (up
-/// to `max_passes` passes). Requires n*d even, d < n; throws
-/// std::runtime_error when repair fails (d too large for n).
-/// graph::make_random_regular is a thin wrapper over this.
+/// sort-by-hashed-key stub permutation, then edge-swap repair of the
+/// self-loops and parallel edges (up to `max_passes` passes). The stub
+/// sort and the defect scan (a sort of the pairing's edges) run in
+/// parallel; the repair's swaps are serial and O(defects). Requires n*d
+/// even, d < n; throws std::runtime_error when repair fails (d too large
+/// for n). graph::make_random_regular is a thin wrapper over this.
 [[nodiscard]] graph::Graph random_regular(std::uint32_t n, std::uint32_t d,
                                           std::uint64_t seed,
                                           const GenOptions& opts = {},

@@ -67,10 +67,12 @@ namespace cobra::graph {
 
 /// Random d-regular simple graph via the configuration model with
 /// edge-swap repair (thin wrapper over gen::random_regular, seeded from
-/// one draw of `gen`). Requires n*d even, d < n, and (for practical
-/// repair budgets) d <= ~O(sqrt(n)); throws std::runtime_error if a
-/// simple graph is not reached within max_attempts repair passes. W.h.p.
-/// the result is connected and an expander for d >= 3.
+/// one draw of `gen` and built in-line: the same graph gen::random_regular
+/// builds on any pool, without touching one). Requires n*d even, d < n,
+/// and (for practical repair budgets) d <= ~O(sqrt(n)); throws
+/// std::runtime_error if a simple graph is not reached within
+/// max_attempts repair passes. W.h.p. the result is connected and an
+/// expander for d >= 3.
 [[nodiscard]] Graph make_random_regular(rng::Xoshiro256& gen, std::uint32_t n,
                                         std::uint32_t degree,
                                         std::uint32_t max_attempts = 200);

@@ -112,7 +112,8 @@ TEST(Metrics, ResetZeroesValuesButKeepsRegistrationsAndReferences) {
   // Registration survives: the name still snapshots, and the cached
   // reference still feeds it.
   c.add(2);
-  const obs::Sample* s = find_sample(obs::registry().snapshot(), "test.reset.c");
+  const auto samples = obs::registry().snapshot();
+  const obs::Sample* s = find_sample(samples, "test.reset.c");
   ASSERT_NE(s, nullptr);
   EXPECT_DOUBLE_EQ(s->value, 2.0);
 }
@@ -150,8 +151,8 @@ TEST(Metrics, FaultHitsAreRegistryBackedCounters) {
   // The same count is visible through the registry — hits() is now a thin
   // wrapper over "fault.<site>.hits".
   EXPECT_EQ(obs::registry().counter("fault.test.site.hits").value(), 3u);
-  const obs::Sample* s =
-      find_sample(obs::registry().snapshot(), "fault.test.site.hits");
+  const auto samples = obs::registry().snapshot();
+  const obs::Sample* s = find_sample(samples, "fault.test.site.hits");
   ASSERT_NE(s, nullptr);
   EXPECT_DOUBLE_EQ(s->value, 3.0);
   util::fault::disarm_all();
@@ -172,6 +173,24 @@ TEST(Metrics, MetricsObserverFeedsRegistryThroughRunner) {
   EXPECT_EQ(rounds.value() - rounds_before, r.rounds);
   EXPECT_EQ(runs.value() - runs_before, 1u);
   EXPECT_GE(obs::registry().gauge("sim.peak_active_size").value(), 1.0);
+}
+
+TEST(Metrics, RandomRegularBuildReportsPhasesAndDefects) {
+  if constexpr (obs::kLevel == 0) GTEST_SKIP() << "COBRA_OBS_LEVEL=0";
+  obs::Counter& defects = obs::registry().counter("gen.rreg.defects");
+  const std::uint64_t defects_before = defects.value();
+  // This pairing starts with self-loops and parallel edges, so the repair
+  // runs (tests/gen/test_graph_ledger pins the repaired graph).
+  (void)gen::build_graph("rreg:n=2^14,d=6,seed=1");
+  EXPECT_GT(defects.value(), defects_before);
+  const auto samples = obs::registry().snapshot();
+  for (const char* phase : {"gen.rreg.permute", "gen.rreg.dedup",
+                            "gen.rreg.repair", "gen.assemble"}) {
+    const obs::Sample* s = find_sample(samples, phase);
+    ASSERT_NE(s, nullptr) << phase;
+    EXPECT_EQ(s->kind, "timer") << phase;
+    EXPECT_GE(s->count, 1u) << phase;
+  }
 }
 
 TEST(Metrics, WriteMetricsJsonEmitsManifestAndSamples) {
