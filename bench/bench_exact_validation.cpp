@@ -20,9 +20,9 @@
 
 #include "harness.hpp"
 
-#include "core/cover_time.hpp"
+#include "core/cobra_walk.hpp"
 #include "core/exact_cobra.hpp"
-#include "core/hitting_time.hpp"
+#include "sim/runner.hpp"
 
 namespace {
 
@@ -56,7 +56,7 @@ void cover_table(bench::Harness& h, const std::vector<bench::BuiltCase>& cases,
     const auto sim = bench::measure(
         trials, 0xA100 ^ std::hash<std::string>{}(c.spec),
         [&](core::Engine& gen) {
-          return static_cast<double>(core::cobra_cover(g, 0, 2, gen).steps);
+          return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
         });
     const double z = sim.sem > 0 ? (sim.mean - truth) / sim.sem : 0.0;
     table.add_row({c.name, io::Table::fmt(truth, 4), bench::mean_ci(sim, 3),
@@ -88,8 +88,7 @@ void hitting_table(bench::Harness& h,
     const auto sim = bench::measure(
         trials, 0xA200 ^ std::hash<std::string>{}(c.spec),
         [&](core::Engine& gen) {
-          return static_cast<double>(
-              core::cobra_hit(g, 0, target, 2, gen).steps);
+          return sim::hit_rounds<core::CobraWalk>(gen, target, g, 0u, 2u);
         });
     const double z = sim.sem > 0 ? (sim.mean - truth) / sim.sem : 0.0;
     table.add_row({c.name, "0 -> " + std::to_string(target),

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "core/cover_time.hpp"
 #include "core/types.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -39,9 +38,9 @@
 /// observers do.
 ///
 /// Budget: every run carries a max-round budget (explicit, or
-/// core::default_step_budget(p.n()) when constructed with 0) so a bugged
-/// stop condition terminates instead of spinning; `stopped == false` means
-/// the budget ran out, mirroring core::CoverResult::covered.
+/// default_step_budget(p.n()) when constructed with 0) so a bugged stop
+/// condition terminates instead of spinning; `stopped == false` means the
+/// budget ran out (for a CoverStop run: not covered).
 ///
 /// Replication: `Runner::replicate` is the repetition + CI aggregation the
 /// benches used to copy around — `trials` independent trials on the global
@@ -51,6 +50,13 @@
 /// over it.
 
 namespace cobra::sim {
+
+/// Default round budget for an `n`-vertex process: 32 n^3 (the simple
+/// random walk's worst-case Θ(n^3) cover time, padded), floored at 2^20 so
+/// tiny graphs aren't budget-bound either, and saturating at UINT64_MAX
+/// instead of wrapping, so a run that hits it signals a real bug, not
+/// tight budgeting.
+[[nodiscard]] std::uint64_t default_step_budget(std::uint32_t num_vertices);
 
 /// Outcome of one run.
 struct RunResult {
@@ -69,7 +75,7 @@ struct SnapshotPolicy {
 class Runner {
  public:
   /// `max_rounds` = 0 derives the budget per run from the process size
-  /// (core::default_step_budget), generous enough that hitting it signals
+  /// (default_step_budget), generous enough that hitting it signals
   /// a real bug or an impossible stop condition.
   constexpr Runner() = default;
   constexpr explicit Runner(std::uint64_t max_rounds)
@@ -213,7 +219,7 @@ class Runner {
     const std::uint64_t budget =
         max_rounds_ != 0
             ? max_rounds_
-            : core::default_step_budget(static_cast<std::uint32_t>(p.n()));
+            : default_step_budget(static_cast<std::uint32_t>(p.n()));
     RunResult result;
     result.rounds = rounds_done;
     while (!stop.done(p)) {
@@ -263,8 +269,7 @@ class Runner {
     std::uint32_t trials, std::uint64_t seed,
     const std::function<double(core::Engine&)>& trial);
 
-/// One-shot: run to cover, default budget when `max_rounds` == 0. The
-/// generic replacement for the per-process core::*_cover one-shots.
+/// One-shot: run to cover, default budget when `max_rounds` == 0.
 template <Process P>
 RunResult run_cover(P& p, core::Engine& gen, std::uint64_t max_rounds = 0) {
   CoverStop cover;
@@ -302,5 +307,24 @@ double hit_rounds(core::Engine& gen, core::Vertex target, Args&&... args) {
   P process(std::forward<Args>(args)...);
   return static_cast<double>(run_hit(process, target, gen).rounds);
 }
+
+/// Monte-Carlo estimate of h_max = max_{u,v} H(u, v) for the k-cobra walk
+/// (§2, §5: Theorems 15 and 20 and the Matthews bound are phrased in it).
+/// `pair_samples` == 0 sweeps all ordered pairs (only sane for small n);
+/// otherwise that many uniformly random distinct pairs, each drawn from
+/// `gen` right before its trials. Every pair is averaged over
+/// `trials_per_pair` default-budget run_hit runs, all on `gen`.
+struct HmaxEstimate {
+  double hmax = 0.0;  ///< max over pairs of mean hitting time
+  core::Vertex argmax_from = 0;
+  core::Vertex argmax_to = 0;
+  std::uint64_t pairs = 0;
+  bool all_hit = true;  ///< false if any run exhausted its budget
+};
+[[nodiscard]] HmaxEstimate estimate_cobra_hmax(const core::Graph& g,
+                                               std::uint32_t branching,
+                                               core::Engine& gen,
+                                               std::uint64_t pair_samples,
+                                               std::uint32_t trials_per_pair);
 
 }  // namespace cobra::sim

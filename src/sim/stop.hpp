@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <tuple>
 #include <utility>
+#include <vector>
 
-#include "core/cover_time.hpp"
 #include "core/types.hpp"
 #include "sim/process.hpp"
 #include "util/checkpoint_io.hpp"
@@ -34,55 +34,69 @@
 namespace cobra::sim {
 
 /// Stop when every vertex of the graph has been active at least once —
-/// the paper's cover time. Owns the CoverageTracker (sized lazily from
-/// `p.n()` at start, so one rule value works for any process).
+/// the paper's cover time. Holds one covered-flag byte per vertex (sized
+/// lazily from `p.n()` at start, so one rule value works for any process).
+/// Callers outside the Runner drive it by hand: start(p) once, then
+/// observe(p) after every step.
 class CoverStop {
  public:
   template <Process P>
   void start(const P& p) {
-    tracker_.emplace(static_cast<std::uint32_t>(p.n()));
-    tracker_->absorb(p.active());
+    covered_.assign(static_cast<std::uint32_t>(p.n()), 0);
+    count_ = 0;
+    started_ = true;
+    absorb(p.active());
   }
 
   template <Process P>
   void observe(const P& p) {
-    tracker_->absorb(p.active());
+    absorb(p.active());
   }
 
   template <Process P>
   [[nodiscard]] bool done(const P&) const {
-    return tracker_->complete();
+    return complete();
   }
 
-  [[nodiscard]] std::uint32_t covered_count() const {
-    return tracker_ ? tracker_->covered_count() : 0;
-  }
+  [[nodiscard]] std::uint32_t covered_count() const { return count_; }
   [[nodiscard]] bool complete() const {
-    return tracker_ && tracker_->complete();
-  }
-  [[nodiscard]] double fraction() const {
-    return tracker_ ? tracker_->fraction() : 0.0;
+    return started_ && count_ == covered_.size();
   }
 
   /// Coverage is history, not derivable from the frontier — it must ride
   /// in every snapshot. The byte count doubles as the vertex count on
   /// restore, so no process handle is needed.
   void save_state(util::CheckpointWriter& w) const {
-    w.u8(tracker_.has_value() ? 1 : 0);
-    if (tracker_) w.bytes(tracker_->raw());
+    w.u8(started_ ? 1 : 0);
+    if (started_) w.bytes(covered_);
   }
   void restore_state(util::CheckpointReader& r) {
     if (r.u8() == 0) {
-      tracker_.reset();
+      *this = CoverStop();
       return;
     }
-    const std::vector<std::uint8_t> raw = r.bytes();
-    tracker_.emplace(static_cast<std::uint32_t>(raw.size()));
-    tracker_->restore_raw(raw);
+    covered_ = r.bytes();  // a short payload throws before anything changes
+    count_ = 0;
+    for (const std::uint8_t b : covered_) count_ += (b != 0) ? 1u : 0u;
+    started_ = true;
   }
 
  private:
-  std::optional<core::CoverageTracker> tracker_;
+  /// Mark all of `active` covered: one byte test per active vertex.
+  void absorb(std::span<const core::Vertex> active) {
+    std::uint32_t newly = 0;
+    for (const core::Vertex v : active) {
+      if (covered_[v] == 0) {
+        covered_[v] = 1;
+        ++newly;
+      }
+    }
+    count_ += newly;
+  }
+
+  std::vector<std::uint8_t> covered_;
+  std::uint32_t count_ = 0;
+  bool started_ = false;
 };
 
 /// Stop when `target` first appears in the active set (a target active at

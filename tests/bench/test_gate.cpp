@@ -40,6 +40,7 @@ TEST(Gate, TimingFieldsMatchBySubstring) {
   EXPECT_TRUE(bench::is_timing_field("Speedup_8t"));
   EXPECT_TRUE(bench::is_timing_field("throughput"));
   EXPECT_TRUE(bench::is_timing_field("wall_time_ms"));
+  EXPECT_TRUE(bench::is_timing_field("dynamic_efficiency"));
   EXPECT_FALSE(bench::is_timing_field("rounds"));
   EXPECT_FALSE(bench::is_timing_field("ratio"));
   EXPECT_FALSE(bench::is_timing_field("exponent"));

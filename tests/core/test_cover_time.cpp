@@ -1,159 +1,187 @@
-#include "core/cover_time.hpp"
+// Cover-time measurement: sim::CoverStop driven by hand and through the
+// Runner, budget truncation, small-graph cover times, and the default
+// step budget.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/cobra_walk.hpp"
+#include "core/parallel_walks.hpp"
 #include "core/random_walk.hpp"
+#include "core/walt.hpp"
 #include "graph/generators.hpp"
+#include "sim/runner.hpp"
+#include "sim/stop.hpp"
 
-namespace cobra::core {
 namespace {
 
-using graph::make_complete;
-using graph::make_cycle;
-using graph::make_grid;
-using graph::make_path;
-using graph::make_star;
+using namespace cobra;
 
-TEST(CoverageTracker, AbsorbCountsNewOnly) {
-  CoverageTracker tracker(5);
-  const std::vector<Vertex> a{0, 1, 1, 2};
-  EXPECT_EQ(tracker.absorb(a), 3u);
-  EXPECT_EQ(tracker.covered_count(), 3u);
-  const std::vector<Vertex> b{2, 3};
-  EXPECT_EQ(tracker.absorb(b), 1u);
-  EXPECT_EQ(tracker.covered_count(), 4u);
-  EXPECT_FALSE(tracker.complete());
-  const std::vector<Vertex> c{4};
-  tracker.absorb(c);
-  EXPECT_TRUE(tracker.complete());
-  EXPECT_DOUBLE_EQ(tracker.fraction(), 1.0);
+/// A process whose active set the test writes directly, for driving
+/// CoverStop's start/observe by hand the way standalone callers do.
+struct ScriptedProcess {
+  std::uint32_t vertices = 0;
+  std::vector<core::Vertex> current;
+
+  void step(core::Engine&) {}
+  [[nodiscard]] std::span<const core::Vertex> active() const { return current; }
+  [[nodiscard]] std::uint64_t round() const { return 0; }
+  [[nodiscard]] std::uint32_t n() const { return vertices; }
+};
+
+TEST(CoverStop, CountsEachVertexOnce) {
+  ScriptedProcess p{5, {0, 1, 1, 2}};
+  sim::CoverStop cover;
+  cover.start(p);
+  EXPECT_EQ(cover.covered_count(), 3u);
+  p.current = {2, 3};
+  cover.observe(p);
+  EXPECT_EQ(cover.covered_count(), 4u);
+  EXPECT_FALSE(cover.done(p));
+  p.current = {4};
+  cover.observe(p);
+  EXPECT_TRUE(cover.done(p));
 }
 
-TEST(CoverageTracker, Reset) {
-  CoverageTracker tracker(3);
-  const std::vector<Vertex> all{0, 1, 2};
-  tracker.absorb(all);
-  EXPECT_TRUE(tracker.complete());
-  tracker.reset();
-  EXPECT_EQ(tracker.covered_count(), 0u);
-  EXPECT_FALSE(tracker.is_covered(0));
+TEST(CoverStop, StartResetsCoverage) {
+  ScriptedProcess p{3, {0, 1, 2}};
+  sim::CoverStop cover;
+  cover.start(p);
+  EXPECT_TRUE(cover.complete());
+  p.current = {1};
+  cover.start(p);
+  EXPECT_EQ(cover.covered_count(), 1u);
+  EXPECT_FALSE(cover.complete());
 }
 
-TEST(CoverageTracker, EmptyGraphIsTriviallyComplete) {
-  CoverageTracker tracker(0);
-  EXPECT_TRUE(tracker.complete());
-  EXPECT_DOUBLE_EQ(tracker.fraction(), 1.0);
+TEST(CoverStop, EmptyProcessIsTriviallyComplete) {
+  const ScriptedProcess p;
+  sim::CoverStop cover;
+  EXPECT_FALSE(cover.complete());  // not started yet
+  cover.start(p);
+  EXPECT_TRUE(cover.complete());
 }
 
-TEST(RunToCover, SingleVertexGraphIsRejected) {
-  // A one-vertex graph has no edges, so no walk can take a step; the
-  // constructor refuses it (isolated vertex) rather than stepping into UB.
-  const Graph g = make_path(1);
-  EXPECT_THROW(CobraWalk(g, 0, 2), std::invalid_argument);
-  // The two-vertex path is the smallest walkable graph and covers in 1 step.
-  const Graph g2 = make_path(2);
-  Engine gen(1);
-  CobraWalk walk(g2, 0, 2);
-  const CoverResult r = run_to_cover(walk, gen, 100);
-  EXPECT_TRUE(r.covered);
-  EXPECT_EQ(r.steps, 1u);
+TEST(CoverStop, InitialActiveSetCountsAsCovered) {
+  const graph::Graph g = graph::make_star(5);
+  core::CobraWalk walk(g, 0, 2);
+  sim::CoverStop cover;
+  cover.start(walk);
+  EXPECT_EQ(cover.covered_count(), 1u);
+  EXPECT_FALSE(cover.complete());
 }
 
-TEST(RunToCover, RespectsBudget) {
-  const Graph g = make_cycle(1000);
-  Engine gen(2);
-  RandomWalk walk(g, 0);
-  const CoverResult r = run_to_cover(walk, gen, 50);
-  EXPECT_FALSE(r.covered);
-  EXPECT_EQ(r.steps, 50u);
-  EXPECT_LT(r.covered_count, 1000u);
-  EXPECT_GE(r.covered_count, 1u);
+TEST(CoverTime, SingleVertexGraphIsRejected) {
+  // A lone vertex has no edge to step along, so walks refuse it; the
+  // 2-vertex path is the smallest walkable graph and covers in 1 step.
+  const graph::Graph single = graph::make_path(1);
+  EXPECT_THROW(core::CobraWalk(single, 0, 2), std::invalid_argument);
+  const graph::Graph g = graph::make_path(2);
+  core::Engine gen(1);
+  core::CobraWalk walk(g, 0, 2);
+  sim::CoverStop cover;
+  const auto r = sim::Runner(100).run(walk, gen, cover);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_EQ(r.rounds, 1u);
 }
 
-TEST(RunToCover, CobraCoversSmallGrid) {
-  const Graph g = make_grid(2, 4);
-  Engine gen(3);
-  const CoverResult r = cobra_cover(g, 0, 2, gen);
-  EXPECT_TRUE(r.covered);
-  EXPECT_GT(r.steps, 0u);
-  EXPECT_EQ(r.covered_count, 16u);
+TEST(CoverTime, RespectsBudget) {
+  const graph::Graph g = graph::make_cycle(1000);
+  core::Engine gen(2);
+  core::RandomWalk walk(g, 0);
+  sim::CoverStop cover;
+  const auto r = sim::Runner(50).run(walk, gen, cover);
+  EXPECT_FALSE(r.stopped);
+  EXPECT_EQ(r.rounds, 50u);
+  EXPECT_LT(cover.covered_count(), 1000u);
+  EXPECT_GE(cover.covered_count(), 1u);
 }
 
-TEST(RunToCover, RandomWalkCoversCycle) {
-  const Graph g = make_cycle(12);
-  Engine gen(4);
-  const CoverResult r = random_walk_cover(g, 0, gen);
-  EXPECT_TRUE(r.covered);
-  // Cycle cover time is exactly n(n-1)/2 in expectation = 66; sanity range.
-  EXPECT_GT(r.steps, 10u);
+TEST(CoverTime, CobraCoversSmallGrid) {
+  const graph::Graph g = graph::make_grid(2, 4);
+  core::Engine gen(3);
+  core::CobraWalk walk(g, 0, 2);
+  sim::CoverStop cover;
+  const auto r = sim::Runner().run(walk, gen, cover);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_GT(r.rounds, 0u);
+  EXPECT_EQ(cover.covered_count(), 16u);
 }
 
-TEST(RunToCover, CompleteGraphCoverIsCouponCollector) {
-  // Mean over trials should be near n * H_{n-1} ~ 12 * 3.02 ~ 36 for K12's
-  // random walk (self-transitions excluded, so slightly less); just check
-  // the scale.
-  const Graph g = make_complete(12);
-  Engine gen(5);
+TEST(CoverTime, RandomWalkCoversCycle) {
+  const graph::Graph g = graph::make_cycle(12);
+  core::Engine gen(4);
+  core::RandomWalk walk(g, 0);
+  const auto r = sim::run_cover(walk, gen);
+  EXPECT_TRUE(r.stopped);
+  // Cycle cover time is n(n-1)/2 = 66 in expectation; sanity range.
+  EXPECT_GT(r.rounds, 10u);
+}
+
+TEST(CoverTime, CompleteGraphCoverIsCouponCollector) {
+  // Mean near n H_{n-1} ~ 12 * 3.02 ~ 36 for K12's random walk (no
+  // self-moves, so slightly less); check the scale.
+  const graph::Graph g = graph::make_complete(12);
+  core::Engine gen(5);
   double total = 0;
   constexpr int kTrials = 200;
   for (int t = 0; t < kTrials; ++t) {
-    const CoverResult r = random_walk_cover(g, 0, gen);
-    ASSERT_TRUE(r.covered);
-    total += static_cast<double>(r.steps);
+    core::RandomWalk walk(g, 0);
+    const auto r = sim::run_cover(walk, gen);
+    ASSERT_TRUE(r.stopped);
+    total += static_cast<double>(r.rounds);
   }
-  const double mean = total / kTrials;
-  EXPECT_GT(mean, 20.0);
-  EXPECT_LT(mean, 50.0);
+  EXPECT_GT(total / kTrials, 20.0);
+  EXPECT_LT(total / kTrials, 50.0);
 }
 
-TEST(RunToCover, HigherBranchingCoversFaster) {
-  const Graph g = make_grid(2, 8);
-  Engine gen(6);
+TEST(CoverTime, HigherBranchingCoversFaster) {
+  const graph::Graph g = graph::make_grid(2, 8);
+  core::Engine gen(6);
   double k2_total = 0, k4_total = 0;
-  constexpr int kTrials = 50;
-  for (int t = 0; t < kTrials; ++t) {
-    k2_total += static_cast<double>(cobra_cover(g, 0, 2, gen).steps);
-    k4_total += static_cast<double>(cobra_cover(g, 0, 4, gen).steps);
+  for (int t = 0; t < 50; ++t) {
+    k2_total += sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
+    k4_total += sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 4u);
   }
   EXPECT_LT(k4_total, k2_total);
 }
 
-TEST(RunToCover, WaltCoversWithManyPebbles) {
-  const Graph g = make_complete(20);
-  Engine gen(7);
-  const CoverResult r = walt_cover(g, 0, 10, true, gen);
-  EXPECT_TRUE(r.covered);
+TEST(CoverTime, WaltCoversWithManyPebbles) {
+  const graph::Graph g = graph::make_complete(20);
+  core::Engine gen(7);
+  core::Walt walt(g, 0, 10, true);
+  EXPECT_TRUE(sim::run_cover(walt, gen).stopped);
 }
 
-TEST(RunToCover, ParallelWalksCover) {
-  const Graph g = make_cycle(30);
-  Engine gen(8);
-  const CoverResult one = parallel_walks_cover(g, 0, 1, gen);
-  const CoverResult many = parallel_walks_cover(g, 0, 8, gen);
-  EXPECT_TRUE(one.covered);
-  EXPECT_TRUE(many.covered);
+TEST(CoverTime, ParallelWalksCover) {
+  const graph::Graph g = graph::make_cycle(30);
+  core::Engine gen(8);
+  core::ParallelWalks one(g, 0, 1);
+  EXPECT_TRUE(sim::run_cover(one, gen).stopped);
+  core::ParallelWalks many(g, 0, 8);
+  EXPECT_TRUE(sim::run_cover(many, gen).stopped);
 }
 
 TEST(DefaultStepBudget, GenerousAndMonotone) {
-  EXPECT_GE(default_step_budget(1), 1u << 20);
-  EXPECT_GE(default_step_budget(100), 32ull * 100 * 100 * 100);
-  EXPECT_GT(default_step_budget(1000), default_step_budget(100));
-}
-
-TEST(RunToCover, InitialActiveSetCountsAsCovered) {
-  // Star covered from the hub with k = n-1 cobra: hub + all leaves sampled
-  // in one step typically; but regardless, step 0 must mark the hub.
-  const Graph g = make_star(5);
-  Engine gen(9);
-  CobraWalk walk(g, 0, 2);
-  CoverageTracker tracker(g.num_vertices());
-  tracker.absorb(walk.active());
-  EXPECT_TRUE(tracker.is_covered(0));
-  EXPECT_EQ(tracker.covered_count(), 1u);
+  EXPECT_GE(sim::default_step_budget(1), 1u << 20);
+  EXPECT_GE(sim::default_step_budget(100), 32ull * 100 * 100 * 100);
+  EXPECT_GT(sim::default_step_budget(1000), sim::default_step_budget(100));
+  // 32 n^3 leaves uint64 near n = 8.3e5: the budget must saturate there,
+  // not wrap back down to the 2^20 floor.
+  for (std::uint32_t k = 1; k <= 31; ++k) {
+    EXPECT_GE(sim::default_step_budget(1u << k),
+              sim::default_step_budget(1u << (k - 1)))
+        << "n = 2^" << k;
+  }
+  EXPECT_GT(sim::default_step_budget(1u << 20),
+            sim::default_step_budget(1u << 19));
+  EXPECT_EQ(sim::default_step_budget(std::numeric_limits<std::uint32_t>::max()),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace
-}  // namespace cobra::core

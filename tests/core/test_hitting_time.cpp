@@ -1,80 +1,87 @@
-#include "core/hitting_time.hpp"
+// Hitting-time measurement through sim::run_hit / hit_rounds: budget
+// truncation, small-graph hitting times, and sim::estimate_cobra_hmax.
 
 #include <gtest/gtest.h>
 
+#include "core/biased_walk.hpp"
 #include "core/cobra_walk.hpp"
 #include "core/random_walk.hpp"
 #include "graph/generators.hpp"
+#include "sim/runner.hpp"
 
-namespace cobra::core {
 namespace {
 
-using graph::make_complete;
-using graph::make_cycle;
-using graph::make_path;
+using namespace cobra;
 
-TEST(RunToHit, TargetAlreadyActiveIsZero) {
-  const Graph g = make_cycle(8);
-  Engine gen(1);
-  CobraWalk walk(g, 3, 2);
-  const HitResult r = run_to_hit(walk, 3, gen, 100);
-  EXPECT_TRUE(r.hit);
-  EXPECT_EQ(r.steps, 0u);
+TEST(HittingTime, TargetAlreadyActiveIsZero) {
+  const graph::Graph g = graph::make_cycle(8);
+  core::Engine gen(1);
+  core::CobraWalk walk(g, 3, 2);
+  const auto r = sim::run_hit(walk, 3, gen, 100);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_EQ(r.rounds, 0u);
 }
 
-TEST(RunToHit, RespectsBudget) {
-  const Graph g = make_cycle(100000);
-  Engine gen(2);
-  RandomWalk walk(g, 0);
-  const HitResult r = run_to_hit(walk, 50000, gen, 20);
-  EXPECT_FALSE(r.hit);
-  EXPECT_EQ(r.steps, 20u);
+TEST(HittingTime, RespectsBudget) {
+  // 20 steps cannot cross half of a 10^5-cycle.
+  const graph::Graph g = graph::make_cycle(100000);
+  core::Engine gen(2);
+  core::RandomWalk walk(g, 0);
+  const auto r = sim::run_hit(walk, 50000, gen, 20);
+  EXPECT_FALSE(r.stopped);
+  EXPECT_EQ(r.rounds, 20u);
 }
 
-TEST(RunToHit, AdjacentVertexOnPathOfTwo) {
-  const Graph g = make_path(2);
-  Engine gen(3);
-  const HitResult r = random_walk_hit(g, 0, 1, gen);
-  EXPECT_TRUE(r.hit);
-  EXPECT_EQ(r.steps, 1u);  // only one possible move
+TEST(HittingTime, AdjacentVertexOnPathOfTwo) {
+  const graph::Graph g = graph::make_path(2);
+  core::Engine gen(3);
+  core::RandomWalk walk(g, 0);
+  const auto r = sim::run_hit(walk, 1, gen);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_EQ(r.rounds, 1u);  // only one possible move
 }
 
-TEST(CobraHit, MeanMatchesKnownCycleScale) {
+TEST(HittingTime, CobraMeanMatchesKnownCycleScale) {
   // On a cycle, 2-cobra hitting time of the antipode is Θ(n) (grid d=1).
-  const Graph g = make_cycle(32);
-  Engine gen(4);
+  const graph::Graph g = graph::make_cycle(32);
+  core::Engine gen(4);
   double total = 0;
   constexpr int kTrials = 100;
   for (int t = 0; t < kTrials; ++t) {
-    const HitResult r = cobra_hit(g, 0, 16, 2, gen);
-    ASSERT_TRUE(r.hit);
-    total += static_cast<double>(r.steps);
+    core::CobraWalk walk(g, 0, 2);
+    const auto r = sim::run_hit(walk, 16, gen);
+    ASSERT_TRUE(r.stopped);
+    total += static_cast<double>(r.rounds);
   }
   const double mean = total / kTrials;
   EXPECT_GT(mean, 16.0);   // at least the distance
   EXPECT_LT(mean, 500.0);  // far below RW's Θ(n^2) ~ 256+
 }
 
-TEST(CobraHit, FasterThanRandomWalkOnCycle) {
-  const Graph g = make_cycle(64);
-  Engine gen(5);
+TEST(HittingTime, CobraFasterThanRandomWalkOnCycle) {
+  const graph::Graph g = graph::make_cycle(64);
+  core::Engine gen(5);
   double cobra_total = 0, rw_total = 0;
-  constexpr int kTrials = 60;
-  for (int t = 0; t < kTrials; ++t) {
-    const HitResult rc = cobra_hit(g, 0, 32, 2, gen);
-    ASSERT_TRUE(rc.hit);
-    cobra_total += static_cast<double>(rc.steps);
-    const HitResult rr = random_walk_hit(g, 0, 32, gen);
-    ASSERT_TRUE(rr.hit);
-    rw_total += static_cast<double>(rr.steps);
+  for (int t = 0; t < 60; ++t) {
+    cobra_total += sim::hit_rounds<core::CobraWalk>(gen, 32, g, 0u, 2u);
+    rw_total += sim::hit_rounds<core::RandomWalk>(gen, 32, g, 0u);
   }
   EXPECT_LT(cobra_total * 2, rw_total);
 }
 
-TEST(EstimateHmax, ExhaustiveOnTinyGraph) {
-  const Graph g = make_path(4);
-  Engine gen(6);
-  const HmaxEstimate est = estimate_cobra_hmax(g, 2, gen, 0, 20);
+TEST(HittingTime, InverseDegreeWalkReachesTarget) {
+  const graph::Graph g = graph::make_complete(10);
+  core::Engine gen(8);
+  core::BiasedWalk walk(g, 0, 5, core::BiasSchedule::InverseDegreeBias);
+  const auto r = sim::run_hit(walk, 5, gen);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_GE(r.rounds, 1u);
+}
+
+TEST(EstimateCobraHmax, ExhaustiveOnTinyGraph) {
+  const graph::Graph g = graph::make_path(4);
+  core::Engine gen(6);
+  const sim::HmaxEstimate est = sim::estimate_cobra_hmax(g, 2, gen, 0, 20);
   EXPECT_TRUE(est.all_hit);
   EXPECT_EQ(est.pairs, 12u);  // 4*3 ordered pairs
   EXPECT_GT(est.hmax, 2.0);   // end-to-end needs >= 3 steps
@@ -83,23 +90,13 @@ TEST(EstimateHmax, ExhaustiveOnTinyGraph) {
               (est.argmax_from == 3 && est.argmax_to == 0));
 }
 
-TEST(EstimateHmax, SampledPairs) {
-  const Graph g = make_cycle(20);
-  Engine gen(7);
-  const HmaxEstimate est = estimate_cobra_hmax(g, 2, gen, 30, 5);
+TEST(EstimateCobraHmax, SampledPairs) {
+  const graph::Graph g = graph::make_cycle(20);
+  core::Engine gen(7);
+  const sim::HmaxEstimate est = sim::estimate_cobra_hmax(g, 2, gen, 30, 5);
   EXPECT_TRUE(est.all_hit);
-  EXPECT_LE(est.pairs, 30u);
-  EXPECT_GT(est.pairs, 0u);
+  EXPECT_EQ(est.pairs, 30u);  // sampled pairs are distinct by construction
   EXPECT_GT(est.hmax, 0.0);
 }
 
-TEST(InverseDegreeHit, ReachesTarget) {
-  const Graph g = make_complete(10);
-  Engine gen(8);
-  const HitResult r = inverse_degree_hit(g, 0, 5, gen);
-  EXPECT_TRUE(r.hit);
-  EXPECT_GE(r.steps, 1u);
-}
-
 }  // namespace
-}  // namespace cobra::core

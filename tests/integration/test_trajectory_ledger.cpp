@@ -14,6 +14,11 @@
 /// every multi-thread cell takes the pool path and the 1-thread cell the
 /// in-line path. A literal may change only with an intended, documented
 /// change of trajectories (e.g. a new chunk-to-stream assignment).
+///
+/// The measurement rows pin what the cover/hitting stack (sim::Runner with
+/// CoverStop / HitTarget, and sim::estimate_cobra_hmax) reports on the same
+/// two graphs under default engine options: rounds, covered count, and the
+/// caller engine's next draw.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,7 @@
 #include <cstdio>
 #include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/coalescing_walk.hpp"
@@ -29,10 +35,16 @@
 #include "core/generalized_cobra.hpp"
 #include "core/gossip.hpp"
 #include "core/greedy_mis.hpp"
+#include "core/biased_walk.hpp"
 #include "core/lll_resampler.hpp"
+#include "core/parallel_walks.hpp"
+#include "core/random_walk.hpp"
+#include "core/walt.hpp"
 #include "gen/constraints.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/runner.hpp"
+#include "sim/stop.hpp"
 #include "util/checkpoint_io.hpp"
 
 namespace cobra::core {
@@ -212,6 +224,136 @@ TEST(TrajectoryLedger, GreedyMIS) {
 TEST(TrajectoryLedger, LLLResampler) {
   expect_pinned("LLLResampler", lll_fp,
                 {0xad259f41b3fa4007ULL, 0x9aef1755214871f7ULL});
+}
+
+constexpr std::uint64_t kMeasureSeed = 0x1ED6E8ULL;
+
+/// What one measurement leaves behind: rounds run, vertices covered (1 or
+/// 0 for "target hit" in hitting runs), and the caller engine's next draw.
+struct Measurement {
+  std::uint64_t rounds = 0;
+  std::uint64_t covered = 0;
+  std::uint64_t next_draw = 0;
+};
+
+/// Hitting target: a vertex far from the start vertex 0 on both graphs.
+Vertex ledger_target(const Graph& g) { return g.num_vertices() / 2 + 25; }
+
+/// Cover run of a fresh `P(g, 0, args...)`; `budget` 0 = default budget.
+template <typename P, typename... Args>
+Measurement cover_run(std::uint64_t budget, const Graph& g, Args... args) {
+  P process(g, Vertex{0}, args...);
+  Engine gen(kMeasureSeed);
+  sim::CoverStop cover;
+  const sim::RunResult r = sim::Runner(budget).run(process, gen, cover);
+  return {r.rounds, cover.covered_count(), gen()};
+}
+
+/// Hitting run of a fresh `P(g, 0, args...)` to ledger_target(g).
+template <typename P, typename... Args>
+Measurement hit_run(std::uint64_t budget, const Graph& g, Args... args) {
+  P process(g, Vertex{0}, args...);
+  Engine gen(kMeasureSeed);
+  const sim::RunResult r =
+      sim::run_hit(process, ledger_target(g), gen, budget);
+  return {r.rounds, r.stopped ? 1u : 0u, gen()};
+}
+
+TEST(TrajectoryLedger, CoverAndHitMeasurements) {
+  struct Row {
+    const char* name;
+    std::function<Measurement(const Graph&)> run;
+    Measurement pinned[2];  ///< {rreg, torus}
+  };
+  const Row rows[] = {
+      {"cover CobraWalk k=2",
+       [](const Graph& g) { return cover_run<CobraWalk>(0, g, 2u); },
+       {{26, 4096, 0x8a94d5bffe233636ULL}, {68, 2500, 0xea3bf087e6dba156ULL}}},
+      {"cover CobraWalk k=4",
+       [](const Graph& g) { return cover_run<CobraWalk>(0, g, 4u); },
+       {{14, 4096, 0xa06748305c080bcbULL}, {53, 2500, 0xde99ad0fe2b0662bULL}}},
+      {"cover RandomWalk",
+       [](const Graph& g) { return cover_run<RandomWalk>(0, g); },
+       {{74515, 4096, 0x278cccdca77b8f7dULL},
+        {46614, 2500, 0xca9b73b1453eb0d8ULL}}},
+      {"cover RandomWalk, budget 1000",
+       [](const Graph& g) { return cover_run<RandomWalk>(1000, g); },
+       {{1000, 619, 0x67b96ad85bfd0b5cULL},
+        {1000, 330, 0x67b96ad85bfd0b5cULL}}},
+      {"cover Gossip push",
+       [](const Graph& g) {
+         return cover_run<Gossip>(0, g, GossipMode::Push);
+       },
+       {{31, 4096, 0x741c729068ba8895ULL}, {89, 2500, 0x4c7c8fe81667457eULL}}},
+      {"cover ParallelWalks(8)",
+       [](const Graph& g) { return cover_run<ParallelWalks>(0, g, 8u); },
+       {{6034, 4096, 0x44d61dbb85e55a15ULL},
+        {5861, 2500, 0x85ae1e5e71ba60a2ULL}}},
+      {"cover Walt(10, lazy)",
+       [](const Graph& g) { return cover_run<Walt>(0, g, 10u, true); },
+       {{8575, 4096, 0xfa67aee942f41e5dULL},
+        {11492, 2500, 0x727ed162fc08cf11ULL}}},
+      {"hit CobraWalk k=2",
+       [](const Graph& g) { return hit_run<CobraWalk>(0, g, 2u); },
+       {{18, 1, 0xbb6109df4d863db4ULL}, {60, 1, 0x67b8ecfc8ad4bb17ULL}}},
+      {"hit RandomWalk",
+       [](const Graph& g) { return hit_run<RandomWalk>(0, g); },
+       {{2242, 1, 0xa4ef36967826d3c9ULL}, {8090, 1, 0xff04a0cf45c480dcULL}}},
+      {"hit RandomWalk, budget 100",
+       [](const Graph& g) { return hit_run<RandomWalk>(100, g); },
+       {{100, 0, 0x80b050a7beecc44dULL}, {100, 0, 0x80b050a7beecc44dULL}}},
+      {"hit BiasedWalk inverse-degree",
+       [](const Graph& g) {
+         return hit_run<BiasedWalk>(0, g, ledger_target(g),
+                                    BiasSchedule::InverseDegreeBias);
+       },
+       {{133, 1, 0xb83f294da14fa714ULL}, {146, 1, 0x0fe9bffe9f67d717ULL}}},
+  };
+  for (const Row& row : rows) {
+    for (int which = 0; which < 2; ++which) {
+      const Measurement got = row.run(ledger_graph(which));
+      const Measurement& want = row.pinned[which];
+      char draw[32];
+      std::snprintf(draw, sizeof draw, "0x%016llxULL",
+                    static_cast<unsigned long long>(got.next_draw));
+      const std::string where = std::string(row.name) + " graph=" +
+                                (which == 0 ? "rreg" : "torus") +
+                                " next_draw=" + draw;
+      EXPECT_EQ(got.rounds, want.rounds) << where;
+      EXPECT_EQ(got.covered, want.covered) << where;
+      EXPECT_EQ(got.next_draw, want.next_draw) << where;
+    }
+  }
+}
+
+TEST(TrajectoryLedger, CobraHmaxEstimate) {
+  struct Pinned {
+    double hmax;
+    Vertex from, to;
+    std::uint64_t pairs;
+    std::uint64_t next_draw;
+  };
+  // 8 sampled pairs x 3 trials on each ledger graph, then every ordered
+  // pair x 5 trials on a 6-cycle.
+  const Pinned pinned[3] = {
+      {18.0, 1546, 3051, 8, 0x1f2e3e8b44dc9dc4ULL},
+      {146.0 / 3, 1732, 532, 8, 0x206b855a0755fa72ULL},
+      {28.0 / 5, 2, 4, 30, 0x4f34ba8fe84a6e9dULL},
+  };
+  const Graph cycle = graph::make_cycle(6);
+  for (int which = 0; which < 3; ++which) {
+    Engine gen(kMeasureSeed);
+    const sim::HmaxEstimate est =
+        which < 2 ? sim::estimate_cobra_hmax(ledger_graph(which), 2, gen, 8, 3)
+                  : sim::estimate_cobra_hmax(cycle, 2, gen, 0, 5);
+    const Pinned& want = pinned[which];
+    EXPECT_TRUE(est.all_hit) << which;
+    EXPECT_DOUBLE_EQ(est.hmax, want.hmax) << which;
+    EXPECT_EQ(est.argmax_from, want.from) << which;
+    EXPECT_EQ(est.argmax_to, want.to) << which;
+    EXPECT_EQ(est.pairs, want.pairs) << which;
+    EXPECT_EQ(gen(), want.next_draw) << which;
+  }
 }
 
 }  // namespace

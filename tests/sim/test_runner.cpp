@@ -9,9 +9,7 @@
 
 #include "core/coalescing_walk.hpp"
 #include "core/cobra_walk.hpp"
-#include "core/cover_time.hpp"
 #include "core/generalized_cobra.hpp"
-#include "core/hitting_time.hpp"
 #include "core/gossip.hpp"
 #include "core/grid_drift.hpp"
 #include "core/random_walk.hpp"
@@ -39,19 +37,35 @@ static_assert(sim::Process<sim::GridDriftProcess>);
 
 TEST(Runner, ZeroObserverCoverMatchesRawStepLoop) {
   const graph::Graph g = gen::build_graph("rreg:n=128,d=4,seed=11");
-  // Raw loop: the exact core::run_to_cover idiom.
+  // Reference: the bare step loop with a hand-rolled coverage set.
   core::Engine gen_raw(77);
   core::CobraWalk raw(g, 0, 2);
-  const auto expected = core::run_to_cover(raw, gen_raw, 1u << 20);
+  std::vector<bool> seen(g.num_vertices(), false);
+  std::uint32_t covered = 0;
+  const auto absorb = [&] {
+    for (const core::Vertex v : raw.active()) {
+      if (!seen[v]) {
+        seen[v] = true;
+        ++covered;
+      }
+    }
+  };
+  std::uint64_t steps = 0;
+  absorb();
+  while (covered < g.num_vertices() && steps < (1u << 20)) {
+    raw.step(gen_raw);
+    ++steps;
+    absorb();
+  }
   // Runner with no observers.
   core::Engine gen_sim(77);
   core::CobraWalk walk(g, 0, 2);
   sim::CoverStop cover;
   const auto r = sim::Runner(1u << 20).run(walk, gen_sim, cover);
-  EXPECT_TRUE(expected.covered);
+  EXPECT_EQ(covered, g.num_vertices());
   EXPECT_TRUE(r.stopped);
-  EXPECT_EQ(expected.steps, r.rounds);
-  EXPECT_EQ(expected.covered_count, cover.covered_count());
+  EXPECT_EQ(steps, r.rounds);
+  EXPECT_EQ(covered, cover.covered_count());
   // Identical engine state afterwards: the Runner consumed exactly the
   // same randomness as the raw loop.
   EXPECT_EQ(gen_raw(), gen_sim());
@@ -59,15 +73,21 @@ TEST(Runner, ZeroObserverCoverMatchesRawStepLoop) {
 
 TEST(Runner, HitTargetMatchesRawHitLoop) {
   const graph::Graph g = gen::build_graph("ring:n=64");
+  // Reference: step until the walker stands on the target.
   core::Engine gen_raw(5);
   core::RandomWalk raw(g, 0);
-  const auto expected = core::run_to_hit(raw, 32, gen_raw, 1u << 22);
+  std::uint64_t steps = 0;
+  while (raw.position() != 32 && steps < (1u << 22)) {
+    raw.step(gen_raw);
+    ++steps;
+  }
   core::Engine gen_sim(5);
   core::RandomWalk walk(g, 0);
   const auto r = sim::run_hit(walk, 32, gen_sim, 1u << 22);
-  ASSERT_TRUE(expected.hit);
+  ASSERT_EQ(raw.position(), 32u);
   ASSERT_TRUE(r.stopped);
-  EXPECT_EQ(expected.steps, r.rounds);
+  EXPECT_EQ(steps, r.rounds);
+  EXPECT_EQ(gen_raw(), gen_sim());
 }
 
 TEST(Runner, HitTargetAlreadyActiveStopsAtZeroRounds) {
