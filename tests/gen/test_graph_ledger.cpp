@@ -36,7 +36,11 @@ struct Pinned {
 /// Two sizes per family. The rreg rows cover the repair path
 /// (n=2^14,d=6 and the high-degree n=1000,d=30 both start with defects)
 /// and a pairing whose stub sort spans many sort chunks (n=2^18,d=4);
-/// the larger random rows span several generator chunks each.
+/// the larger random rows span several generator chunks each. The lcc=1
+/// rows cover largest-component extraction: many small components (gnp
+/// avg_deg=1.5), isolated vertices after simplify (rmat), long
+/// high-diameter components (geo), a skewed degree sequence (chunglu), and
+/// a graph large enough to spread over every pool worker (gnp 2^18).
 constexpr Pinned kLedger[] = {
     {"ba:n=1000,d=3,seed=3", 0x3929da6e7544247cULL},
     {"ba:n=60000,d=3,seed=5", 0x8db2079da085f98bULL},
@@ -44,17 +48,21 @@ constexpr Pinned kLedger[] = {
     {"barbell:clique=10,path=5", 0xc6d96afe6b5e9b1dULL},
     {"chunglu:n=1000,seed=3", 0x2f5142ad078e9646ULL},
     {"chunglu:n=20000,seed=5", 0xc8e2287c71e338daULL},
+    {"chunglu:n=20000,seed=5,lcc=1", 0x858dbfe47f16f506ULL},
     {"complete:n=20", 0x466b9450291ffdd2ULL},
     {"complete:n=200", 0x1c74f5320bee6ff3ULL},
     {"dclique:n=21", 0x0057b6dafaa269adULL},
     {"dclique:clique=30", 0xd8098298641832d4ULL},
     {"geo:n=1000,radius=0.06,seed=3", 0x1a25eda91399dca3ULL},
     {"geo:n=80000,avg_deg=8,seed=5", 0x312f5ff8e27fc730ULL},
+    {"geo:n=80000,avg_deg=4,seed=5,lcc=1", 0x864ad2618c1423e6ULL},
     {"gnm:n=1000,m=3000,seed=3", 0x683a46471a014aaaULL},
     {"gnm:n=2^17,m=2^19,seed=5", 0xbfd7d806c9ce6d55ULL},
     {"gnp:n=1000,avg_deg=6,seed=3", 0xe82f641ae9fb6f06ULL},
     {"gnp:n=2^17,avg_deg=8,seed=5", 0x3c758aa1847a1e29ULL},
     {"gnp:n=2^12,avg_deg=2,seed=7,lcc=1", 0x0fe90e9fdf8e98ddULL},
+    {"gnp:n=2^16,avg_deg=1.5,seed=3,lcc=1", 0xf1afc4ece7bd509cULL},
+    {"gnp:n=2^18,avg_deg=2,seed=11,lcc=1", 0x5bdae9736ae81598ULL},
     {"grid:side=10", 0x059f52420e145f42ULL},
     {"grid:side=6,dims=3", 0x5fcf173ebd48c59bULL},
     {"hypercube:dims=4", 0xc12d909fd937fd05ULL},
@@ -67,6 +75,7 @@ constexpr Pinned kLedger[] = {
     {"ring:n=1001", 0xa16b89ab3248a647ULL},
     {"rmat:n=2^10,deg=8,seed=3", 0x06f874b926aa8654ULL},
     {"rmat:n=2^16,deg=16,seed=5", 0x85a21fb7d640cf75ULL},
+    {"rmat:n=2^16,deg=4,seed=5,lcc=1", 0x4b27314ee6381a5cULL},
     {"rreg:n=1000,d=30,seed=2", 0xe9f3e1b889b98567ULL},
     {"rreg:n=2^14,d=6,seed=1", 0x06f4604d7f4b7ae1ULL},
     {"rreg:n=2^18,d=4,seed=1", 0x7df66d2d26b0b555ULL},

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -128,6 +130,93 @@ TEST(LargestComponent, WholeGraphWhenConnected) {
   const auto ext = largest_component(g);
   EXPECT_EQ(ext.graph.num_vertices(), g.num_vertices());
   EXPECT_EQ(ext.graph.num_edges(), g.num_edges());
+}
+
+TEST(LargestComponent, TieGoesToSmallerMinimumVertex) {
+  GraphBuilder b(7);  // {0}, {1,5,6}, {2,3,4}: two components of size 3
+  b.add_edge(2, 3);
+  b.add_edge(3, 4);
+  b.add_edge(6, 5);
+  b.add_edge(5, 1);
+  const auto ext = largest_component(b.build());
+  EXPECT_EQ(ext.new_to_old, (std::vector<Vertex>{1, 5, 6}));
+  EXPECT_EQ(ext.graph.offsets(), (std::vector<EdgeIndex>{0, 1, 3, 4}));
+  EXPECT_EQ(ext.graph.targets(), (std::vector<Vertex>{1, 0, 2, 1}));
+}
+
+TEST(LargestComponent, KeepsSelfLoopsAndParallelEdges) {
+  GraphBuilder b(5);  // {0,1,2} with a double edge and a loop; {3,4}
+  b.add_edge(1, 0);
+  b.add_edge(0, 1);
+  b.add_edge(1, 1);
+  b.add_edge(2, 1);
+  b.add_edge(3, 4);
+  const auto ext = largest_component(b.build());
+  EXPECT_EQ(ext.graph.num_edges(), 4u);
+  EXPECT_EQ(ext.graph.offsets(), (std::vector<EdgeIndex>{0, 2, 7, 8}));
+  EXPECT_EQ(ext.graph.targets(),
+            (std::vector<Vertex>{1, 1, 0, 0, 1, 1, 2, 1}));
+  EXPECT_FALSE(ext.graph.is_simple());
+}
+
+TEST(LargestComponent, UnsortedCsrRowsExtractSorted) {
+  // {0,2,3,5} as a 4-cycle plus chord 0-3, and {1,4}; vertex 6 isolated.
+  GraphBuilder b(7);
+  for (const auto [u, v] : {std::pair{0u, 2u}, {2u, 3u}, {3u, 5u}, {5u, 0u},
+                            {0u, 3u}, {1u, 4u}}) {
+    b.add_edge(u, v);
+  }
+  const Graph built = b.build();
+  std::vector<Vertex> reversed = built.targets();
+  for (Vertex v = 0; v < built.num_vertices(); ++v) {
+    std::reverse(reversed.begin() +
+                     static_cast<std::ptrdiff_t>(built.offsets()[v]),
+                 reversed.begin() +
+                     static_cast<std::ptrdiff_t>(built.offsets()[v + 1]));
+  }
+  const Graph raw(7, built.offsets(), reversed);
+  const auto from_raw = largest_component(raw);
+  const auto from_built = largest_component(built);
+  EXPECT_EQ(from_raw.graph.offsets(), from_built.graph.offsets());
+  EXPECT_EQ(from_raw.graph.targets(), from_built.graph.targets());
+  EXPECT_EQ(from_raw.new_to_old, (std::vector<Vertex>{0, 2, 3, 5}));
+  EXPECT_EQ(from_raw.graph.targets(),
+            (std::vector<Vertex>{1, 2, 3, 0, 2, 0, 1, 3, 0, 2}));
+}
+
+TEST(LargestComponent, EmptyGraphGivesEmptyGraph) {
+  const auto ext = largest_component(Graph{});
+  EXPECT_EQ(ext.graph.num_vertices(), 0u);
+  EXPECT_EQ(ext.graph.num_arcs(), 0u);
+  EXPECT_EQ(ext.graph.offsets(), (std::vector<EdgeIndex>{0}));
+  EXPECT_TRUE(ext.old_to_new.empty());
+  EXPECT_TRUE(ext.new_to_old.empty());
+}
+
+TEST(Components, IdsAreDenseInOrderOfMinimumVertex) {
+  GraphBuilder b(8);  // {0,5}, {1,2,6}, {3,7}, {4}
+  b.add_edge(5, 0);
+  b.add_edge(6, 2);
+  b.add_edge(2, 1);
+  b.add_edge(7, 3);
+  const Graph g = b.build();
+  EXPECT_EQ(connected_components(g),
+            (std::vector<std::uint32_t>{0, 1, 1, 2, 3, 0, 1, 2}));
+  EXPECT_EQ(num_components(g), 4u);
+  EXPECT_EQ(num_components(Graph{}), 0u);
+
+  // A sparse random graph with many components: a vertex either joins a
+  // component seen earlier or opens the next id.
+  rng::Xoshiro256 gen(11);
+  const Graph sparse = make_erdos_renyi(gen, 3000, 0.4 / 3000.0);
+  const auto comp = connected_components(sparse);
+  std::uint32_t next = 0;
+  for (const std::uint32_t c : comp) {
+    ASSERT_LE(c, next);
+    if (c == next) ++next;
+  }
+  EXPECT_EQ(next, num_components(sparse));
+  EXPECT_GT(next, 1000u);
 }
 
 TEST(Eccentricity, PathEndpoints) {
