@@ -21,10 +21,11 @@ namespace {
 
 namespace fault = util::fault;
 
-/// Chain `vs` (as bytes) into `hash` — the per-round fingerprint step.
-std::uint64_t hash_round(std::uint64_t hash, std::span<const core::Vertex> vs) {
+/// Chain the bytes of `vs` (a span or vector) into `hash` — the
+/// per-round fingerprint step, and the CSR fingerprint's.
+std::uint64_t hash_round(std::uint64_t hash, const auto& vs) {
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(vs.data());
-  return util::fnv1a64({bytes, vs.size() * sizeof(core::Vertex)}, hash);
+  return util::fnv1a64({bytes, vs.size() * sizeof(*vs.data())}, hash);
 }
 
 /// One randomized schedule for `catalog`, fully determined by
@@ -144,6 +145,11 @@ std::vector<std::string> chaos_hard_sites() {
           "checkpoint.torn_write", "checkpoint.read"};
 }
 
+std::uint64_t csr_fingerprint(const graph::Graph& g) {
+  return hash_round(hash_round(0xcbf29ce484222325ULL, g.offsets()),
+                    g.targets());
+}
+
 std::uint64_t chaos_trajectory(const graph::Graph& g, std::size_t threads,
                                std::uint64_t walk_seed, std::uint64_t rounds,
                                std::uint32_t branching, bool inject_bug) {
@@ -220,11 +226,49 @@ ChaosReport run_chaos(const ChaosConfig& config) {
   for (const std::string& spec : config.specs) {
     fault::disarm_all();  // graph builds run fault-free
     const graph::Graph g = gen::build_graph(spec);
+    const std::uint64_t csr = csr_fingerprint(g);
 
     for (const std::size_t threads : config.threads) {
       ++report.cells;
       const std::uint64_t cell_seed = rng::derive_seed(config.seed, cell_index);
       ++cell_index;
+
+      // Generator cell: the same spec on a pool that came up one worker
+      // short must give the same CSR.
+      ++report.gen_checks;
+      const fault::FaultPlan spawn_fault =
+          fault::FaultPlan::parse("pool.thread_spawn#1");
+      std::string gen_detail;
+      try {
+        DisarmGuard guard;
+        fault::disarm_all();
+        fault::arm_plan(spawn_fault);
+        par::ThreadPool pool(threads == 0 ? 1 : threads);
+        gen::GenOptions opts;
+        opts.pool = &pool;
+        const std::uint64_t got = csr_fingerprint(gen::build_graph(spec, opts));
+        if (got != csr) {
+          char buf[128];
+          std::snprintf(buf, sizeof buf,
+                        "CSR on a %zu-worker pool diverged (fingerprint "
+                        "%016llx, fault-free %016llx)",
+                        pool.size(), static_cast<unsigned long long>(got),
+                        static_cast<unsigned long long>(csr));
+          gen_detail = buf;
+        }
+      } catch (const std::exception& e) {
+        gen_detail = std::string("graceful plan threw in build_graph: ") +
+                     e.what();
+      }
+      if (!gen_detail.empty()) {
+        ChaosViolation v;
+        v.spec = spec;
+        v.threads = threads;
+        v.plan = spawn_fault;
+        v.shrunk = spawn_fault;
+        v.detail = std::move(gen_detail);
+        report.violations.push_back(std::move(v));
+      }
       const std::uint64_t walk_seed = rng::derive_seed(cell_seed, 0x5eed);
       const std::uint64_t baseline = trajectory(
           g, threads, walk_seed, config.rounds, config.branching, false);
@@ -325,6 +369,7 @@ std::string render_chaos_report(const ChaosReport& report,
                     " fuzz runs (+" + std::to_string(report.shrink_runs) +
                     " shrink runs), " + std::to_string(report.hard_checks) +
                     " hard-site checks, " +
+                    std::to_string(report.gen_checks) + " generator checks, " +
                     std::to_string(report.violations.size()) + " violation" +
                     (report.violations.size() == 1 ? "" : "s") + "\n";
   for (const ChaosViolation& v : report.violations) {

@@ -39,6 +39,13 @@
 /// proven against a known-bad path (--inject-bug / the chaos tests): a
 /// violating schedule containing it must shrink to <= 2 entries.
 ///
+/// Each (spec, threads) cell also checks the generator: the spec is built
+/// again on a `threads`-worker pool constructed while pool.thread_spawn#1
+/// is armed (one worker fails to start, so the build runs on a smaller
+/// pool, or in-line), and its CSR fingerprint must equal the fault-free
+/// build's — the graceful-degradation contract for the parallel CSR fill
+/// and lcc=1 extraction.
+///
 /// Two processes can sit under the fuzz: the growing-frontier cobra walk
 /// (`process = "cobra"`) and the shrinking-frontier greedy MIS
 /// (`process = "mis"`), which routes every schedule through the engine's
@@ -79,6 +86,7 @@ struct ChaosReport {
   std::size_t fuzz_runs = 0;    ///< trajectories run under random plans
   std::size_t shrink_runs = 0;  ///< extra trajectories spent shrinking
   std::size_t hard_checks = 0;  ///< hard-site loud-failure assertions
+  std::size_t gen_checks = 0;   ///< degraded-pool graph rebuilds compared
   std::vector<ChaosViolation> violations;
 };
 
@@ -90,6 +98,10 @@ struct ChaosReport {
 /// The HARD sites asserted per spec: each must throw when its operation
 /// runs under the armed site.
 [[nodiscard]] std::vector<std::string> chaos_hard_sites();
+
+/// fnv1a64 over the bytes of g's offsets, chained into fnv1a64 over the
+/// bytes of its targets — the fingerprint gen/test_graph_ledger pins.
+[[nodiscard]] std::uint64_t csr_fingerprint(const graph::Graph& g);
 
 /// Run one cobra-walk trajectory on `g` under whatever faults are
 /// currently armed and return its fingerprint: fnv1a64 chained over every

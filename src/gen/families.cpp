@@ -18,6 +18,13 @@
 
 namespace cobra::gen {
 
+par::ThreadPool* usable_pool(const GenOptions& opts) {
+  if (opts.serial) return nullptr;
+  par::ThreadPool* pool =
+      opts.pool != nullptr ? opts.pool : &par::global_pool();
+  return pool->size() <= 1 || pool->on_worker_thread() ? nullptr : pool;
+}
+
 namespace {
 
 using graph::EdgeIndex;
@@ -42,14 +49,11 @@ constexpr std::uint64_t kGeoScanVerticesPerChunk = 1u << 14;
 // its graphs do not depend on this one.
 constexpr std::uint64_t kRregEdgesPerChunk = 1u << 16;
 
-/// The pool a generator phase spreads over, or nullptr for the in-line
-/// path: serial requested, a one-thread pool, or a call from inside a pool
-/// worker (which must not wait on its own pool).
-par::ThreadPool* usable_pool(const GenOptions& opts) {
-  if (opts.serial) return nullptr;
-  par::ThreadPool* pool =
-      opts.pool != nullptr ? opts.pool : &par::global_pool();
-  return pool->size() <= 1 || pool->on_worker_thread() ? nullptr : pool;
+/// Evenly split [0, total) into n_chunks ranges; boundary of chunk c.
+std::uint64_t range_start(std::uint64_t total, std::uint64_t n_chunks,
+                          std::uint64_t c) {
+  __extension__ using u128 = unsigned __int128;
+  return static_cast<std::uint64_t>(static_cast<u128>(total) * c / n_chunks);
 }
 
 /// Run body(c) for every chunk, across the pool when one is usable. The
@@ -63,6 +67,23 @@ void run_chunks(const GenOptions& opts, std::size_t n_chunks, Body&& body) {
     return;
   }
   par::parallel_for_dynamic(*pool, 0, n_chunks, body);
+}
+
+/// One edge buffer per chunk: body(c, out) appends chunk c's edges to
+/// `out`, a worker-local buffer moved into place at the end. Appending
+/// straight into chunks[c] would put neighbouring chunks' vector headers,
+/// rewritten on every append, on one cache line shared across workers.
+template <typename Body>
+std::vector<std::vector<Edge>> chunked_edges(const GenOptions& opts,
+                                             std::size_t n_chunks,
+                                             const Body& body) {
+  std::vector<std::vector<Edge>> chunks(n_chunks);
+  run_chunks(opts, n_chunks, [&](std::size_t c) {
+    std::vector<Edge> out;
+    body(c, out);
+    chunks[c] = std::move(out);
+  });
+  return chunks;
 }
 
 /// par::bucket_sorted of value_at(0..n) on `opts`' pool. `lead(value)` is
@@ -99,12 +120,19 @@ std::vector<T> concat(std::vector<std::vector<T>>& chunks) {
   return out;
 }
 
-/// Concatenate per-chunk edge buffers in chunk order and compile into CSR
-/// (counting sort, then per-vertex adjacency sort — parallelized over
-/// vertex ranges, which is safe because each vertex's sorted list is
-/// independent of who sorts it). With `simplify`, self-loops and duplicate
-/// undirected edges are removed first (canonicalize per chunk, then one
-/// parallel sort + unique: a deterministic function of the edge multiset).
+/// Compile the chunks' edges, taken in chunk order, into CSR; the chunks
+/// are left empty. With `simplify`, self-loops and duplicate undirected
+/// edges are removed first (canonicalize per chunk, then one parallel
+/// sort + unique: a deterministic function of the edge multiset).
+///
+/// The fill is owner-computes: [0, n) splits into one vertex range per
+/// pool worker (one range in-line, and for phases of at most
+/// par::kSortChunk edges), and each owner scans every chunk twice —
+/// counting, then placing — the arcs whose source it owns, with plain
+/// stores into rows no other owner touches. Every row receives its arcs
+/// in chunk order whatever the owner count, so the rows (and after the
+/// per-vertex sort, parallel over fixed vertex chunks) are bit-identical
+/// at any thread count.
 Graph assemble(std::uint32_t n, std::vector<std::vector<Edge>>& chunks,
                bool simplify, const GenOptions& opts) {
 #if COBRA_OBS_LEVEL >= 1
@@ -119,29 +147,68 @@ Graph assemble(std::uint32_t n, std::vector<std::vector<Edge>>& chunks,
         if (u > v) std::swap(u, v);
       }
     });
-  }
-  std::vector<Edge> edges = concat(chunks);
-  if (simplify) {
+    std::vector<Edge> edges = concat(chunks);
     edges = parallel_sorted(
         opts, edges.size(), n - 1, [&](std::size_t i) { return edges[i]; },
         [](const Edge& e) { return e.first; });
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    chunks.assign(1, std::move(edges));
   }
 
+  std::size_t num_edges = 0;
+  for (const auto& chunk : chunks) num_edges += chunk.size();
+  par::ThreadPool* pool =
+      num_edges > par::kSortChunk ? usable_pool(opts) : nullptr;
+  const std::size_t owners =
+      std::clamp<std::size_t>(pool != nullptr ? pool->size() : 1, 1,
+                              std::max<std::uint32_t>(n, 1));
+  const auto owner_start = [&](std::size_t o) {
+    return static_cast<Vertex>(range_start(n, owners, o));
+  };
+  // body(x, y) for every arc (x, y) of the chunks, in chunk order.
+  const auto for_each_arc = [&](const auto& body) {
+    for (const auto& chunk : chunks) {
+      for (const auto& [u, v] : chunk) {
+        body(u, v);
+        body(v, u);
+      }
+    }
+  };
+
+  // Count: offsets[v + 1] = deg(v), then each owner's running sum, which
+  // leaves offsets[hi] = the owner's arc total.
   std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : edges) {
-    ++offsets[static_cast<std::size_t>(u) + 1];
-    ++offsets[static_cast<std::size_t>(v) + 1];
+  run_chunks(opts, owners, [&](std::size_t o) {
+    const Vertex lo = owner_start(o);
+    const Vertex hi = owner_start(o + 1);
+    for_each_arc([&](Vertex x, Vertex) {
+      if (x - lo < hi - lo) ++offsets[static_cast<std::size_t>(x) + 1];
+    });
+    for (std::size_t v = lo + 1; v < hi; ++v) offsets[v + 1] += offsets[v];
+  });
+  std::vector<EdgeIndex> base(owners + 1, 0);
+  for (std::size_t o = 0; o < owners; ++o) {
+    const Vertex lo = owner_start(o);
+    const Vertex hi = owner_start(o + 1);
+    base[o + 1] = base[o] + (hi > lo ? offsets[hi] : 0);
   }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
 
-  std::vector<Vertex> targets(offsets.back());
-  std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [u, v] : edges) {
-    targets[cursor[u]++] = v;
-    targets[cursor[v]++] = u;
-  }
-  std::vector<Edge>().swap(edges);
+  // Place: shift the owner's offsets by its base, then write each arc at
+  // its row's cursor.
+  std::vector<Vertex> targets(base[owners]);
+  run_chunks(opts, owners, [&](std::size_t o) {
+    const Vertex lo = owner_start(o);
+    const Vertex hi = owner_start(o + 1);
+    std::vector<EdgeIndex> cursor(hi - lo);
+    for (std::size_t v = lo; v < hi; ++v) {
+      cursor[v - lo] = v == lo ? base[o] : offsets[v];
+      offsets[v + 1] += base[o];
+    }
+    for_each_arc([&](Vertex x, Vertex y) {
+      if (x - lo < hi - lo) targets[cursor[x - lo]++] = y;
+    });
+  });
+  for (auto& chunk : chunks) std::vector<Edge>().swap(chunk);
 
   const std::size_t sort_chunks =
       (static_cast<std::size_t>(n) + kWsVerticesPerChunk - 1) /
@@ -170,13 +237,6 @@ std::uint64_t pair_row(std::uint64_t t) {
   while (r * (r - 1) / 2 > t) --r;
   while (r * (r + 1) / 2 <= t) ++r;
   return r;
-}
-
-/// Evenly split [0, total) into n_chunks ranges; boundary of chunk c.
-std::uint64_t range_start(std::uint64_t total, std::uint64_t n_chunks,
-                          std::uint64_t c) {
-  __extension__ using u128 = unsigned __int128;
-  return static_cast<std::uint64_t>(static_cast<u128>(total) * c / n_chunks);
 }
 
 /// Canonical key of the undirected edge {a, b}: (min << 32) | max, so keys
@@ -300,35 +360,41 @@ Graph gnp(std::uint32_t n, double p, std::uint64_t seed,
       std::ceil(expected_edges / static_cast<double>(kGnpEdgesPerChunk)), 1.0,
       static_cast<double>(kGnpMaxChunks)));
 
-  std::vector<std::vector<Edge>> chunks(n_chunks);
+  std::vector<std::vector<Edge>> chunks;
   const double log_q = std::log1p(-p);  // -inf when p == 1
-  run_chunks(opts, n_chunks, [&](std::size_t c) {
-    const std::uint64_t s0 = range_start(total_pairs, n_chunks, c);
-    const std::uint64_t s1 = range_start(total_pairs, n_chunks, c + 1);
-    auto& out = chunks[c];
-    out.reserve(static_cast<std::size_t>(
-        expected_edges / static_cast<double>(n_chunks) * 1.2) + 16);
-    auto emit = [&](std::uint64_t t) {
-      const std::uint64_t r = pair_row(t);
-      out.emplace_back(static_cast<Vertex>(r),
-                       static_cast<Vertex>(t - r * (r - 1) / 2));
-    };
-    if (p >= 1.0) {
-      for (std::uint64_t t = s0; t < s1; ++t) emit(t);
-      return;
-    }
-    // Batagelj–Brandes geometric skipping over this chunk's pair range.
-    ChunkEngine eng(rng::derive_seed(seed, c));
-    std::uint64_t t = s0;
-    for (;;) {
-      const double u = rng::uniform_unit(eng);
-      const double skip = std::floor(std::log1p(-u) / log_q);
-      if (t >= s1 || skip >= static_cast<double>(s1 - t)) break;
-      t += static_cast<std::uint64_t>(skip);
-      emit(t);
-      ++t;
-    }
-  });
+  {
+#if COBRA_OBS_LEVEL >= 1
+    static obs::Timer& timer = obs::registry().timer("gen.gnp.sample");
+    obs::ScopedTimer timed(timer);
+#endif
+    chunks = chunked_edges(opts, n_chunks, [&](std::size_t c,
+                                               std::vector<Edge>& out) {
+      const std::uint64_t s0 = range_start(total_pairs, n_chunks, c);
+      const std::uint64_t s1 = range_start(total_pairs, n_chunks, c + 1);
+      out.reserve(static_cast<std::size_t>(
+          expected_edges / static_cast<double>(n_chunks) * 1.2) + 16);
+      auto emit = [&](std::uint64_t t) {
+        const std::uint64_t r = pair_row(t);
+        out.emplace_back(static_cast<Vertex>(r),
+                         static_cast<Vertex>(t - r * (r - 1) / 2));
+      };
+      if (p >= 1.0) {
+        for (std::uint64_t t = s0; t < s1; ++t) emit(t);
+        return;
+      }
+      // Batagelj–Brandes geometric skipping over this chunk's pair range.
+      ChunkEngine eng(rng::derive_seed(seed, c));
+      std::uint64_t t = s0;
+      for (;;) {
+        const double u = rng::uniform_unit(eng);
+        const double skip = std::floor(std::log1p(-u) / log_q);
+        if (t >= s1 || skip >= static_cast<double>(s1 - t)) break;
+        t += static_cast<std::uint64_t>(skip);
+        emit(t);
+        ++t;
+      }
+    });
+  }
   return assemble(n, chunks, false, opts);
 }
 
@@ -377,11 +443,10 @@ Graph gnm(std::uint32_t n, std::uint64_t m, std::uint64_t seed,
   const std::uint64_t n_chunks =
       std::max<std::uint64_t>(1, (m + kGnmEdgesPerChunk - 1) /
                                      kGnmEdgesPerChunk);
-  std::vector<std::vector<Edge>> chunks(n_chunks);
-  run_chunks(opts, n_chunks, [&](std::size_t c) {
+  auto chunks = chunked_edges(opts, n_chunks, [&](std::size_t c,
+                                                  std::vector<Edge>& out) {
     const std::uint64_t lo = range_start(m, n_chunks, c);
     const std::uint64_t hi = range_start(m, n_chunks, c + 1);
-    auto& out = chunks[c];
     out.reserve(static_cast<std::size_t>(hi - lo));
     for (std::uint64_t slot = lo; slot < hi; ++slot) {
       const std::uint64_t t = permute(slot);
@@ -408,12 +473,11 @@ Graph rmat(std::uint32_t levels, std::uint64_t num_edges, double a, double b,
   const double t_ab = a + b;
   const double t_abc = a + b + c;
 
-  std::vector<std::vector<Edge>> chunks(n_chunks);
-  run_chunks(opts, n_chunks, [&](std::size_t chunk) {
+  auto chunks = chunked_edges(opts, n_chunks, [&](std::size_t chunk,
+                                                  std::vector<Edge>& out) {
     const std::uint64_t lo = range_start(num_edges, n_chunks, chunk);
     const std::uint64_t hi = range_start(num_edges, n_chunks, chunk + 1);
     ChunkEngine eng(rng::derive_seed(seed, chunk));
-    auto& out = chunks[chunk];
     out.reserve(static_cast<std::size_t>(hi - lo));
     for (std::uint64_t e = lo; e < hi; ++e) {
       std::uint32_t row = 0, col = 0;
@@ -444,14 +508,13 @@ Graph watts_strogatz(std::uint32_t n, std::uint32_t k, double beta,
   const std::uint64_t n_chunks =
       std::max<std::uint64_t>(1, (n + kWsVerticesPerChunk - 1) /
                                      kWsVerticesPerChunk);
-  std::vector<std::vector<Edge>> chunks(n_chunks);
-  run_chunks(opts, n_chunks, [&](std::size_t c) {
+  auto chunks = chunked_edges(opts, n_chunks, [&](std::size_t c,
+                                                  std::vector<Edge>& out) {
     const std::uint64_t lo = static_cast<std::uint64_t>(c) *
                              kWsVerticesPerChunk;
     const std::uint64_t hi =
         std::min<std::uint64_t>(n, lo + kWsVerticesPerChunk);
     ChunkEngine eng(rng::derive_seed(seed, c));
-    auto& out = chunks[c];
     out.reserve(static_cast<std::size_t>((hi - lo) * half_k));
     for (std::uint64_t u = lo; u < hi; ++u) {
       // Each vertex owns its half_k forward lattice edges, so every lattice
@@ -486,11 +549,10 @@ Graph barabasi_albert(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
     rng::SplitMix64 sm(rng::derive_seed(seed, j));
     return rng::uniform_below(sm, 2 * j + 1);
   };
-  std::vector<std::vector<Edge>> chunks(n_chunks);
-  run_chunks(opts, n_chunks, [&](std::size_t chunk) {
+  auto chunks = chunked_edges(opts, n_chunks, [&](std::size_t chunk,
+                                                  std::vector<Edge>& out) {
     const std::uint64_t lo = range_start(num_edges, n_chunks, chunk);
     const std::uint64_t hi = range_start(num_edges, n_chunks, chunk + 1);
-    auto& out = chunks[chunk];
     out.reserve(static_cast<std::size_t>(hi - lo));
     for (std::uint64_t e = lo; e < hi; ++e) {
       // Chase target slots (odd positions) until landing on a source slot
@@ -676,13 +738,12 @@ Graph random_geometric(std::uint32_t n, double radius, std::uint64_t seed,
   const std::uint64_t scan_chunks =
       std::max<std::uint64_t>(1, (n + kGeoScanVerticesPerChunk - 1) /
                                      kGeoScanVerticesPerChunk);
-  std::vector<std::vector<Edge>> chunks(scan_chunks);
-  run_chunks(opts, scan_chunks, [&](std::size_t c) {
+  auto chunks = chunked_edges(opts, scan_chunks, [&](std::size_t c,
+                                                     std::vector<Edge>& out) {
     const std::uint64_t lo = static_cast<std::uint64_t>(c) *
                              kGeoScanVerticesPerChunk;
     const std::uint64_t hi =
         std::min<std::uint64_t>(n, lo + kGeoScanVerticesPerChunk);
-    auto& out = chunks[c];
     for (std::uint64_t i = lo; i < hi; ++i) {
       const auto iv = static_cast<std::uint32_t>(i);
       const auto [cx, cy] = cell_of(iv);

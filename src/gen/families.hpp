@@ -10,11 +10,13 @@
 /// is a pure function of (parameters, seed): the work is split into chunks
 /// of FIXED size (a compile-time constant per family, never derived from
 /// the pool), chunk c draws from an engine seeded rng::derive_seed(seed, c)
-/// into its own edge buffer, and buffers are concatenated in chunk order.
+/// into its own edge buffer, and the buffers are read in chunk order.
 /// Thread count only decides which worker runs which chunk, so the emitted
-/// edge list — and therefore the assembled CSR — is bit-identical across
-/// 1, 2, ... N threads and identical to the in-line serial path. This is
-/// the same determinism contract as core::FrontierEngine, applied to
+/// edge list is bit-identical across 1, 2, ... N threads and identical to
+/// the in-line serial path. The CSR fill is owner-computes: each pool
+/// worker owns one vertex range and places only its own rows' arcs, in
+/// chunk order, so the assembled CSR is bit-identical too. This is the
+/// same determinism contract as core::FrontierEngine, applied to
 /// KaGen-style graph generation.
 ///
 /// The chunk-size constants are part of that contract: changing one changes
@@ -53,6 +55,12 @@ struct GenOptions {
   /// tests and for callers generating from inside a pool worker).
   bool serial = false;
 };
+
+/// The pool a generator phase spreads over, or nullptr for the in-line
+/// path: serial requested, a one-thread pool, or a call from inside a pool
+/// worker (which must not wait on its own pool). build_graph hands the
+/// same pool to graph::largest_component for lcc=1.
+[[nodiscard]] par::ThreadPool* usable_pool(const GenOptions& opts);
 
 /// G(n, p). Each of the C(n,2) pairs appears independently with
 /// probability p. p is clamped to [0, 1]; p = 1 yields the complete graph.

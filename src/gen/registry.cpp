@@ -378,7 +378,11 @@ Graph build_graph(const GraphSpec& spec, const GenOptions& opts) {
           "'): injected fault at site gen.build_graph");
     }
     if (spec.get_bool("lcc", false)) {
-      built = graph::largest_component(built).graph;
+#if COBRA_OBS_LEVEL >= 1
+      static obs::Timer& lcc_timer = obs::registry().timer("gen.lcc");
+      obs::ScopedTimer lcc_timed(lcc_timer);
+#endif
+      built = graph::largest_component(built, usable_pool(opts)).graph;
     }
     return built;
   }();

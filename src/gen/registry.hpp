@@ -22,7 +22,9 @@
 ///              (spec, seed), bit-identical across thread counts
 ///   lcc=<0|1>  keep only the largest connected component (default 0) —
 ///              walks need min degree >= 1, and sub-critical G(n,p) /
-///              geometric / copy-model BA graphs are not always connected
+///              geometric / copy-model BA graphs are not always connected;
+///              extracted on the build's pool (usable_pool), bit-identical
+///              at any thread count
 
 namespace cobra::gen {
 

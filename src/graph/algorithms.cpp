@@ -1,10 +1,14 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "graph/builder.hpp"
+#include "parallel/bucket_sort.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace cobra::graph {
 
@@ -39,6 +43,93 @@ void bfs_core(const Graph& g, Vertex source, std::vector<std::uint32_t>& dist,
     }
     frontier.swap(next);
   }
+}
+
+/// Vertices per work range of the component passes. Only the work split
+/// depends on it, never a label or an extracted graph.
+constexpr std::size_t kRangeVertices = std::size_t{1} << 14;
+
+std::size_t num_ranges(std::uint32_t n) {
+  return (n + kRangeVertices - 1) / kRangeVertices;
+}
+
+/// body(r, lo, hi) for every vertex range [lo, hi) of [0, n), across `pool`
+/// when one is given.
+template <typename Body>
+void for_ranges(par::ThreadPool* pool, std::uint32_t n, const Body& body) {
+  const auto run = [&](std::size_t r) {
+    const std::size_t lo = r * kRangeVertices;
+    body(r, static_cast<Vertex>(lo),
+         static_cast<Vertex>(std::min<std::size_t>(n, lo + kRangeVertices)));
+  };
+  const std::size_t ranges = num_ranges(n);
+  if (pool == nullptr || ranges <= 1) {
+    for (std::size_t r = 0; r < ranges; ++r) run(r);
+    return;
+  }
+  par::parallel_for_dynamic(*pool, 0, ranges, run);
+}
+
+/// Root of x's tree in the union-find forest `parent`, halving the path on
+/// the way. Every non-root points at a smaller vertex in its own set, so a
+/// stale read still lands in the right tree and a halving store can only
+/// shorten a path.
+Vertex find_root(std::vector<Vertex>& parent, Vertex x) {
+  for (;;) {
+    const Vertex p = std::atomic_ref(parent[x]).load(std::memory_order_relaxed);
+    if (p == x) return x;
+    const Vertex up =
+        std::atomic_ref(parent[p]).load(std::memory_order_relaxed);
+    if (up != p) {
+      std::atomic_ref(parent[x]).store(up, std::memory_order_relaxed);
+    }
+    x = up;
+  }
+}
+
+/// Each vertex's component label: the component's minimum vertex. A
+/// union-find over every arc (v, u) with u < v, where a link hangs the
+/// larger root under the smaller one by CAS, so each tree's root is its
+/// smallest member under every schedule and the labels do not depend on
+/// the pool (nullptr runs in-line).
+std::vector<Vertex> min_vertex_labels(const Graph& g, par::ThreadPool* pool) {
+  const std::uint32_t n = g.num_vertices();
+  std::vector<Vertex> parent(n);
+  std::iota(parent.begin(), parent.end(), Vertex{0});
+  for_ranges(pool, n, [&](std::size_t, Vertex lo, Vertex hi) {
+    for (Vertex v = lo; v < hi; ++v) {
+      for (const Vertex u : g.neighbors(v)) {
+        if (u >= v) continue;
+        Vertex a = v;
+        Vertex b = u;
+        for (;;) {
+          a = find_root(parent, a);
+          b = find_root(parent, b);
+          if (a == b) break;
+          if (a < b) std::swap(a, b);
+          Vertex expected = a;
+          if (std::atomic_ref(parent[a]).compare_exchange_strong(
+                  expected, b, std::memory_order_relaxed)) {
+            break;
+          }
+        }
+      }
+    }
+  });
+  // Flatten: each range stores only its own slots, and walks without
+  // halving — a halving store could overwrite a slot its owner already
+  // pointed at the root.
+  for_ranges(pool, n, [&](std::size_t, Vertex lo, Vertex hi) {
+    for (Vertex v = lo; v < hi; ++v) {
+      Vertex root = v;
+      for (Vertex p; (p = std::atomic_ref(parent[root]).load(
+                          std::memory_order_relaxed)) != root;) {
+        root = p;
+      }
+      std::atomic_ref(parent[v]).store(root, std::memory_order_relaxed);
+    }
+  });
+  return parent;
 }
 
 }  // namespace
@@ -77,68 +168,84 @@ bool is_connected(const Graph& g) {
 }
 
 std::vector<std::uint32_t> connected_components(const Graph& g) {
-  std::vector<std::uint32_t> component(g.num_vertices(), kUnreachable);
+  // A vertex's label is its component's minimum vertex, so label[v] <= v:
+  // by the time the scan reaches v, its root already holds the root's id.
+  std::vector<std::uint32_t> component = min_vertex_labels(g, nullptr);
   std::uint32_t next_id = 0;
-  std::vector<Vertex> stack;
-  for (Vertex start = 0; start < g.num_vertices(); ++start) {
-    if (component[start] != kUnreachable) continue;
-    component[start] = next_id;
-    stack.push_back(start);
-    while (!stack.empty()) {
-      const Vertex v = stack.back();
-      stack.pop_back();
-      for (const Vertex u : g.neighbors(v)) {
-        if (component[u] == kUnreachable) {
-          component[u] = next_id;
-          stack.push_back(u);
-        }
-      }
-    }
-    ++next_id;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    component[v] = component[v] == v ? next_id++ : component[component[v]];
   }
   return component;
 }
 
 std::uint32_t num_components(const Graph& g) {
-  const auto component = connected_components(g);
+  const auto label = min_vertex_labels(g, nullptr);
   std::uint32_t count = 0;
-  for (const std::uint32_t c : component) count = std::max(count, c + 1);
-  return g.num_vertices() == 0 ? 0 : count;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (label[v] == v) ++count;
+  }
+  return count;
 }
 
-ComponentExtraction largest_component(const Graph& g) {
-  const auto component = connected_components(g);
-  std::uint32_t count = 0;
-  for (const std::uint32_t c : component) count = std::max(count, c + 1);
+ComponentExtraction largest_component(const Graph& g, par::ThreadPool* pool) {
+  const std::uint32_t n = g.num_vertices();
+  if (g.num_edges() <= par::kSortChunk) pool = nullptr;
+  const std::vector<Vertex> label = min_vertex_labels(g, pool);
 
-  std::vector<std::uint32_t> sizes(count, 0);
-  for (const std::uint32_t c : component) ++sizes[c];
-  const std::uint32_t biggest = static_cast<std::uint32_t>(
-      std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+  // Ties go to the smaller minimum vertex: the first maximum in root order.
+  std::vector<std::uint32_t> size(n, 0);
+  for (const Vertex root : label) ++size[root];
+  const auto best = static_cast<Vertex>(
+      std::max_element(size.begin(), size.end()) - size.begin());
+  std::vector<std::uint32_t>().swap(size);
 
+  // Per range: kept vertices and their arcs, then the ranges' bases.
+  const std::size_t ranges = num_ranges(n);
+  std::vector<std::pair<Vertex, EdgeIndex>> base(ranges + 1);
+  for_ranges(pool, n, [&](std::size_t r, Vertex lo, Vertex hi) {
+    for (Vertex v = lo; v < hi; ++v) {
+      if (label[v] != best) continue;
+      ++base[r + 1].first;
+      base[r + 1].second += g.degree(v);
+    }
+  });
+  for (std::size_t r = 0; r < ranges; ++r) {
+    base[r + 1].first += base[r].first;
+    base[r + 1].second += base[r].second;
+  }
+
+  // The old -> new map is monotone, so relabelled sorted rows stay sorted,
+  // and a kept vertex keeps every arc (its neighbours share its component).
   ComponentExtraction out;
-  out.old_to_new.assign(g.num_vertices(), kUnreachable);
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (component[v] == biggest) {
-      out.old_to_new[v] = static_cast<Vertex>(out.new_to_old.size());
-      out.new_to_old.push_back(v);
-    }
-  }
-  GraphBuilder b(static_cast<std::uint32_t>(out.new_to_old.size()));
-  for (const Vertex v : out.new_to_old) {
-    std::uint32_t self_arcs = 0;
-    for (const Vertex u : g.neighbors(v)) {
-      if (u == v) {
-        ++self_arcs;  // each self-loop is stored as two arcs
-      } else if (u > v && component[u] == biggest) {
-        b.add_edge(out.old_to_new[v], out.old_to_new[u]);
+  const Vertex kept = base[ranges].first;
+  out.old_to_new.resize(n);
+  out.new_to_old.resize(kept);
+  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(kept) + 1, 0);
+  for_ranges(pool, n, [&](std::size_t r, Vertex lo, Vertex hi) {
+    auto [next, arcs] = base[r];
+    for (Vertex v = lo; v < hi; ++v) {
+      if (label[v] != best) {
+        out.old_to_new[v] = kUnreachable;
+        continue;
       }
+      out.old_to_new[v] = next;
+      out.new_to_old[next] = v;
+      arcs += g.degree(v);
+      offsets[++next] = arcs;
     }
-    for (std::uint32_t loop = 0; loop < self_arcs / 2; ++loop) {
-      b.add_edge(out.old_to_new[v], out.old_to_new[v]);
+  });
+  std::vector<Vertex> targets(offsets.back());
+  for_ranges(pool, n, [&](std::size_t, Vertex lo, Vertex hi) {
+    for (Vertex v = lo; v < hi; ++v) {
+      if (label[v] != best) continue;
+      const auto row = targets.begin() + static_cast<std::ptrdiff_t>(
+                                             offsets[out.old_to_new[v]]);
+      auto end = row;
+      for (const Vertex u : g.neighbors(v)) *end++ = out.old_to_new[u];
+      if (!std::is_sorted(row, end)) std::sort(row, end);
     }
-  }
-  out.graph = b.build();
+  });
+  out.graph = Graph(kept, std::move(offsets), std::move(targets));
   return out;
 }
 

@@ -83,6 +83,27 @@ TEST_F(ChaosTest, ShrinkPlanKeepsExactlyTheNecessaryEntries) {
   EXPECT_DOUBLE_EQ(shrunk.specs[0].prob, 0.5);
 }
 
+TEST_F(ChaosTest, CsrFingerprintMatchesTheGraphLedger) {
+  // Literal from gen/test_graph_ledger.
+  EXPECT_EQ(bench::csr_fingerprint(gen::build_graph("ring:n=100")),
+            0x126f40e0787e3aedULL);
+}
+
+TEST_F(ChaosTest, GeneratorCellCatchesNothingOnAnLccSpec) {
+  // Big enough for the pool paths of the CSR fill and the extraction; the
+  // 3-thread pool comes up with 2 workers under pool.thread_spawn#1.
+  bench::ChaosConfig config;
+  config.specs = {"gnp:n=2^16,avg_deg=3,seed=9,lcc=1"};
+  config.threads = {3};
+  config.schedules = 0;
+  config.rounds = 4;
+  config.scratch_path = ::testing::TempDir() + "chaos_gen.snap";
+  const bench::ChaosReport report = bench::run_chaos(config);
+  EXPECT_EQ(report.gen_checks, 1u);
+  EXPECT_TRUE(report.violations.empty());
+  EXPECT_TRUE(util::fault::armed_sites().empty());
+}
+
 TEST_F(ChaosTest, ShrinkPlanIsIdentityOnSingleEntryPlans) {
   const FaultPlan plan = FaultPlan::parse("only.site@2");
   const auto always = [](const FaultPlan&) { return true; };
@@ -101,6 +122,7 @@ TEST_F(ChaosTest, CleanFuzzReportsNoViolationsWithFullAccounting) {
   EXPECT_EQ(report.cells, 2u);
   EXPECT_EQ(report.fuzz_runs, 16u);
   EXPECT_GT(report.hard_checks, 0u);
+  EXPECT_EQ(report.gen_checks, 2u);
   EXPECT_TRUE(report.violations.empty());
   EXPECT_TRUE(util::fault::armed_sites().empty());  // registry left clean
   const std::string text = bench::render_chaos_report(report, config);

@@ -162,8 +162,8 @@ TEST(LargestComponent, KeepsSelfLoopsAndParallelEdges) {
 TEST(LargestComponent, UnsortedCsrRowsExtractSorted) {
   // {0,2,3,5} as a 4-cycle plus chord 0-3, and {1,4}; vertex 6 isolated.
   GraphBuilder b(7);
-  for (const auto [u, v] : {std::pair{0u, 2u}, {2u, 3u}, {3u, 5u}, {5u, 0u},
-                            {0u, 3u}, {1u, 4u}}) {
+  for (const auto& [u, v] : {std::pair{0u, 2u}, {2u, 3u}, {3u, 5u}, {5u, 0u},
+                             {0u, 3u}, {1u, 4u}}) {
     b.add_edge(u, v);
   }
   const Graph built = b.build();
