@@ -61,12 +61,8 @@ std::uint64_t range_start(std::uint64_t total, std::uint64_t n_chunks,
 /// chunk writes only its own buffer/slice.
 template <typename Body>
 void run_chunks(const GenOptions& opts, std::size_t n_chunks, Body&& body) {
-  par::ThreadPool* pool = n_chunks > 1 ? usable_pool(opts) : nullptr;
-  if (pool == nullptr) {
-    for (std::size_t c = 0; c < n_chunks; ++c) body(c);
-    return;
-  }
-  par::parallel_for_dynamic(*pool, 0, n_chunks, body);
+  par::for_each_index(n_chunks > 1 ? usable_pool(opts) : nullptr, n_chunks,
+                      body);
 }
 
 /// One edge buffer per chunk: body(c, out) appends chunk c's edges to

@@ -57,17 +57,11 @@ std::size_t num_ranges(std::uint32_t n) {
 /// when one is given.
 template <typename Body>
 void for_ranges(par::ThreadPool* pool, std::uint32_t n, const Body& body) {
-  const auto run = [&](std::size_t r) {
+  par::for_each_index(pool, num_ranges(n), [&](std::size_t r) {
     const std::size_t lo = r * kRangeVertices;
     body(r, static_cast<Vertex>(lo),
          static_cast<Vertex>(std::min<std::size_t>(n, lo + kRangeVertices)));
-  };
-  const std::size_t ranges = num_ranges(n);
-  if (pool == nullptr || ranges <= 1) {
-    for (std::size_t r = 0; r < ranges; ++r) run(r);
-    return;
-  }
-  par::parallel_for_dynamic(*pool, 0, ranges, run);
+  });
 }
 
 /// Root of x's tree in the union-find forest `parent`, halving the path on

@@ -54,13 +54,6 @@ template <typename ValueAt, typename BucketOf>
   using T = std::decay_t<std::invoke_result_t<const ValueAt&, std::size_t>>;
   std::vector<T> out(n);
   if (n == 0) return out;
-  const auto for_each = [pool](std::size_t count, const auto& body) {
-    if (pool == nullptr || count <= 1) {
-      for (std::size_t i = 0; i < count; ++i) body(i);
-    } else {
-      parallel_for_dynamic(*pool, 0, count, body);
-    }
-  };
   const std::size_t n_chunks = (n + kSortChunk - 1) / kSortChunk;
   const auto chunk_end = [n](std::size_t c) {
     return std::min(n, (c + 1) * kSortChunk);
@@ -69,7 +62,7 @@ template <typename ValueAt, typename BucketOf>
   // cursor[c * n_buckets + b]: chunk c's count of bucket b, then (after the
   // prefix sum) the next output slot chunk c writes in bucket b.
   std::vector<std::size_t> cursor(n_chunks * n_buckets, 0);
-  for_each(n_chunks, [&](std::size_t c) {
+  for_each_index(pool, n_chunks, [&](std::size_t c) {
     std::size_t* counts = cursor.data() + c * n_buckets;
     for (std::size_t i = c * kSortChunk; i < chunk_end(c); ++i) {
       ++counts[bucket_of(value_at(i))];
@@ -85,14 +78,14 @@ template <typename ValueAt, typename BucketOf>
   }
   bucket_start[n_buckets] = slot;
 
-  for_each(n_chunks, [&](std::size_t c) {
+  for_each_index(pool, n_chunks, [&](std::size_t c) {
     std::size_t* next = cursor.data() + c * n_buckets;
     for (std::size_t i = c * kSortChunk; i < chunk_end(c); ++i) {
       const T value = value_at(i);
       out[next[bucket_of(value)]++] = value;
     }
   });
-  for_each(n_buckets, [&](std::size_t b) {
+  for_each_index(pool, n_buckets, [&](std::size_t b) {
     std::sort(out.begin() + static_cast<std::ptrdiff_t>(bucket_start[b]),
               out.begin() + static_cast<std::ptrdiff_t>(bucket_start[b + 1]));
   });

@@ -10,7 +10,8 @@
 
 /// \file parallel_for.hpp
 /// Chunked parallel loops over index ranges, layered on ThreadPool.
-/// Three schedules are provided:
+/// Three schedules are provided (plus for_each_index, which picks
+/// parallel_for_dynamic or an in-line loop):
 ///   * parallel_for        — static chunking; best when iterations are uniform
 ///   * parallel_for_dynamic — atomic work-stealing counter; best when
 ///     iteration cost varies wildly (e.g. cover-time trials whose length is
@@ -100,6 +101,18 @@ void parallel_for_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
   }
   pool.wait_idle();
   errors.rethrow_if_any();
+}
+
+/// Apply body(i) for i in [0, count): dynamically over `pool`, or in-line
+/// on the calling thread when `pool` is nullptr or count <= 1. The caller
+/// picks a pool it may wait on (not one whose worker it is running on).
+template <typename Body>
+void for_each_index(ThreadPool* pool, std::size_t count, Body&& body) {
+  if (pool == nullptr || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  parallel_for_dynamic(*pool, 0, count, body);
 }
 
 /// Apply body(worker, chunk) for chunk in [0, n_chunks), claimed
