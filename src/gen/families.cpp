@@ -159,7 +159,7 @@ Graph assemble(std::uint32_t n, std::vector<std::vector<Edge>>& chunks,
       std::clamp<std::size_t>(pool != nullptr ? pool->size() : 1, 1,
                               std::max<std::uint32_t>(n, 1));
   const auto owner_start = [&](std::size_t o) {
-    return static_cast<Vertex>(range_start(n, owners, o));
+    return static_cast<std::size_t>(range_start(n, owners, o));
   };
   // body(x, y) for every arc (x, y) of the chunks, in chunk order.
   const auto for_each_arc = [&](const auto& body) {
@@ -171,37 +171,35 @@ Graph assemble(std::uint32_t n, std::vector<std::vector<Edge>>& chunks,
     }
   };
 
-  // Count: offsets[v + 1] = deg(v), then each owner's running sum, which
-  // leaves offsets[hi] = the owner's arc total.
+  // Count: offsets[x + 1] = deg(x), then each owner's running sum over its
+  // slots [lo + 1, hi]; a scan over the owners turns each owner's last slot
+  // into a running total, so slot lo holds the owner's base.
   std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
   run_chunks(opts, owners, [&](std::size_t o) {
-    const Vertex lo = owner_start(o);
-    const Vertex hi = owner_start(o + 1);
+    const std::size_t lo = owner_start(o);
+    const std::size_t hi = owner_start(o + 1);
     for_each_arc([&](Vertex x, Vertex) {
-      if (x - lo < hi - lo) ++offsets[static_cast<std::size_t>(x) + 1];
+      if (x - lo < hi - lo) ++offsets[x + 1];
     });
-    for (std::size_t v = lo + 1; v < hi; ++v) offsets[v + 1] += offsets[v];
+    for (std::size_t v = lo + 2; v <= hi; ++v) offsets[v] += offsets[v - 1];
   });
-  std::vector<EdgeIndex> base(owners + 1, 0);
-  for (std::size_t o = 0; o < owners; ++o) {
-    const Vertex lo = owner_start(o);
-    const Vertex hi = owner_start(o + 1);
-    base[o + 1] = base[o] + (hi > lo ? offsets[hi] : 0);
+  for (std::size_t o = 1; o < owners; ++o) {
+    offsets[owner_start(o + 1)] += offsets[owner_start(o)];
   }
 
-  // Place: shift the owner's offsets by its base, then write each arc at
+  // Place: add the base to the owner's inner slots, then write each arc at
   // its row's cursor.
-  std::vector<Vertex> targets(base[owners]);
+  std::vector<Vertex> targets(offsets.back());
+  std::vector<EdgeIndex> cursor(n);
   run_chunks(opts, owners, [&](std::size_t o) {
-    const Vertex lo = owner_start(o);
-    const Vertex hi = owner_start(o + 1);
-    std::vector<EdgeIndex> cursor(hi - lo);
-    for (std::size_t v = lo; v < hi; ++v) {
-      cursor[v - lo] = v == lo ? base[o] : offsets[v];
-      offsets[v + 1] += base[o];
-    }
+    const std::size_t lo = owner_start(o);
+    const std::size_t hi = owner_start(o + 1);
+    for (std::size_t v = lo + 1; v < hi; ++v) offsets[v] += offsets[lo];
+    std::copy(offsets.begin() + static_cast<std::ptrdiff_t>(lo),
+              offsets.begin() + static_cast<std::ptrdiff_t>(hi),
+              cursor.begin() + static_cast<std::ptrdiff_t>(lo));
     for_each_arc([&](Vertex x, Vertex y) {
-      if (x - lo < hi - lo) targets[cursor[x - lo]++] = y;
+      if (x - lo < hi - lo) targets[cursor[x]++] = y;
     });
   });
   for (auto& chunk : chunks) std::vector<Edge>().swap(chunk);

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <exception>
 #include <memory>
+#include <type_traits>
 
 #include "parallel/thread_pool.hpp"
 
@@ -83,24 +84,34 @@ template <typename Body>
 void parallel_for_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
                           Body&& body) {
   if (begin >= end) return;
-  auto next = std::make_shared<std::atomic<std::size_t>>(begin);
-  detail::ExceptionCollector errors;
+  // The loop state lives in this frame, which wait_idle keeps alive until
+  // every task is done, so a task captures one pointer and fits in
+  // std::function's in-place buffer. A heap-allocated task would be freed
+  // on a worker thread, and such frees strand small chunks between large
+  // blocks of the caller's heap, which keeps glibc from trimming it.
+  struct Loop {
+    std::atomic<std::size_t> next;
+    std::size_t end;
+    std::remove_reference_t<Body>* body;
+    detail::ExceptionCollector errors;
+  } loop{{begin}, end, &body, {}};
   const std::size_t workers = std::min(pool.size(), end - begin);
   for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([next, end, &body, &errors] {
+    pool.submit([state = &loop] {
       try {
         for (;;) {
-          const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-          if (i >= end) return;
-          body(i);
+          const std::size_t i =
+              state->next.fetch_add(1, std::memory_order_relaxed);
+          if (i >= state->end) return;
+          (*state->body)(i);
         }
       } catch (...) {
-        errors.capture();
+        state->errors.capture();
       }
     });
   }
   pool.wait_idle();
-  errors.rethrow_if_any();
+  loop.errors.rethrow_if_any();
 }
 
 /// Apply body(i) for i in [0, count): dynamically over `pool`, or in-line
