@@ -191,7 +191,7 @@ Graph assemble(std::uint32_t n, std::vector<std::vector<Edge>>& chunks,
   // its row's cursor. The cursors are a separate n-sized array allocated
   // after `targets`, as in a serial counting sort. Placing through
   // `offsets` itself saves that array, but then glibc kept a freed graph
-  // resident, and repeated 2^20 rreg builds peaked ~35 MB higher.
+  // resident, and repeated 2^20 rreg builds peaked ~25 MB higher.
   std::vector<Vertex> targets(offsets.back());
   std::vector<EdgeIndex> cursor(n);
   run_chunks(opts, owners, [&](std::size_t o) {
