@@ -5,21 +5,27 @@
 /// schedule shows the straggler penalty the dynamic one avoids.
 /// Results go to BENCH_parallel_scaling.json for the perf trajectory.
 ///
-/// Usage: bench_parallel_scaling [--out path] [--trials T]
+/// Usage: bench_parallel_scaling [--out path] [--trials T] [--reps R]
 ///        [--graph <spec>] [--smoke]
 ///   Default graph: grid:side=48,dims=2 (the paper's E1 topology at a
 ///   size whose cover time is ~ms per trial). --smoke shrinks to a 16x16
-///   grid and 48 trials for CI.
+///   grid and 48 trials for CI. --reps R times every (threads, schedule)
+///   cell R times, alternating cells within each repetition, and records
+///   the median seconds plus their minimum and interquartile range
+///   (default 1). Speedups divide the 1-thread dynamic median.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "harness.hpp"
 
 #include "core/cobra_walk.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/runner.hpp"
+#include "stats/summary.hpp"
 
 namespace {
 
@@ -43,10 +49,24 @@ double timed_run(std::size_t threads, bool dynamic, const graph::Graph& g,
   return std::chrono::duration<double>(stop - start).count();
 }
 
+struct Timing {
+  double median = 0.0;
+  double min = 0.0;
+  double iqr = 0.0;
+};
+
+Timing summarize(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  return {stats::quantile_sorted(seconds, 0.5), seconds.front(),
+          stats::quantile_sorted(seconds, 0.75) -
+              stats::quantile_sorted(seconds, 0.25)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const io::Args args = bench::parse_bench_args(argc, argv, {"trials"});
+  const io::Args args =
+      bench::parse_bench_args(argc, argv, {"trials", "reps"});
   const bool smoke = args.get_bool("smoke", false);
   const std::string out_path = args.get("out", "BENCH_parallel_scaling.json");
   const auto trials_arg = bench::uint_flag(args, "trials", smoke ? 48 : 384);
@@ -55,6 +75,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto trials = static_cast<std::uint32_t>(trials_arg);
+  const auto reps = bench::uint_flag(args, "reps", 1);
+  if (reps < 1 || reps > 100) {
+    std::cerr << "bench_parallel_scaling: --reps must be in [1, 100]\n";
+    return 1;
+  }
 
   bench::print_header(
       "A3  (systems)",
@@ -69,6 +94,7 @@ int main(int argc, char** argv) {
   json.context("graph", spec);
   json.context("vertices", static_cast<double>(g.num_vertices()));
   json.context("trials", static_cast<double>(trials));
+  json.context("reps", static_cast<double>(reps));
   if (smoke) json.context("smoke", 1.0);
 
   // Representation probe: one cover run through a directly-held walk, so
@@ -93,12 +119,24 @@ int main(int argc, char** argv) {
   // Warm-up run so first-touch page faults don't pollute the 1-thread row.
   (void)timed_run(2, true, g, trials / 6 + 1);
 
-  const double serial_dynamic = timed_run(1, true, g, trials);
+  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
+  std::vector<std::vector<double>> dyn_runs(thread_counts.size());
+  std::vector<std::vector<double>> sta_runs(thread_counts.size());
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      dyn_runs[i].push_back(timed_run(thread_counts[i], true, g, trials));
+      sta_runs[i].push_back(timed_run(thread_counts[i], false, g, trials));
+    }
+  }
+  const double serial_dynamic = summarize(dyn_runs[0]).median;
   io::Table table({"threads", "dynamic (s)", "speedup", "efficiency",
                    "static (s)", "static speedup"});
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const double dyn = timed_run(threads, true, g, trials);
-    const double sta = timed_run(threads, false, g, trials);
+  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+    const std::size_t threads = thread_counts[i];
+    const Timing dyn_t = summarize(dyn_runs[i]);
+    const Timing sta_t = summarize(sta_runs[i]);
+    const double dyn = dyn_t.median;
+    const double sta = sta_t.median;
     table.add_row(
         {io::Table::fmt_int(static_cast<long long>(threads)),
          io::Table::fmt(dyn, 3),
@@ -109,9 +147,13 @@ int main(int argc, char** argv) {
     json.record("threads" + std::to_string(threads))
         .field("threads", static_cast<double>(threads))
         .field("dynamic_seconds", dyn)
+        .field("dynamic_seconds_min", dyn_t.min)
+        .field("dynamic_seconds_iqr", dyn_t.iqr)
         .field("dynamic_speedup", serial_dynamic / dyn)
         .field("dynamic_efficiency", serial_dynamic / dyn / static_cast<double>(threads))
         .field("static_seconds", sta)
+        .field("static_seconds_min", sta_t.min)
+        .field("static_seconds_iqr", sta_t.iqr)
         .field("static_speedup", serial_dynamic / sta);
   }
   std::cout << table << "\n";

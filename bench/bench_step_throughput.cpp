@@ -15,15 +15,20 @@
 /// EXPERIMENTS.md A2 for commentary).
 ///
 /// Usage: bench_step_throughput [--out path] [--nexp E] [--graph <spec>
-///        [--warm W]] [--smoke] [--expect-dense]
+///        [--warm W]] [--reps R] [--smoke] [--expect-dense]
 ///   Default: the 4-graph suite at n = 2^nexp (nexp = 20), JSON to
 ///   BENCH_step_throughput.json. --graph replaces the suite with one
 ///   registry-built graph; --smoke shrinks to n = 2^14 and 5 timed rounds
-///   (the CI bit-rot guard). --expect-dense exits 1 unless the timed
+///   (the CI bit-rot guard). --reps R times every configuration R times,
+///   alternating configurations within each repetition, and records the
+///   median, minimum and interquartile range of the timed seconds; the
+///   rates and speedups are computed from the medians (default 1).
+///   --expect-dense exits 1 unless the timed
 ///   rounds actually took the dense path — the perf-smoke ctest lane uses
 ///   it to assert the Θ(n)-frontier representation is exercised, without
 ///   asserting anything about timing.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -36,6 +41,7 @@
 #include "core/cobra_walk.hpp"
 #include "core/frontier_engine.hpp"
 #include "parallel/thread_pool.hpp"
+#include "stats/summary.hpp"
 
 namespace {
 
@@ -78,7 +84,9 @@ std::vector<SuiteGraph> make_suite(std::uint32_t n) {
 }
 
 struct Measurement {
-  double seconds = 0.0;
+  double seconds = 0.0;      // median over the repetitions
+  double seconds_min = 0.0;
+  double seconds_iqr = 0.0;
   std::uint64_t samples = 0;
   double mean_frontier = 0.0;
   std::uint64_t parallel_rounds = 0;  // timed rounds that took the pool path
@@ -116,11 +124,25 @@ Measurement run_config(const graph::Graph& g, core::FrontierOptions opts,
   return m;
 }
 
+/// Fold repeated runs of one configuration: the counters are identical in
+/// every run (the rounds are), the seconds become median / min / IQR.
+Measurement summarize(std::vector<Measurement> runs) {
+  std::vector<double> seconds;
+  for (const Measurement& m : runs) seconds.push_back(m.seconds);
+  std::sort(seconds.begin(), seconds.end());
+  Measurement m = runs.front();
+  m.seconds = stats::quantile_sorted(seconds, 0.5);
+  m.seconds_min = seconds.front();
+  m.seconds_iqr = stats::quantile_sorted(seconds, 0.75) -
+                  stats::quantile_sorted(seconds, 0.25);
+  return m;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const io::Args args = bench::parse_bench_args(
-      argc, argv, {"nexp", "warm", "expect-dense", "dense-guard"});
+      argc, argv, {"nexp", "warm", "reps", "expect-dense", "dense-guard"});
   const bool smoke = args.get_bool("smoke", false);
   const bool expect_dense = args.get_bool("expect-dense", false);
   double dense_guard = 0.0;
@@ -139,6 +161,11 @@ int main(int argc, char** argv) {
   }
   const auto n = static_cast<std::uint32_t>(1u << n_exp);
   const int timed = smoke ? 5 : 15;
+  const auto reps = bench::uint_flag(args, "reps", 1);
+  if (reps < 1 || reps > 100) {
+    std::cerr << "bench_step_throughput: --reps must be in [1, 100]\n";
+    return 1;
+  }
 
   bench::print_header(
       "A2  (systems)",
@@ -148,6 +175,7 @@ int main(int argc, char** argv) {
   bench::JsonReporter json("step_throughput");
   json.context("branching", 2.0);
   json.context("timed_rounds", static_cast<double>(timed));
+  json.context("reps", static_cast<double>(reps));
   json.context("dense_alpha", defaults.dense_alpha);
   if (smoke) json.context("smoke", 1.0);
 
@@ -171,10 +199,24 @@ int main(int argc, char** argv) {
     io::Table table({"config", "steps/s", "Msamples/s", "mean frontier",
                      "par rounds", "dense", "switch", "speedup vs serial"});
 
-    // Serial baseline: threshold = infinity forces the in-line path.
-    core::FrontierOptions serial_opts;
-    serial_opts.parallel_threshold = static_cast<std::size_t>(-1);
-    const Measurement serial = run_config(g, serial_opts, warm, timed);
+    // Thread count 0 is the serial baseline: threshold = infinity forces
+    // the in-line path. Each repetition runs every configuration once.
+    const std::vector<std::size_t> configs = {0, 1, 2, 4, 8};
+    std::vector<std::vector<Measurement>> runs(configs.size());
+    for (std::uint64_t r = 0; r < reps; ++r) {
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        core::FrontierOptions opts;
+        std::unique_ptr<par::ThreadPool> pool;
+        if (configs[i] == 0) {
+          opts.parallel_threshold = static_cast<std::size_t>(-1);
+        } else {
+          pool = std::make_unique<par::ThreadPool>(configs[i]);
+          opts.pool = pool.get();
+        }
+        runs[i].push_back(run_config(g, opts, warm, timed));
+      }
+    }
+    const Measurement serial = summarize(runs[0]);
 
     auto report = [&](const std::string& config, std::size_t threads,
                       const Measurement& m) {
@@ -195,6 +237,8 @@ int main(int argc, char** argv) {
           .field("threads", static_cast<double>(threads))
           .field("warm_rounds", static_cast<double>(warm))
           .field("seconds", m.seconds)
+          .field("seconds_min", m.seconds_min)
+          .field("seconds_iqr", m.seconds_iqr)
           .field("steps_per_sec", steps_per_sec)
           .field("samples_per_sec", static_cast<double>(m.samples) / m.seconds)
           .field("mean_frontier", m.mean_frontier)
@@ -205,13 +249,10 @@ int main(int argc, char** argv) {
     };
 
     report("serial", 0, serial);
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      par::ThreadPool pool(threads);
-      core::FrontierOptions opts;
-      opts.pool = &pool;
-      const Measurement m = run_config(g, opts, warm, timed);
+    for (std::size_t i = 1; i < configs.size(); ++i) {
+      const Measurement m = summarize(runs[i]);
       pool_dense_rounds += m.dense_rounds;
-      report("pool" + std::to_string(threads), threads, m);
+      report("pool" + std::to_string(configs[i]), configs[i], m);
     }
 
     std::cout << "graph: " << name << "  (spec: " << spec

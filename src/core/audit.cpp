@@ -107,29 +107,6 @@ bool check_bitmap(std::span<const std::uint64_t> words, std::size_t count,
   return true;
 }
 
-bool check_stamps(std::span<const graph::Vertex> list,
-                  std::span<const std::uint32_t> stamps, std::uint32_t epoch,
-                  std::string* why) {
-  for (const graph::Vertex v : list) {
-    if (static_cast<std::size_t>(v) >= stamps.size()) {
-      if (why != nullptr) {
-        *why = "vertex " + std::to_string(v) + " outside the stamp array (" +
-               std::to_string(stamps.size()) + " entries)";
-      }
-      return false;
-    }
-    if (stamps[v] != epoch) {
-      if (why != nullptr) {
-        *why = "vertex " + std::to_string(v) + " stamped " +
-               std::to_string(stamps[v]) + ", want round epoch " +
-               std::to_string(epoch) + " — claimed vertex the dedup never saw";
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 void report_violation(const char* check, const std::string& why) {
   obs::registry().counter("audit.violations").add(1);
   if (detail::throw_on_violation.load(std::memory_order_relaxed)) {

@@ -21,9 +21,6 @@
 ///     with every vertex inside [0, n);
 ///   * bitmap health    — dense bitmaps sized to exactly (n+63)/64 words,
 ///     popcount == the round's claimed count, tail bits beyond n clear;
-///   * epoch stamps     — every vertex claimed by a sparse round carries
-///     the round's epoch in the stamp array (the dedup mechanism agrees
-///     with the output it produced);
 ///   * CSR health       — `Graph::validate()` once per engine on the
 ///     first audited round (graphs are immutable after build, so once is
 ///     a proof, and the O(m) cost is paid a single time).
@@ -80,12 +77,6 @@ void set_throw_on_violation(bool enable) noexcept;
 [[nodiscard]] bool check_bitmap(std::span<const std::uint64_t> words,
                                 std::size_t count, std::size_t n_vertices,
                                 std::string* why);
-
-/// Every listed vertex's stamp equals `epoch` — the sparse dedup's claim
-/// record agrees with the list it emitted.
-[[nodiscard]] bool check_stamps(std::span<const graph::Vertex> list,
-                                std::span<const std::uint32_t> stamps,
-                                std::uint32_t epoch, std::string* why);
 
 /// Violation sink: bump `audit.violations`, then throw (test mode) or
 /// print the structured block and abort.

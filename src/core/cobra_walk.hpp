@@ -18,7 +18,7 @@
 ///   * Rounds execute on the shared FrontierEngine: the vertex-id space is
 ///     partitioned into fixed ranges, each range samples from an engine
 ///     seeded with derive_seed(round_seed, range), and offspring dedup via
-///     the engine's epoch stamps (sparse rounds) or bitmap (dense rounds)
+///     the engine's claim lists (sparse rounds) or bitmaps (dense rounds)
 ///     — in parallel across the thread pool once the frontier is large
 ///     enough, serially (same chunking, same bits) below that. The active
 ///     set is held in a dual-representation core::Frontier: on expanders

@@ -1,25 +1,45 @@
 #include "core/frontier_engine.hpp"
 
+#include <array>
 #include <new>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/fault.hpp"
 
 namespace cobra::core {
 
-FrontierEngine::FrontierEngine(const Graph& g, FrontierOptions opts)
-    : g_(&g), opts_(opts), stamp_(g.num_vertices(), 0) {
-  if (g.num_vertices() == 0) {
-    throw std::invalid_argument("FrontierEngine: empty graph");
+namespace {
+
+/// Sort `keys` ascending: an LSD radix sort over 8-bit digits of
+/// (key - min), with only as many passes as the key span needs, and
+/// `scratch` as the second buffer. A sparse round's claims arrive in
+/// random order with duplicates, where std::sort's comparisons mispredict;
+/// this costs O(passes * (size + 256)) instead, and sorts the same keys to
+/// the same order.
+void radix_sort(std::vector<Vertex>& keys, std::vector<Vertex>& scratch) {
+  if (keys.size() < 2) return;
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  const Vertex base = *lo;
+  const auto bits =
+      static_cast<int>(std::bit_width(static_cast<std::uint32_t>(*hi - base)));
+  scratch.resize(keys.size());
+  for (int shift = 0; shift < bits; shift += 8) {
+    std::array<std::size_t, 257> start{};
+    for (const Vertex v : keys) ++start[((v - base) >> shift & 0xFF) + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (const Vertex v : keys) scratch[start[(v - base) >> shift & 0xFF]++] = v;
+    keys.swap(scratch);
   }
 }
 
-std::uint32_t FrontierEngine::advance_epoch() {
-  if (++epoch_ == 0) {  // 32-bit wrap: stamps from 2^32 sparse rounds ago
-    stamp_.assign(stamp_.size(), 0);  // would alias the new epoch — wipe
-    epoch_ = 1;
+}  // namespace
+
+FrontierEngine::FrontierEngine(const Graph& g, FrontierOptions opts)
+    : g_(&g), opts_(opts) {
+  if (g.num_vertices() == 0) {
+    throw std::invalid_argument("FrontierEngine: empty graph");
   }
-  return epoch_;
 }
 
 bool FrontierEngine::want_dense(std::size_t frontier_size) const {
@@ -106,6 +126,26 @@ par::ThreadPool* FrontierEngine::pick_pool(std::size_t frontier_size) const {
   return pool;
 }
 
+bool FrontierEngine::acquire_worker_bits(std::size_t workers) {
+  // Fault site `frontier.worker_bits_alloc` (GRACEFUL): the private
+  // bitmaps cannot be had — the round runs in-line as worker 0 straight
+  // into the output bitmap, which produces the same set.
+  if (util::fault::should_fail("frontier.worker_bits_alloc")) return false;
+  try {
+    if (workers_.size() < workers) workers_.resize(workers);
+    if (worker_bits_dirty_) {
+      for (WorkerSlot& slot : workers_) slot.bits.assign(slot.bits.size(), 0);
+    }
+    for (std::size_t w = 1; w < workers; ++w) {
+      workers_[w].bits.resize(num_words());  // new words arrive zeroed
+    }
+  } catch (const std::bad_alloc&) {
+    return false;
+  }
+  worker_bits_dirty_ = true;  // until merge_bits has read them back
+  return true;
+}
+
 void FrontierEngine::clear_words(std::vector<std::uint64_t>& bits,
                                  par::ThreadPool* pool) {
 #if COBRA_OBS_LEVEL >= 1
@@ -130,6 +170,59 @@ void FrontierEngine::clear_words(std::vector<std::uint64_t>& bits,
     const std::size_t hi = std::min(words, lo + kClearChunkWords);
     std::fill(data + lo, data + hi, std::uint64_t{0});
   });
+}
+
+std::size_t FrontierEngine::merge_bits(std::vector<std::uint64_t>& bits,
+                                       std::size_t workers) {
+#if COBRA_OBS_LEVEL >= 1
+  static obs::Timer& timer = obs::registry().timer("frontier.merge");
+  obs::ScopedTimer timed(timer);
+#endif
+  // Serial on purpose: at n = 2^20 and 2^22 on four workers the whole
+  // merge takes 35-120 us, no more than spreading it over the pool did
+  // (EXPERIMENTS.md A2), and well under 1% of a dense round.
+  const std::size_t n_words = bits.size();
+  std::uint64_t* out = bits.data();
+  // Ranges of 16 KiB per bitmap: a range's output words stay in L1 while
+  // each private bitmap streams through them in turn.
+  constexpr std::size_t kRangeWords = std::size_t{1} << 11;
+  std::size_t count = 0;
+  for (std::size_t lo = 0; lo < n_words; lo += kRangeWords) {
+    const std::size_t hi = std::min(n_words, lo + kRangeWords);
+    for (std::size_t w = 1; w < workers; ++w) {
+      if (workers_[w].emitted == 0) continue;  // never written: still zero
+      std::uint64_t* src = workers_[w].bits.data();
+      for (std::size_t i = lo; i < hi; ++i) {
+        out[i] |= src[i];
+        src[i] = 0;
+      }
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      count += static_cast<std::size_t>(std::popcount(out[i]));
+    }
+  }
+  if (workers > 1) worker_bits_dirty_ = false;
+  return count;
+}
+
+void FrontierEngine::merge_claims(std::vector<Vertex>& out) {
+#if COBRA_OBS_LEVEL >= 1
+  static obs::Timer& timer = obs::registry().timer("frontier.merge");
+  obs::ScopedTimer timed(timer);
+#endif
+  std::size_t total = 0;
+  for (const WorkerSlot& slot : workers_) total += slot.claims.size();
+  out.reserve(total);
+  for (const WorkerSlot& slot : workers_) {
+    out.insert(out.end(), slot.claims.begin(), slot.claims.end());
+  }
+  // Canonical ascending order: what makes the result independent of both
+  // the schedule and the representation (the dense path is ascending by
+  // construction). An in-line filter round claims in visit order, which
+  // already is ascending and duplicate-free; the check costs one
+  // early-exit scan otherwise.
+  if (!std::is_sorted(out.begin(), out.end())) radix_sort(out, sort_scratch_);
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 void FrontierEngine::materialize_bits(std::span<const std::uint64_t> words,
@@ -202,7 +295,6 @@ void FrontierEngine::reset_workers(std::size_t workers) {
   for (WorkerSlot& slot : workers_) {
     slot.claims.clear();
     slot.emitted = 0;
-    slot.claimed = 0;
     slot.blocks = 0;
   }
 }
@@ -271,7 +363,8 @@ void FrontierEngine::occupancy_stats(const FrontierView& in, std::size_t span,
 }
 
 void FrontierEngine::emit_trace(const FrontierView& in, std::size_t produced,
-                                bool dense, const obs::Stopwatch& watch) {
+                                bool dense, const obs::Stopwatch& watch,
+                                double sample_s, double merge_s) {
   if (trace_id_ == 0) trace_id_ = obs::next_trace_id();
   obs::RoundTrace t;
   t.trace_id = trace_id_;
@@ -286,6 +379,8 @@ void FrontierEngine::emit_trace(const FrontierView& in, std::size_t produced,
                                     static_cast<double>(t.chunks)
                               : 0.0;
   t.rng_blocks = last_rng_blocks_;
+  t.sample_s = sample_s;
+  t.merge_s = merge_s;
   t.seconds = watch.seconds();
   obs::trace_round(t);
 }
@@ -314,29 +409,16 @@ void FrontierEngine::audit_round(const Frontier& next) {
     if (!audit::check_bitmap(next.bits_, count, n, &why)) {
       audit::report_violation("bitmap", why);
     }
-  } else if (!audit::check_stamps(next.list_, stamp_, epoch_, &why)) {
-    audit::report_violation("epoch-stamps", why);
-  }
-}
-
-void FrontierEngine::dedupe(std::span<const Vertex> in,
-                            std::vector<Vertex>& out) {
-  out.clear();
-  if (in.empty()) return;
-  const std::uint32_t epoch = advance_epoch();
-  for (const Vertex v : in) {
-    if (stamp_[v] != epoch) {
-      stamp_[v] = epoch;
-      out.push_back(v);
-    }
   }
 }
 
 void FrontierEngine::dedupe(std::span<const Vertex> in, Frontier& out) {
   out.clear();
-  dedupe(in, out.list_);
+  out.list_.assign(in.begin(), in.end());
   // Canonical ascending order — the invariant every expand input relies on.
   std::sort(out.list_.begin(), out.list_.end());
+  out.list_.erase(std::unique(out.list_.begin(), out.list_.end()),
+                  out.list_.end());
   out.count_ = out.list_.size();
 }
 

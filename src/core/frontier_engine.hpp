@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -51,13 +50,14 @@
 /// threshold (hysteresis, so a frontier hovering at the boundary does not
 /// flap) — and the choice affects SPEED only, never results:
 ///
-///   * sparse rounds dedup offspring against a per-vertex 32-bit epoch
-///     stamp (one plain store serially, one compare_exchange in parallel)
-///     and sort the claimed list;
-///   * dense rounds dedup by setting bits with fetch_or on 64-bit bitmap
-///     words — the output is a set materialized in ascending vertex order
-///     by construction, so no sort, no ownership resolution, and ~1/32 of
-///     the stamp path's dedup memory traffic.
+///   * sparse rounds append every offspring, duplicates included, to the
+///     emitting worker's claim list; one merge concatenates the lists and
+///     sorts + uniques them. A sparse frontier holds at most
+///     n / dense_alpha vertices by construction, so the sort stays small;
+///   * dense rounds set bits with a plain `|=` in a per-worker bitmap,
+///     then OR the workers' bitmaps together word range by word range,
+///     taking the popcount in the same pass — the output is a set
+///     materialized in ascending vertex order by construction, so no sort.
 ///
 /// Determinism contract (mirrors monte_carlo.hpp): a round's randomness is
 /// a pure function of its `round_seed`. The VERTEX-ID SPACE [0, n) is split
@@ -65,35 +65,35 @@
 /// ranges align with bitmap words); the active vertices of range c are
 /// visited in ascending id order drawing from an engine seeded
 /// rng::derive_seed(round_seed, c). Because both representations walk the
-/// same ranges in the same order, and both dedups produce the same set
-/// materialized ascending, the produced frontier is bit-identical across
-/// 1, 2, ... N threads, identical to the serial in-line path, AND identical
-/// across the sparse and dense paths. (This is simpler than the previous
-/// frontier-position chunking: ordering is canonical — ascending — rather
-/// than "whatever the serial visit order was", so the parallel merge needs
-/// no min-chunk CAS ownership protocol.) The one requirement this puts on
-/// callers: a frontier passed as a raw span must be sorted ascending and
-/// duplicate-free — which `expand` and `dedupe` outputs always are.
+/// same ranges in the same order, and both dedups compute the same set
+/// union materialized ascending (union is order-free, so which worker saw
+/// which offspring never matters), the produced frontier is bit-identical
+/// across 1, 2, ... N threads, identical to the serial in-line path, AND
+/// identical across the sparse and dense paths. The one requirement this
+/// puts on callers: a frontier passed as a raw span must be sorted
+/// ascending and duplicate-free — which `expand` and `dedupe` outputs
+/// always are.
 ///
-/// Epoch-wrap audit (the stamp idiom's one failure mode): advancing the
-/// 32-bit epoch past 2^32 would alias stamps from 2^32 sparse rounds ago,
-/// so the advance wipes the array on wrap (`advance_epoch`). Dense rounds
-/// do not touch the stamps at all — their bitmap is cleared at round start
-/// — so representation switches compose with the epoch scheme with no
-/// extra invalidation. A round returns before touching any state when the
-/// frontier is empty: an extinct process stepped in a loop burns neither
-/// epochs nor bitmap clears.
+/// Round state: a dedup needs no memory of earlier rounds, so nothing
+/// outlives a round but storage. Worker 0's bitmap IS the output bitmap;
+/// the other workers' private bitmaps are allocated on the calling thread
+/// before the pool runs and are all-zero between rounds, because the merge
+/// zeroes every private word it reads. A round returns before touching any
+/// state when the frontier is empty: an extinct process stepped in a loop
+/// burns no bitmap clears.
 ///
 /// Scheduling: one chunk walker serves every round. Pool rounds claim
 /// chunks dynamically over a fixed set of workers
-/// (par::parallel_for_chunks), each owning a reusable claim buffer and a
-/// decode scratch — no per-chunk allocation in steady state. In-line
-/// rounds run as worker 0 and walk a sparse input run by run, so a small
-/// frontier never scans empty chunks. Claims go through one of two sinks
-/// (stamp list or bitmap), each in a plain flavour for in-line rounds and
-/// an atomic one for pool rounds (filter rounds, whose claims never
-/// collide, stay plain); sinks are inlined lambdas, never an indirect call
-/// per sample. The sampling loop software-prefetches the CSR
+/// (par::parallel_for_chunks), each owning a reusable claim buffer, a
+/// decode scratch and (dense rounds) a private bitmap — no per-chunk
+/// allocation in steady state and no shared read-modify-write anywhere in
+/// the sampling loop. In-line rounds are the one-worker case: they run as
+/// worker 0 straight into the output and walk a sparse input run by run,
+/// so a small frontier never scans empty chunks. Filter rounds, whose
+/// claims never collide (a chunk's word-aligned bitmap words belong to the
+/// one worker that walks it), let every worker write the output bitmap
+/// directly and skip the OR. Sinks are inlined lambdas, never an indirect
+/// call per sample. The sampling loop software-prefetches the CSR
 /// adjacency row a few vertices ahead (ascending visit order makes the
 /// offsets stream sequential, so only the targets row needs the hint).
 
@@ -102,7 +102,7 @@ namespace cobra::core {
 /// How `expand` chooses the round's representation.
 enum class FrontierMode : std::uint8_t {
   Auto,         ///< size-based switch with hysteresis (the default)
-  ForceSparse,  ///< always the stamp/list path (tests, tiny graphs)
+  ForceSparse,  ///< always the claim-list path (tests, tiny graphs)
   ForceDense,   ///< always the bitmap path (tests)
 };
 
@@ -353,14 +353,9 @@ class FrontierEngine {
         /*materialize=*/false);
   }
 
-  /// Serial dedup of `in` into `out` (reset paths): keeps the first
-  /// occurrence of each vertex, preserving order. Shares the stamp array,
-  /// so it composes with expand rounds.
-  void dedupe(std::span<const Vertex> in, std::vector<Vertex>& out);
-
   /// Dedup `in` into a canonical (sorted ascending) sparse frontier — the
-  /// reset path of every engine client.
-  void dedupe(std::span<const Vertex> in, Frontier& out);
+  /// reset path of every engine client: copy, sort, unique.
+  static void dedupe(std::span<const Vertex> in, Frontier& out);
 
   [[nodiscard]] const Graph& graph() const noexcept { return *g_; }
 
@@ -396,11 +391,6 @@ class FrontierEngine {
     return dense_fallbacks_;
   }
 
-  /// Set the dedup epoch counter directly — ONLY for tests exercising the
-  /// 32-bit wrap path (e.g. a resumed run crossing the wrap) without
-  /// stepping 2^32 sparse rounds first.
-  void set_epoch_for_testing(std::uint32_t epoch) noexcept { epoch_ = epoch; }
-
   /// Total sink() invocations of the most recent round — i.e. the
   /// offspring emitted before dedup (for a retain round, the survivors).
   /// Counted per worker and summed at the end (no shared atomic in the
@@ -426,24 +416,18 @@ class FrontierEngine {
   }
 
  private:
-  /// Reusable per-worker round state (sized once, reset per round).
-  struct WorkerSlot {
-    std::vector<Vertex> claims;  ///< sparse-round claims
+  /// Reusable per-worker round state (sized once, reset per round). Every
+  /// push_back writes a vector header held here, so slots sit on cache
+  /// lines of their own: shared lines would bounce between the workers.
+  struct alignas(64) WorkerSlot {
+    std::vector<Vertex> claims;  ///< sparse-round claims, duplicates kept
     std::vector<Vertex> decode;  ///< dense-input chunk decode
+    /// Dense-round private bitmap (workers >= 1; worker 0 writes the
+    /// output). All-zero between rounds: the merge zeroes what it reads.
+    std::vector<std::uint64_t> bits;
     std::uint64_t emitted = 0;
-    std::uint64_t claimed = 0;  ///< dense-round newly set bits
-    std::uint64_t blocks = 0;   ///< RNG refills
+    std::uint64_t blocks = 0;  ///< RNG refills
   };
-
-  /// What a sink counts over one chunk — locals, so the sampling loop
-  /// keeps them in registers; folded into the worker's slot per chunk.
-  struct Tally {
-    std::uint64_t emitted = 0;
-    std::uint64_t claimed = 0;
-  };
-
-  /// Advance the epoch, wiping stamps on 32-bit wrap (the aliasing guard).
-  std::uint32_t advance_epoch();
 
   /// Pick the round's representation: the size/hysteresis policy
   /// (want_dense), then a guarded grab of the bitmap storage — a failed
@@ -466,6 +450,12 @@ class FrontierEngine {
   /// for the in-line path.
   [[nodiscard]] par::ThreadPool* pick_pool(std::size_t frontier_size) const;
 
+  /// Size the private bitmaps of workers 1..workers-1 to num_words() on
+  /// the calling thread (pool workers only ever write them); false when
+  /// they cannot be had (bad_alloc or the "frontier.worker_bits_alloc"
+  /// fault site), and the round then runs in-line as worker 0.
+  bool acquire_worker_bits(std::size_t workers);
+
   [[nodiscard]] std::size_t chunk_span() const noexcept {
     const std::size_t raw = opts_.chunk_size > 0 ? opts_.chunk_size : 1;
     return (raw + 63) / 64 * 64;  // word-aligned vertex ranges
@@ -473,6 +463,11 @@ class FrontierEngine {
 
   [[nodiscard]] std::size_t num_words() const noexcept {
     return (static_cast<std::size_t>(g_->num_vertices()) + 63) / 64;
+  }
+
+  [[nodiscard]] std::size_t num_chunks() const noexcept {
+    const std::size_t span = chunk_span();
+    return (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
   }
 
   /// Size the worker slots to `workers` and reset them for a round.
@@ -483,6 +478,17 @@ class FrontierEngine {
   /// ROADMAP called out), serially below that or with parallel_dense_ops
   /// off.
   void clear_words(std::vector<std::uint64_t>& bits, par::ThreadPool* pool);
+
+  /// The dense round's merge: OR the private bitmaps of workers
+  /// 1..workers-1 into `bits` range by range, zeroing every private word
+  /// read, and return the popcount of the result, taken in the same pass.
+  /// With one worker it is just the popcount.
+  std::size_t merge_bits(std::vector<std::uint64_t>& bits,
+                         std::size_t workers);
+
+  /// The sparse round's merge: concatenate the workers' claim lists into
+  /// `out`, then sort (a radix sort) + unique.
+  void merge_claims(std::vector<Vertex>& out);
 
   /// Decode `words` (holding `count` set bits) into `out` ascending — the
   /// span overload's output path. Parallel two-pass (per-range popcount,
@@ -506,16 +512,17 @@ class FrontierEngine {
 
   /// Append the finished round to the global trace sink (the driver gates
   /// on obs::trace_enabled() so untraced rounds pay one relaxed load).
+  /// `sample_s` / `merge_s` are the round's sampling and merge phases.
   void emit_trace(const FrontierView& in, std::size_t produced, bool dense,
-                  const obs::Stopwatch& watch);
+                  const obs::Stopwatch& watch, double sample_s,
+                  double merge_s);
 
   /// Invariant audit of a finished round's output (the driver gates on
   /// audit::enabled(), the one relaxed load). Sampling policy and the
-  /// checks themselves live in core/audit.*; this adapter hands them the
-  /// engine's private state (stamps, epoch). Every round — expand or
-  /// retain — claims its output through the same sinks, so one check set
-  /// covers all of them: bitmap health for dense output, stamps for
-  /// sparse output, canonical order for any materialized list.
+  /// checks themselves live in core/audit.*. Every round — expand or
+  /// retain — publishes its output through the same merges, so one check
+  /// set covers all of them: bitmap health for dense output, canonical
+  /// order for any list.
   void audit_round(const Frontier& next);
   void audit_graph_once();
 
@@ -525,9 +532,9 @@ class FrontierEngine {
   /// (the span overload's output). `kFilter` marks a body that emits only
   /// its own vertex and reads no adjacency: such a round is billed to
   /// "frontier.retain" instead of "frontier.step", skips the CSR prefetch,
-  /// and its claims never collide — a chunk's vertices, stamps and
-  /// (word-aligned) bitmap words belong to the one worker that walks it —
-  /// so it keeps the plain sinks on the pool too.
+  /// and its claims never collide — a chunk's vertices and (word-aligned)
+  /// bitmap words belong to the one worker that walks it — so every
+  /// worker writes the output bitmap directly and no OR is needed.
   template <bool kFilter, typename Body>
   void run_round(const FrontierView& in, Frontier& next,
                  std::uint64_t round_seed, const Body& body,
@@ -535,23 +542,22 @@ class FrontierEngine {
 
   /// The chunk walker: visit every chunk with active vertices in
   /// ascending order, seeding chunk c's RNG from derive_seed(round_seed,
-  /// c), with the sink `make_sink(w, atomic, tally)` builds for worker w.
-  /// In-line rounds run as worker 0 with `atomic` = std::false_type (plain
-  /// sinks); pool rounds pass std::true_type unless `kFilter`. Expand
+  /// c), with the sink `make_sink(w, emitted)` builds for worker w. Runs
+  /// in-line as worker 0 when `pool` is nullptr, else as `workers` workers
+  /// — the caller plus pool tasks — whose slots the driver sized. Expand
   /// bodies get the CSR row prefetched a few vertices ahead. Leaves the
   /// per-worker tallies in `workers_`.
   template <bool kFilter, typename Body, typename MakeSink>
   void walk_chunks(const FrontierView& in, std::uint64_t round_seed,
-                   par::ThreadPool* pool, const Body& body,
-                   const MakeSink& make_sink);
+                   par::ThreadPool* pool, std::size_t workers,
+                   const Body& body, const MakeSink& make_sink);
 
   const Graph* g_;
   FrontierOptions opts_;
-  std::vector<std::uint32_t> stamp_;  ///< per-vertex epoch of last claim
-  std::uint32_t epoch_ = 0;
   bool last_dense_ = false;  ///< hysteresis memory
   bool have_mode_ = false;   ///< false until the first non-empty round
   std::vector<std::uint64_t> scratch_bits_;  ///< span-overload dense output
+  std::vector<Vertex> sort_scratch_;  ///< sparse merge's radix-sort buffer
   std::vector<WorkerSlot> workers_;
   std::uint64_t parallel_rounds_ = 0;
   std::uint64_t serial_rounds_ = 0;
@@ -566,22 +572,24 @@ class FrontierEngine {
   std::uint64_t trace_id_ = 0;     ///< lazily drawn on first traced round
   std::uint64_t audit_seq_ = 0;    ///< audited-round ordinal (sampling)
   bool audit_graph_checked_ = false;  ///< CSR validated once per engine
+  /// A round that threw between sampling and merge left private bits set.
+  bool worker_bits_dirty_ = false;
 };
 
 template <bool kFilter, typename Body, typename MakeSink>
 void FrontierEngine::walk_chunks(const FrontierView& in,
                                  std::uint64_t round_seed,
-                                 par::ThreadPool* pool, const Body& body,
+                                 par::ThreadPool* pool, std::size_t workers,
+                                 const Body& body,
                                  const MakeSink& make_sink) {
   const std::size_t span = chunk_span();
-  const std::size_t n_chunks =
-      (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
+  const std::size_t n_chunks = num_chunks();
   [[maybe_unused]] const auto& offsets = g_->offsets();
   [[maybe_unused]] const Vertex* targets = g_->targets().data();
   const auto run_chunk = [&](std::size_t w, std::size_t c,
-                             std::span<const Vertex> vs, auto atomic) {
-    Tally tally;
-    const auto sink = make_sink(w, atomic, tally);
+                             std::span<const Vertex> vs) {
+    std::uint64_t emitted = 0;  // a local, so the sampling loop keeps it
+    const auto sink = make_sink(w, emitted);  // in a register
     ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
     for (std::size_t i = 0; i < vs.size(); ++i) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -595,15 +603,13 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
       body(vs[i], rng, sink);
     }
     WorkerSlot& slot = workers_[w];
-    slot.emitted += tally.emitted;
-    slot.claimed += tally.claimed;
+    slot.emitted += emitted;
     slot.blocks += rng.refills();
   };
 
-  if (pool == nullptr || n_chunks <= 1) {
+  if (pool == nullptr) {
     ++serial_rounds_;
     last_parallel_ = false;
-    reset_workers(1);
     if (!in.dense()) {
       // Run by run over the sorted list: no scan over empty chunks — a
       // 24-vertex ring frontier touches 1-2 chunks, not n/span.
@@ -617,24 +623,22 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
             std::lower_bound(list.begin() + static_cast<std::ptrdiff_t>(i),
                              list.end(), limit) -
             list.begin());
-        run_chunk(0, c, list.subspan(i, end - i), std::false_type{});
+        run_chunk(0, c, list.subspan(i, end - i));
         i = end;
       }
     } else {
       for (std::size_t c = 0; c < n_chunks; ++c) {
         const auto vs = chunk_vertices(in, span, c, workers_[0].decode);
-        if (!vs.empty()) run_chunk(0, c, vs, std::false_type{});
+        if (!vs.empty()) run_chunk(0, c, vs);
       }
     }
   } else {
     ++parallel_rounds_;
     last_parallel_ = true;
-    const std::size_t workers = std::min(pool->size(), n_chunks);
-    reset_workers(workers);
     par::parallel_for_chunks(
         *pool, n_chunks, workers, [&](std::size_t w, std::size_t c) {
           const auto vs = chunk_vertices(in, span, c, workers_[w].decode);
-          if (!vs.empty()) run_chunk(w, c, vs, std::bool_constant<!kFilter>{});
+          if (!vs.empty()) run_chunk(w, c, vs);
         });
   }
   last_emitted_ = 0;
@@ -651,7 +655,7 @@ void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
                                bool materialize) {
   next.clear();
   last_emitted_ = 0;
-  if (in.size() == 0) return;  // no epoch/bitmap burn for extinct processes
+  if (in.size() == 0) return;  // no bitmap burn for extinct processes
 
   // Advance the chaos round clock (event-log context for fault firings).
   // Gated on the fault registry's relaxed load — free in fault-free runs.
@@ -666,85 +670,69 @@ void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
   // scan, clock reads) stays behind it. Telemetry reads state only — the
   // produced frontier is bit-identical traced or not.
   const bool traced = obs::trace_enabled();
-  obs::Stopwatch watch;
+  obs::Stopwatch watch, phase;
   if (traced) watch.start();
+  // The phase clock's reading since its last start, restarting it; 0 on
+  // untraced rounds.
+  const auto lap = [&phase, traced] {
+    if (!traced) return 0.0;
+    const double seconds = phase.seconds();
+    phase.start();
+    return seconds;
+  };
 
   const bool dense = choose_dense(in.size(), next.bits_);
   par::ThreadPool* pool = pick_pool(in.size());
+  std::size_t workers = 1;
+  if (pool != nullptr) workers = std::min(pool->size(), num_chunks());
+  // Only dense expand rounds keep private bitmaps: sparse claim lists are
+  // per-worker already, and filter rounds write disjoint words.
+  if (workers > 1 && dense && !kFilter && !acquire_worker_bits(workers)) {
+    workers = 1;
+  }
+  if (workers <= 1) pool = nullptr;
+  reset_workers(workers);
+  if (dense) clear_words(next.bits_, pool);  // the one O(n/64) output clear
+  if (traced) phase.start();
+  double sample_s = 0.0;
   if (dense) {
-    clear_words(next.bits_, pool);  // the round's one O(n/64) clear
-    std::uint64_t* bits = next.bits_.data();  // after the clear: may realloc
+    std::uint64_t* out = next.bits_.data();  // after the clear: may realloc
     walk_chunks<kFilter>(
-        in, round_seed, pool, body,
-        [bits](std::size_t, auto atomic, Tally& tally) {
-          return [bits, &tally](Vertex u) {
-            ++tally.emitted;
-            const std::uint64_t bit = 1ULL << (u & 63);
-            if constexpr (decltype(atomic)::value) {
-              std::atomic_ref<std::uint64_t> word(bits[u >> 6]);
-              const std::uint64_t old =
-                  word.fetch_or(bit, std::memory_order_relaxed);
-              tally.claimed += (old & bit) == 0;
-            } else {
-              std::uint64_t& word = bits[u >> 6];
-              tally.claimed += (word & bit) == 0;
-              word |= bit;
-            }
+        in, round_seed, pool, workers, body,
+        [this, out](std::size_t w, std::uint64_t& emitted) {
+          std::uint64_t* bits =
+              kFilter || w == 0 ? out : workers_[w].bits.data();
+          return [bits, &emitted](Vertex u) {
+            ++emitted;
+            bits[u >> 6] |= std::uint64_t{1} << (u & 63);
           };
         });
-    std::size_t claimed = 0;
-    for (const WorkerSlot& slot : workers_) claimed += slot.claimed;
-    next.count_ = claimed;
+    sample_s = lap();
+    next.count_ = merge_bits(next.bits_, kFilter ? 1 : workers);
     next.dense_ = true;
     next.list_valid_ = materialize;  // else materialized lazily by vertices()
-    if (materialize) materialize_bits(next.bits_, claimed, next.list_);
   } else {
-    const std::uint32_t epoch = advance_epoch();
-    std::uint32_t* stamps = stamp_.data();
     walk_chunks<kFilter>(
-        in, round_seed, pool, body,
-        [this, stamps, epoch](std::size_t w, auto atomic, Tally& tally) {
+        in, round_seed, pool, workers, body,
+        [this](std::size_t w, std::uint64_t& emitted) {
           std::vector<Vertex>* claims = &workers_[w].claims;
-          return [stamps, epoch, claims, &tally](Vertex u) {
-            ++tally.emitted;
-            if constexpr (decltype(atomic)::value) {
-              std::atomic_ref<std::uint32_t> cell(stamps[u]);
-              std::uint32_t cur = cell.load(std::memory_order_relaxed);
-              // One strong CAS suffices: every contending write this round
-              // installs the same epoch value, so failure == already
-              // claimed.
-              if (cur != epoch &&
-                  cell.compare_exchange_strong(cur, epoch,
-                                               std::memory_order_relaxed)) {
-                claims->push_back(u);
-              }
-            } else if (stamps[u] != epoch) {
-              stamps[u] = epoch;
-              claims->push_back(u);
-            }
+          return [claims, &emitted](Vertex u) {
+            ++emitted;
+            claims->push_back(u);
           };
         });
-    std::vector<Vertex>& out = next.list_;
-    std::size_t total = 0;
-    for (const WorkerSlot& slot : workers_) total += slot.claims.size();
-    out.reserve(total);
-    for (const WorkerSlot& slot : workers_) {
-      out.insert(out.end(), slot.claims.begin(), slot.claims.end());
-    }
-    // Canonical ascending order: what makes the result independent of both
-    // the schedule (claim sets are schedule-independent) and the
-    // representation (the dense path is ascending by construction). An
-    // in-line filter round claims in visit order, which already is
-    // ascending; the check costs one early-exit scan otherwise.
-    if (!std::is_sorted(out.begin(), out.end())) {
-      std::sort(out.begin(), out.end());
-    }
-    next.count_ = out.size();
+    sample_s = lap();
+    merge_claims(next.list_);
+    next.count_ = next.list_.size();
+  }
+  const double merge_s = lap();
+  if (dense && materialize) {
+    materialize_bits(next.bits_, next.count_, next.list_);
   }
   // One relaxed load when unarmed, mirroring fault/trace; the sampled
   // checks read the produced frontier only, never mutate it.
   if (audit::enabled()) audit_round(next);
-  if (traced) emit_trace(in, next.count_, dense, watch);
+  if (traced) emit_trace(in, next.count_, dense, watch, sample_s, merge_s);
 }
 
 }  // namespace cobra::core

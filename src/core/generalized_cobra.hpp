@@ -26,8 +26,8 @@
 /// always; a schedule may return 0 to model faulty vertices that drop the
 /// message (failure injection) — the walk then dies if every active vertex
 /// returns 0, which `extinct()` reports. An extinct walk's step is a no-op
-/// beyond the round counter (in particular it no longer advances the dedup
-/// epoch, so stepping an extinct walk in a loop costs O(1) per call).
+/// beyond the round counter (the engine returns before touching any round
+/// state, so stepping an extinct walk in a loop costs O(1) per call).
 ///
 /// Rounds run on the shared FrontierEngine (see frontier_engine.hpp), so
 /// schedules are invoked from pool workers once the frontier is large:

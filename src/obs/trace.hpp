@@ -15,7 +15,8 @@
 ///   {"trace": 1, "round": 12, "frontier": 4096, "produced": 11890,
 ///    "mode": "dense", "path": "parallel", "switch": "auto-grow",
 ///    "chunks": 32, "max_chunk": 201, "mean_chunk": 128.0,
-///    "rng_blocks": 96, "seconds": 0.0013}
+///    "rng_blocks": 96, "sample_s": 0.0009, "merge_s": 0.0002,
+///    "seconds": 0.0013}
 ///
 ///   trace      engine instance id (several engines can share one file —
 ///              replicate() trials, multi-process sweeps via O_APPEND)
@@ -34,7 +35,12 @@
 ///              input-frontier occupancy of the fullest occupied chunk
 ///              and the mean — the load-imbalance proxy
 ///   rng_blocks batched-RNG refills drawn during the step
-///   seconds    expand() wall time
+///   sample_s   the chunk walk: sampling plus the sink writes
+///   merge_s    the dedup merge: the dense rounds' OR of the per-worker
+///              bitmaps (with popcount), or the sparse rounds' sort +
+///              unique of the concatenated claim lists
+///   seconds    expand() wall time (the two phases plus representation
+///              choice, bitmap clear and materialization)
 ///
 /// The disarmed cost is a single relaxed atomic load per expand() (the
 /// same pattern as util::fault's global gate); at COBRA_OBS_LEVEL=0 the
@@ -57,6 +63,8 @@ struct RoundTrace {
   std::uint64_t max_chunk = 0;
   double mean_chunk = 0.0;
   std::uint64_t rng_blocks = 0;
+  double sample_s = 0.0;
+  double merge_s = 0.0;
   double seconds = 0.0;
 };
 

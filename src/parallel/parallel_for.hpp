@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <memory>
 #include <type_traits>
 
 #include "parallel/thread_pool.hpp"
@@ -127,8 +126,9 @@ void for_each_index(ThreadPool* pool, std::size_t count, Body&& body) {
 }
 
 /// Apply body(worker, chunk) for chunk in [0, n_chunks), claimed
-/// dynamically by `workers` tasks with STABLE worker ids in [0, workers)
-/// (clamped to pool.size() and n_chunks). The worker id lets callers keep
+/// dynamically by `workers` workers with STABLE ids in [0, workers)
+/// (clamped to pool.size() and n_chunks): worker 0 is the calling thread,
+/// the others are pool tasks. The worker id lets callers keep
 /// reusable per-worker scratch without allocation inside the loop, while
 /// the chunk id stays the deterministic unit of work (callers key
 /// per-chunk RNG streams off it, so results never depend on which worker
@@ -143,23 +143,35 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t n_chunks,
     for (std::size_t c = 0; c < n_chunks; ++c) body(std::size_t{0}, c);
     return;
   }
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  detail::ExceptionCollector errors;
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([w, next, n_chunks, &body, &errors] {
-      try {
-        for (;;) {
-          const std::size_t c = next->fetch_add(1, std::memory_order_relaxed);
-          if (c >= n_chunks) return;
-          body(w, c);
-        }
-      } catch (...) {
-        errors.capture();
+  // Caller-stack loop state, as in parallel_for_dynamic: a task captures
+  // its worker id and one pointer, which fits std::function's in-place
+  // buffer, so a round allocates nothing and no worker frees anything.
+  struct Loop {
+    std::atomic<std::size_t> next;
+    std::size_t n_chunks;
+    std::remove_reference_t<Body>* body;
+    detail::ExceptionCollector errors;
+  } loop{{0}, n_chunks, &body, {}};
+  const auto claim_chunks = [state = &loop](std::size_t w) {
+    try {
+      for (;;) {
+        const std::size_t c =
+            state->next.fetch_add(1, std::memory_order_relaxed);
+        if (c >= state->n_chunks) return;
+        (*state->body)(w, c);
       }
-    });
+    } catch (...) {
+      state->errors.capture();
+    }
+  };
+  for (std::size_t w = 1; w < workers; ++w) {
+    pool.submit([w, claim_chunks] { claim_chunks(w); });
   }
+  // The caller is worker 0: it starts claiming at once, while the pool
+  // workers it just woke take tens of microseconds to join.
+  claim_chunks(0);
   pool.wait_idle();
-  errors.rethrow_if_any();
+  loop.errors.rethrow_if_any();
 }
 
 }  // namespace cobra::par

@@ -73,6 +73,9 @@
 ///                              frontier engine (degrades to sparse path)
 ///   frontier.materialize_alloc GRACEFUL  span-overload dense materialize
 ///                              scratch (degrades to the serial decode)
+///   frontier.worker_bits_alloc GRACEFUL  per-worker private bitmaps of a
+///                              pool dense round (the round runs in-line
+///                              as worker 0 into the output bitmap)
 ///   rng.block_refill           GRACEFUL  batched-RNG block refill
 ///                              (degrades to single-draw refills; the
 ///                              value stream is unchanged by contract)

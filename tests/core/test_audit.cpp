@@ -65,16 +65,6 @@ TEST_F(AuditTest, BitmapCheckVerifiesSizePopcountAndTail) {
   EXPECT_FALSE(audit::check_bitmap(words, 4, 200, &why));  // wrong word count
 }
 
-TEST_F(AuditTest, StampCheckDemandsTheRoundsEpochOnEveryListedVertex) {
-  const std::vector<graph::Vertex> list = {1, 3};
-  std::vector<std::uint32_t> stamps = {0, 7, 0, 7, 0};
-  std::string why;
-  EXPECT_TRUE(audit::check_stamps(list, stamps, 7, &why)) << why;
-  stamps[3] = 6;  // vertex 3 claims a stale epoch
-  EXPECT_FALSE(audit::check_stamps(list, stamps, 7, &why));
-  EXPECT_FALSE(why.empty());
-}
-
 // ------------------------------------------------------- arming / sampling --
 
 TEST_F(AuditTest, SamplingPolicyMatchesTheLevel) {

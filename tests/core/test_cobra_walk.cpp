@@ -168,7 +168,7 @@ TEST(CobraWalk, HighBranchingSaturatesCompleteGraph) {
 }
 
 TEST(CobraWalk, ManyStepsNoStateCorruption) {
-  // Long-run smoke: epoch stamping must never corrupt the active set.
+  // Long-run smoke: reused round storage must never corrupt the active set.
   const Graph g = make_grid(2, 4);
   Engine gen(11);
   CobraWalk walk(g, 0, 2);

@@ -1,7 +1,7 @@
-// Failure-edge tests for the frontier engine: the 32-bit epoch counter
-// wrapping mid-(resumed)-run, a forced-dense step on an extinct process,
-// and dense-bitmap allocation failure degrading to the sparse path without
-// changing results.
+// Failure-edge tests for the frontier engine: a run resumed from a
+// checkpoint into a fresh engine, a forced-dense step on an extinct
+// process, and allocation failures (dense bitmap, private worker bitmaps,
+// materialize scratch) degrading without changing results.
 
 #include <gtest/gtest.h>
 
@@ -31,30 +31,39 @@ struct EngineFailureTest : ::testing::Test {
 };
 
 TEST_F(EngineFailureTest, EpochWrapDuringResumedRunKeepsTheTrajectory) {
+  // A run resumed from a checkpoint into a fresh engine — here on a pool,
+  // the source in-line — continues the source's trajectory exactly, across
+  // both representations. Rounds carry no dedup state from call to call,
+  // so a fresh engine needs nothing restored.
   const graph::Graph g = gen::build_graph("rreg:n=256,d=4,seed=13");
   core::Engine gen(7);
   core::CobraWalk src(g, 0, 2);
+  src.engine().options() = {64, static_cast<std::size_t>(-1), nullptr};
   src.engine().options().mode = core::FrontierMode::ForceSparse;
   for (int i = 0; i < 10; ++i) src.step(gen);
 
-  // Resume the run into a fresh process whose epoch counter sits one short
-  // of the 32-bit wrap: the second sparse round crosses it, forcing the
-  // stamp-array wipe. Trajectories must not notice.
   util::CheckpointWriter w;
   src.save_state(w);
+  par::ThreadPool pool(2);
   core::CobraWalk dst(g, 0, 2);
+  dst.engine().options() = {64, 1, &pool};
   dst.engine().options().mode = core::FrontierMode::ForceSparse;
   util::CheckpointReader r(w.buffer());
   dst.restore_state(r);
-  dst.engine().set_epoch_for_testing(0xFFFFFFFEu);
 
   core::Engine ga = gen, gb = gen;
   for (int i = 0; i < 40; ++i) {
+    // Half-way, both switch to the bitmap path.
+    const auto mode = i < 20 ? core::FrontierMode::ForceSparse
+                             : core::FrontierMode::ForceDense;
+    src.engine().options().mode = mode;
+    dst.engine().options().mode = mode;
     src.step(ga);
     dst.step(gb);
     ASSERT_EQ(active_of(dst), active_of(src))
-        << "trajectories diverged " << i << " rounds after the epoch wrap";
+        << "trajectories diverged " << i << " rounds after the resume";
   }
+  EXPECT_GT(dst.engine().parallel_rounds(), 0u);
 }
 
 TEST_F(EngineFailureTest, ForcedDenseStepOnExtinctProcessIsANoOp) {
@@ -99,6 +108,34 @@ TEST_F(EngineFailureTest, DenseAllocFailureFallsBackToSparseBitIdentically) {
   EXPECT_EQ(faulty.engine().dense_fallbacks(), degraded.rounds);
   EXPECT_EQ(faulty.engine().dense_rounds(), 0u);
   EXPECT_GT(util::fault::hits("frontier.dense_alloc"), 0u);
+}
+
+TEST_F(EngineFailureTest, WorkerBitsAllocFailureRunsInlineBitIdentically) {
+  // Pool dense rounds OR per-worker private bitmaps; when those cannot be
+  // allocated (frontier.worker_bits_alloc) the round runs in-line as
+  // worker 0 into the output bitmap. Same set, so the same cover run.
+  const graph::Graph g = gen::build_graph("rreg:n=512,d=4,seed=9");
+  par::ThreadPool pool(4);
+  const auto run = [&](core::CobraWalk& walk) {
+    walk.engine().options() = {64, 1, &pool};
+    walk.engine().options().mode = core::FrontierMode::ForceDense;
+    core::Engine gen(23);
+    return sim::run_cover(walk, gen, 1u << 18);
+  };
+  core::CobraWalk ref(g, 0, 2);
+  const auto expected = run(ref);
+  ASSERT_TRUE(expected.stopped);
+  ASSERT_GT(ref.engine().parallel_rounds(), 0u);
+
+  util::fault::arm("frontier.worker_bits_alloc");
+  core::CobraWalk faulty(g, 0, 2);
+  const auto degraded = run(faulty);
+  EXPECT_TRUE(degraded.stopped);
+  EXPECT_EQ(degraded.rounds, expected.rounds);
+  EXPECT_EQ(active_of(faulty), active_of(ref));
+  EXPECT_EQ(faulty.engine().parallel_rounds(), 0u);
+  EXPECT_EQ(util::fault::fired("frontier.worker_bits_alloc"),
+            ref.engine().parallel_rounds());
 }
 
 TEST_F(EngineFailureTest, MaterializeAllocFailureDecodesSeriallyBitIdentically) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "core/coalescing_walk.hpp"
@@ -232,7 +233,7 @@ TEST(FrontierEngine, ExtinctGeneralizedWalkStepsAreCheapNoOps) {
   for (int t = 0; t < 100; ++t) walk.step(gen);
   EXPECT_TRUE(walk.extinct());
   EXPECT_EQ(walk.round(), 101u);
-  // No randomness consumed, no epoch advanced: the step is a pure counter.
+  // No randomness consumed, no round run: the step is a pure counter.
   EXPECT_EQ(gen.state(), state_before);
 }
 
@@ -377,11 +378,11 @@ TEST(FrontierEngine, SwitchHysteresisAcrossACoalescenceRun) {
             std::vector<Vertex>(walks.active().begin(), walks.active().end()));
 }
 
-TEST(FrontierEngine, EpochStampsSurviveInterleavedDenseRounds) {
-  // Dense rounds never touch the epoch stamps; sparse rounds never touch
-  // the bitmap. Alternating representations round by round on one engine
-  // must therefore match the all-sparse reference exactly, including with
-  // a dedupe() (epoch-consuming reset) spliced between rounds.
+TEST(FrontierEngine, InterleavedRepresentationsMatchAllSparse) {
+  // A round keeps no dedup state beyond its output, so alternating
+  // representations round by round on one engine must match the
+  // all-sparse reference exactly, including with a reset-path dedupe()
+  // spliced between rounds.
   Engine graph_gen(34);
   const Graph g = make_random_regular(graph_gen, 4096, 4);
   const TwoSampler sampler{&g, NeighborSampler(g)};
@@ -406,11 +407,12 @@ TEST(FrontierEngine, EpochStampsSurviveInterleavedDenseRounds) {
       const auto vs = frontier.vertices();
       trajectory.emplace_back(vs.begin(), vs.end());
       if (r == 5) {
-        // An interleaved reset-path dedupe burns an epoch; round results
-        // must be unaffected (it is a fresh epoch either way).
-        std::vector<Vertex> scratch_out;
+        // An interleaved reset-path dedupe must leave round results alone.
+        Frontier scratch_out;
         engine.dedupe(std::vector<Vertex>{1, 2, 1, 3}, scratch_out);
-        EXPECT_EQ(scratch_out, (std::vector<Vertex>{1, 2, 3}));
+        EXPECT_EQ(std::vector<Vertex>(scratch_out.vertices().begin(),
+                                      scratch_out.vertices().end()),
+                  (std::vector<Vertex>{1, 2, 3}));
       }
     }
     return trajectory;
@@ -447,15 +449,207 @@ TEST(FrontierEngine, ParallelThresholdIsAWorkEstimate) {
 }
 
 TEST(FrontierEngine, DedupeKeepsFirstOccurrence) {
+  // Each vertex survives once, and the frontier comes out canonical:
+  // sorted ascending, a sparse list, whatever the input order.
   const Graph g = make_cycle(8);
   FrontierEngine engine(g);
   const std::vector<Vertex> in{3, 1, 3, 2, 1, 7};
-  std::vector<Vertex> out;
+  Frontier out;
   engine.dedupe(in, out);
-  EXPECT_EQ(out, (std::vector<Vertex>{3, 1, 2, 7}));
-  // Epochs separate calls: a second dedupe starts fresh.
-  engine.dedupe(in, out);
-  EXPECT_EQ(out, (std::vector<Vertex>{3, 1, 2, 7}));
+  EXPECT_FALSE(out.dense());
+  EXPECT_EQ(out.size(), 4u);
+  EXPECT_EQ(std::vector<Vertex>(out.vertices().begin(), out.vertices().end()),
+            (std::vector<Vertex>{1, 2, 3, 7}));
+  // Calls are independent: a second dedupe into a used frontier starts
+  // fresh.
+  engine.dedupe(std::vector<Vertex>{7, 7, 0}, out);
+  EXPECT_EQ(std::vector<Vertex>(out.vertices().begin(), out.vertices().end()),
+            (std::vector<Vertex>{0, 7}));
+  engine.dedupe({}, out);
+  EXPECT_TRUE(out.empty());
+}
+
+/// Run `run(opts)` in-line and on 2, 4 and 8 pool threads (parallel
+/// threshold 1, so every multi-chunk round takes the pool); every pool
+/// run must reproduce the in-line result exactly.
+template <typename Run>
+void expect_pools_match_inline(const Run& run, FrontierOptions base) {
+  FrontierOptions inline_opts = base;
+  inline_opts.parallel_threshold = static_cast<std::size_t>(-1);
+  const auto reference = run(inline_opts);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    par::ThreadPool pool(threads);
+    FrontierOptions opts = base;
+    opts.parallel_threshold = 1;
+    opts.pool = &pool;
+    EXPECT_EQ(run(opts), reference) << threads << " threads";
+  }
+}
+
+/// Emits one draw per vertex, always inside the last bitmap word of [0, n).
+struct LastWordSampler {
+  Vertex n;
+  template <typename Rng, typename Sink>
+  void operator()(Vertex /*v*/, Rng& rng, Sink&& sink) const {
+    const Vertex first = (n - 1) / 64 * 64;
+    sink(first + static_cast<Vertex>(rng() % (n - first)));
+  }
+};
+
+TEST(FrontierEngine, PoolRoundsMatchInlineWithATailWord) {
+  Engine graph_gen(41);
+  const Graph g = make_random_regular(graph_gen, 4133, 4);
+  ASSERT_NE(g.num_vertices() % 64, 0u);
+  for (const FrontierMode mode :
+       {FrontierMode::ForceSparse, FrontierMode::ForceDense,
+        FrontierMode::Auto}) {
+    FrontierOptions base;
+    base.chunk_size = 64;
+    base.mode = mode;
+    expect_pools_match_inline(
+        [&](FrontierOptions opts) { return run_trajectory(g, opts, 6); },
+        base);
+  }
+}
+
+TEST(FrontierEngine, PoolRoundsMatchInlineWithMoreWorkersThanChunks) {
+  // 300 vertices in 64-id chunks is 5 chunks: the 8-thread pool has idle
+  // workers whose private bitmaps and claim lists stay empty.
+  Engine graph_gen(42);
+  const Graph g = make_random_regular(graph_gen, 300, 4);
+  for (const FrontierMode mode :
+       {FrontierMode::ForceSparse, FrontierMode::ForceDense}) {
+    FrontierOptions base;
+    base.chunk_size = 64;
+    base.mode = mode;
+    expect_pools_match_inline(
+        [&](FrontierOptions opts) {
+          FrontierEngine engine(g, opts);
+          const TwoSampler sampler{&g, NeighborSampler(g)};
+          std::vector<Vertex> frontier(g.num_vertices());
+          std::iota(frontier.begin(), frontier.end(), 0u);
+          std::vector<Vertex> next;
+          for (std::uint64_t r = 0; r < 6; ++r) {
+            engine.expand(frontier, next, 0x3000 + r, sampler);
+            frontier.swap(next);
+          }
+          EXPECT_EQ(engine.parallel_rounds() > 0, opts.pool != nullptr);
+          return frontier;
+        },
+        base);
+  }
+}
+
+TEST(FrontierEngine, PoolRoundsMatchInlineWithOffspringOnlyInTheLastWord) {
+  // Every offspring lands in the tail word, so every worker's private
+  // bitmap collides on one word. The next round draws everywhere again:
+  // a private word the merge failed to zero would resurface there.
+  Engine graph_gen(43);
+  const Graph g = make_random_regular(graph_gen, 4133, 4);
+  const LastWordSampler last_word{g.num_vertices()};
+  const TwoSampler two{&g, NeighborSampler(g)};
+  FrontierOptions base;
+  base.chunk_size = 64;
+  base.mode = FrontierMode::ForceDense;
+  expect_pools_match_inline(
+      [&](FrontierOptions opts) {
+        FrontierEngine engine(g, opts);
+        std::vector<Vertex> all(g.num_vertices());
+        std::iota(all.begin(), all.end(), 0u);
+        Frontier frontier, next;
+        std::vector<std::vector<Vertex>> trajectory;
+        for (std::uint64_t r = 0; r < 4; ++r) {
+          engine.dedupe(all, frontier);
+          engine.expand(frontier, next, 0x4000 + r, last_word);
+          const auto tail = next.vertices();
+          EXPECT_FALSE(tail.empty());
+          EXPECT_GE(tail.front(), (g.num_vertices() - 1) / 64 * 64);
+          trajectory.emplace_back(tail.begin(), tail.end());
+          engine.expand(frontier, next, 0x5000 + r, two);
+          trajectory.emplace_back(next.vertices().begin(),
+                                  next.vertices().end());
+        }
+        return trajectory;
+      },
+      base);
+}
+
+TEST(FrontierEngine, PoolRoundsMatchInlineRightAfterADenseToSparseSwitch) {
+  // Round 1 collapses a dense frontier onto multiples of 1024, so round 2
+  // is a sparse round walking a dense input — the first round after the
+  // switch — and round 3 runs sparse on pool claim lists (its input stays
+  // below the n / dense_alpha entry threshold).
+  Engine graph_gen(44);
+  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const TwoSampler two{&g, NeighborSampler(g)};
+  const auto collapse = [&two](Vertex v, auto& rng, const auto& sink) {
+    two(v, rng, [&sink](Vertex u) { sink(u & ~Vertex{1023}); });
+  };
+  FrontierOptions base;
+  base.chunk_size = kChunk;
+  expect_pools_match_inline(
+      [&](FrontierOptions opts) {
+        FrontierEngine engine(g, opts);
+        std::vector<Vertex> all(g.num_vertices());
+        std::iota(all.begin(), all.end(), 0u);
+        Frontier frontier, next;
+        engine.dedupe(all, frontier);
+        std::vector<std::vector<Vertex>> trajectory;
+        for (std::uint64_t r = 0; r < 4; ++r) {
+          if (r == 1) {
+            engine.expand(frontier, next, 0x6000 + r, collapse);
+          } else {
+            engine.expand(frontier, next, 0x6000 + r, two);
+          }
+          frontier.swap(next);
+          if (r == 1) {
+            EXPECT_TRUE(frontier.dense());
+          }
+          if (r == 2) {
+            EXPECT_FALSE(frontier.dense());
+          }
+          trajectory.emplace_back(frontier.vertices().begin(),
+                                  frontier.vertices().end());
+        }
+        EXPECT_EQ(engine.dense_rounds(), 2u);
+        EXPECT_EQ(engine.switches(), 1u);
+        return trajectory;
+      },
+      base);
+}
+
+TEST(FrontierEngine, ThrowingPoolRoundLeavesNoStaleBits) {
+  // A sampler that throws mid-round leaves private bitmaps half written;
+  // the engine's next pool round must still match a fresh engine's.
+  Engine graph_gen(45);
+  const Graph g = make_random_regular(graph_gen, 4096, 4);
+  const TwoSampler two{&g, NeighborSampler(g)};
+  const auto throwing = [&two](Vertex v, auto& rng, const auto& sink) {
+    two(v, rng, sink);
+    if (v == 3000) throw std::runtime_error("sampler failure");
+  };
+  par::ThreadPool pool(4);
+  FrontierOptions opts;
+  opts.chunk_size = 64;
+  opts.parallel_threshold = 1;
+  opts.pool = &pool;
+  opts.mode = FrontierMode::ForceDense;
+  std::vector<Vertex> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), 0u);
+  Frontier frontier, next;
+
+  FrontierEngine fresh(g, opts);
+  fresh.dedupe(all, frontier);
+  fresh.expand(frontier, next, 0x7000, two);
+  const std::vector<Vertex> expected(next.vertices().begin(),
+                                     next.vertices().end());
+
+  FrontierEngine engine(g, opts);
+  EXPECT_THROW(engine.expand(frontier, next, 0x7001, throwing),
+               std::runtime_error);
+  engine.expand(frontier, next, 0x7000, two);
+  EXPECT_EQ(std::vector<Vertex>(next.vertices().begin(), next.vertices().end()),
+            expected);
 }
 
 TEST(FrontierEngineDeathTest, SpanFrontierWithDuplicateIsRejected) {

@@ -162,8 +162,9 @@ TEST(FrontierRetain, DrawsNoRandomnessAndCountsSurvivors) {
 }
 
 TEST(FrontierRetain, AuditedRemovalRoundsPassAndObserveOnly) {
-  // Retain rounds claim their survivors' stamps like any expand round, so
-  // the one output audit (stamps, canonical order, bitmap health) covers
+  // Retain rounds publish their survivors through the same merges as any
+  // expand round, so the one output audit (canonical order, bitmap health)
+  // covers
   // them too. Under full auditing with throw-on-violation armed,
   // interleaved expand/retain rounds must run clean and produce the
   // unaudited trajectory.

@@ -138,7 +138,14 @@ TEST_F(TraceTest, CoverRunEmitsWellFormedStrictlyIncreasingRounds) {
     const double mean_chunk = double_field(line, "mean_chunk");
     EXPECT_GT(mean_chunk, 0.0);
     EXPECT_LE(mean_chunk, static_cast<double>(max_chunk));
-    EXPECT_GE(double_field(line, "seconds"), 0.0);
+    const double seconds = double_field(line, "seconds");
+    const double sample_s = double_field(line, "sample_s");
+    const double merge_s = double_field(line, "merge_s");
+    EXPECT_GE(sample_s, 0.0);
+    EXPECT_GE(merge_s, 0.0);
+    // The phases lie inside the round; the slack covers the 6-digit
+    // rounding of the printed values.
+    EXPECT_LE(sample_s + merge_s, seconds * 1.0001);
     u64_field(line, "produced");    // present
     u64_field(line, "rng_blocks");  // present
   }
