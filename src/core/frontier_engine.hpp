@@ -163,9 +163,10 @@ inline void decode_bits(std::span<const std::uint64_t> words,
 /// it. Sparse form is a sorted duplicate-free vertex list; dense form is a
 /// bitmap over [0, n) plus a popcount. `vertices()` is always available —
 /// after a dense round it materializes (and caches) the sorted list from
-/// the bitmap in O(n/64 + size). `size()` is O(1) in both forms, so hot
-/// loops that only need the count (benches, growth tracking) never pay for
-/// materialization.
+/// the bitmap in O(n/64 + size). `size()` is O(1) in both forms, and
+/// `words()` hands out the bitmap itself, so hot loops that only need the
+/// count (benches, growth tracking) or can work word by word (the sim::
+/// stop rules and observers) never pay for materialization.
 class Frontier {
  public:
   Frontier() = default;
@@ -181,12 +182,22 @@ class Frontier {
   /// next writes this frontier.
   [[nodiscard]] std::span<const Vertex> vertices() const {
     if (!list_valid_) {
+#if COBRA_OBS_LEVEL >= 1
+      static obs::Timer& timer = obs::registry().timer("frontier.materialize");
+      obs::ScopedTimer timed(timer);
+#endif
       list_.clear();
       list_.reserve(count_);
       detail::decode_bits(bits_, 0, bits_.size(), list_);
       list_valid_ = true;
     }
     return list_;
+  }
+
+  /// The dense form: (n + 63) / 64 words, bit v set iff v is in the
+  /// frontier. Valid only while dense().
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
+    return bits_;
   }
 
   /// Reset to the empty sparse frontier (storage retained).

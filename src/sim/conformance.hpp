@@ -57,6 +57,15 @@ static_assert(Process<GridDriftProcess>);
 // active set — GridDriftProcess is its adapter.
 static_assert(!Process<core::GridDriftWalk>);
 
+// ------------------------------------------ frontier-native readers -----
+// Processes whose frontier() the stop rules and observers read as bitmap
+// words or a sorted list (sim/process.hpp). A drift here is slow, not
+// wrong: the readers would silently fall back to materializing active().
+
+static_assert(detail::BitmapFrontier<core::CobraWalk>);
+static_assert(detail::BitmapFrontier<core::GeneralizedCobraWalk>);
+static_assert(detail::BitmapFrontier<core::GreedyMIS>);
+
 // ---------------------------------------------- sim::Checkpointable -----
 // Process + save_state/restore_state round-tripping through the durable
 // snapshot layer. Only the long-horizon paper processes implement it.

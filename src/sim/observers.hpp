@@ -27,6 +27,10 @@
 /// provide save_state/restore_state so their records survive the Runner's
 /// checkpoint/resume — a resumed run's curve/visit table equals the
 /// uninterrupted run's.
+///
+/// Like the stop rules, observers read the active set through
+/// sim/process.hpp's frontier-native helpers (active_size, is_active,
+/// absorb_active), never a frontier process's materialized `active()`.
 
 namespace cobra::sim {
 
@@ -80,7 +84,9 @@ class GrowthCurve {
 /// First round each vertex became active (kNever for vertices the run
 /// never reached). The per-vertex refinement of cover time: the max over
 /// visited vertices is the cover round, the entry at a target is its
-/// hitting time — one run yields every hitting time at once.
+/// hitting time — one run yields every hitting time at once. A `seen`
+/// bitmap mirrors `first_ != kNever`, so a dense round visits only the
+/// set bits of `bits & ~seen`.
 class FirstVisitTimes {
  public:
   static constexpr std::uint64_t kNever =
@@ -89,6 +95,7 @@ class FirstVisitTimes {
   template <Process P>
   void start(const P& p) {
     first_.assign(p.n(), kNever);
+    seen_.assign((first_.size() + 63) / 64, 0);
     rounds_ = 0;
     absorb(p);
   }
@@ -125,17 +132,20 @@ class FirstVisitTimes {
   void restore_state(util::CheckpointReader& r) {
     rounds_ = r.u64();
     first_ = r.u64_span();
+    seen_.assign((first_.size() + 63) / 64, 0);
+    for (std::size_t v = 0; v < first_.size(); ++v) {
+      if (first_[v] != kNever) seen_[v >> 6] |= std::uint64_t{1} << (v & 63);
+    }
   }
 
  private:
   template <Process P>
   void absorb(const P& p) {
-    for (const core::Vertex v : p.active()) {
-      if (first_[v] == kNever) first_[v] = rounds_;
-    }
+    absorb_active(p, seen_, [this](core::Vertex v) { first_[v] = rounds_; });
   }
 
   std::vector<std::uint64_t> first_;
+  std::vector<std::uint64_t> seen_;  ///< bit v set iff first_[v] != kNever
   std::uint64_t rounds_ = 0;
 };
 
@@ -224,10 +234,7 @@ class OccupancyCounter {
   template <Process P>
   void observe(const P& p) {
     ++rounds_;
-    const auto active = p.active();
-    if (std::find(active.begin(), active.end(), target_) != active.end()) {
-      ++hits_;
-    }
+    if (is_active(p, target_)) ++hits_;
   }
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }

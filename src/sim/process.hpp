@@ -1,7 +1,10 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "core/grid_drift.hpp"
 #include "core/types.hpp"
@@ -29,9 +32,12 @@
 /// fresh process per trial inside `Runner::replicate`.
 ///
 /// Processes that maintain a dual-representation core::Frontier also expose
-/// `frontier()` with an O(1) `size()`; `active_size()` below routes through
-/// it so stop rules and growth observers never pay for materializing the
-/// sorted vertex list after a dense round.
+/// `frontier()`. The helpers below (`active_size`, `is_active`,
+/// `absorb_active`) read it in its native form — the O(1) size, the
+/// bitmap's words after a dense round, the sorted list after a sparse one —
+/// so no stop rule or observer pays for materializing the sorted vertex
+/// list after a dense round. `active()` is their fallback for processes
+/// that have no frontier.
 
 namespace cobra::sim {
 
@@ -51,6 +57,93 @@ template <typename P>
     return p.frontier().size();
   } else {
     return p.active().size();
+  }
+}
+
+namespace detail {
+
+/// A process whose frontier can be read as a bitmap while dense() and as
+/// a sorted list otherwise (core::Frontier).
+template <typename P>
+concept BitmapFrontier = requires(const P& p) {
+  { p.frontier().dense() } -> std::convertible_to<bool>;
+  { p.frontier().words() } -> std::convertible_to<std::span<const std::uint64_t>>;
+  { p.frontier().vertices() } -> std::convertible_to<std::span<const core::Vertex>>;
+};
+
+template <typename OnNew>
+inline constexpr bool kVisitsNew =
+    !std::is_null_pointer_v<std::remove_cvref_t<OnNew>>;
+
+template <typename OnNew>
+std::size_t absorb_words(std::span<const std::uint64_t> words,
+                         std::span<std::uint64_t> seen, OnNew& on_new) {
+  std::size_t newly = 0;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    std::uint64_t fresh = words[w] & ~seen[w];
+    seen[w] |= words[w];
+    newly += static_cast<std::size_t>(std::popcount(fresh));
+    if constexpr (kVisitsNew<OnNew>) {
+      for (; fresh != 0; fresh &= fresh - 1) {
+        on_new(static_cast<core::Vertex>(
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(fresh))));
+      }
+    }
+  }
+  return newly;
+}
+
+template <typename OnNew>
+std::size_t absorb_list(std::span<const core::Vertex> list,
+                        std::span<std::uint64_t> seen, OnNew& on_new) {
+  std::size_t newly = 0;
+  for (const core::Vertex v : list) {
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    if ((seen[v >> 6] & bit) == 0) {
+      seen[v >> 6] |= bit;
+      ++newly;
+      if constexpr (kVisitsNew<OnNew>) on_new(v);
+    }
+  }
+  return newly;
+}
+
+}  // namespace detail
+
+/// Whether `v` is active, without materializing the active set: a bit test
+/// on a dense frontier, a binary search of a sparse frontier's sorted list,
+/// a scan of `active()` for processes without a frontier.
+template <typename P>
+[[nodiscard]] bool is_active(const P& p, core::Vertex v) {
+  if constexpr (detail::BitmapFrontier<P>) {
+    const auto& f = p.frontier();
+    if (f.dense()) {
+      const std::span<const std::uint64_t> words = f.words();
+      return (v >> 6) < words.size() && ((words[v >> 6] >> (v & 63)) & 1) != 0;
+    }
+    const std::span<const core::Vertex> list = f.vertices();
+    return std::binary_search(list.begin(), list.end(), v);
+  } else {
+    const std::span<const core::Vertex> active = p.active();
+    return std::find(active.begin(), active.end(), v) != active.end();
+  }
+}
+
+/// OR the active set into `seen`, a bitmap of (p.n() + 63) / 64 words, and
+/// return how many vertices it newly set. `on_new(v)` runs once per newly
+/// set vertex (ascending for a frontier); pass nullptr to only count. A
+/// dense frontier is absorbed word by word (popcount of `bits & ~seen`); a
+/// sparse one, or `active()` for processes without a frontier, one bit per
+/// listed vertex.
+template <typename P, typename OnNew>
+std::size_t absorb_active(const P& p, std::span<std::uint64_t> seen,
+                          OnNew&& on_new) {
+  if constexpr (detail::BitmapFrontier<P>) {
+    const auto& f = p.frontier();
+    if (f.dense()) return detail::absorb_words(f.words(), seen, on_new);
+    return detail::absorb_list(f.vertices(), seen, on_new);
+  } else {
+    return detail::absorb_list(p.active(), seen, on_new);
   }
 }
 

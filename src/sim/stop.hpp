@@ -1,8 +1,6 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -30,27 +28,36 @@
 /// Runner's checkpointing: CoverStop's coverage set, HitTarget's latch,
 /// FixedRounds' anchor round. Stateless rules (Extinction, Until) need
 /// nothing — the Runner's restore falls back to start().
+///
+/// Rules read the active set through sim/process.hpp's frontier-native
+/// helpers (active_size, is_active, absorb_active), so none of them makes
+/// a frontier process materialize its sorted vertex list after a dense
+/// round.
 
 namespace cobra::sim {
 
 /// Stop when every vertex of the graph has been active at least once —
-/// the paper's cover time. Holds one covered-flag byte per vertex (sized
-/// lazily from `p.n()` at start, so one rule value works for any process).
-/// Callers outside the Runner drive it by hand: start(p) once, then
-/// observe(p) after every step.
+/// the paper's cover time. Holds a coverage bitmap, one bit per vertex
+/// (sized lazily from `p.n()` at start, so one rule value works for any
+/// process), and absorbs each round through absorb_active: a dense
+/// frontier word by word, a sparse one from its sorted list, never the
+/// materialized `active()` of a frontier process. Callers outside the
+/// Runner drive it by hand: start(p) once, then observe(p) after every
+/// step.
 class CoverStop {
  public:
   template <Process P>
   void start(const P& p) {
-    covered_.assign(static_cast<std::uint32_t>(p.n()), 0);
+    n_ = p.n();
+    covered_.assign((static_cast<std::size_t>(n_) + 63) / 64, 0);
     count_ = 0;
     started_ = true;
-    absorb(p.active());
+    observe(p);
   }
 
   template <Process P>
   void observe(const P& p) {
-    absorb(p.active());
+    count_ += static_cast<std::uint32_t>(absorb_active(p, covered_, nullptr));
   }
 
   template <Process P>
@@ -59,42 +66,43 @@ class CoverStop {
   }
 
   [[nodiscard]] std::uint32_t covered_count() const { return count_; }
-  [[nodiscard]] bool complete() const {
-    return started_ && count_ == covered_.size();
-  }
+  [[nodiscard]] bool complete() const { return started_ && count_ == n_; }
 
   /// Coverage is history, not derivable from the frontier — it must ride
-  /// in every snapshot. The byte count doubles as the vertex count on
-  /// restore, so no process handle is needed.
+  /// in every snapshot. The payload is a u8 started flag, then one byte
+  /// per vertex (the bits expanded on save, packed on restore); the byte
+  /// count doubles as the vertex count on restore, so no process handle
+  /// is needed.
   void save_state(util::CheckpointWriter& w) const {
     w.u8(started_ ? 1 : 0);
-    if (started_) w.bytes(covered_);
+    if (!started_) return;
+    std::vector<std::uint8_t> flags(n_);
+    for (std::size_t v = 0; v < flags.size(); ++v) {
+      flags[v] = static_cast<std::uint8_t>((covered_[v >> 6] >> (v & 63)) & 1);
+    }
+    w.bytes(flags);
   }
   void restore_state(util::CheckpointReader& r) {
     if (r.u8() == 0) {
       *this = CoverStop();
       return;
     }
-    covered_ = r.bytes();  // a short payload throws before anything changes
+    // A short payload throws here, before anything changes.
+    const std::vector<std::uint8_t> flags = r.bytes();
+    n_ = static_cast<std::uint32_t>(flags.size());
+    covered_.assign((flags.size() + 63) / 64, 0);
     count_ = 0;
-    for (const std::uint8_t b : covered_) count_ += (b != 0) ? 1u : 0u;
+    for (std::size_t v = 0; v < flags.size(); ++v) {
+      if (flags[v] == 0) continue;
+      covered_[v >> 6] |= std::uint64_t{1} << (v & 63);
+      ++count_;
+    }
     started_ = true;
   }
 
  private:
-  /// Mark all of `active` covered: one byte test per active vertex.
-  void absorb(std::span<const core::Vertex> active) {
-    std::uint32_t newly = 0;
-    for (const core::Vertex v : active) {
-      if (covered_[v] == 0) {
-        covered_[v] = 1;
-        ++newly;
-      }
-    }
-    count_ += newly;
-  }
-
-  std::vector<std::uint8_t> covered_;
+  std::vector<std::uint64_t> covered_;  ///< bit v set once v was active
+  std::uint32_t n_ = 0;
   std::uint32_t count_ = 0;
   bool started_ = false;
 };
@@ -107,13 +115,12 @@ class HitTarget {
 
   template <Process P>
   void start(const P& p) {
-    hit_ = false;
-    scan(p);
+    hit_ = is_active(p, target_);
   }
 
   template <Process P>
   void observe(const P& p) {
-    if (!hit_) scan(p);
+    if (!hit_) hit_ = is_active(p, target_);
   }
 
   template <Process P>
@@ -129,12 +136,6 @@ class HitTarget {
   void restore_state(util::CheckpointReader& r) { hit_ = r.u8() != 0; }
 
  private:
-  template <Process P>
-  void scan(const P& p) {
-    const auto active = p.active();
-    hit_ = std::find(active.begin(), active.end(), target_) != active.end();
-  }
-
   core::Vertex target_;
   bool hit_ = false;
 };
@@ -186,10 +187,7 @@ class ExcursionStop {
 
   template <Process P>
   void observe(const P& p) {
-    const auto active = p.active();
-    if (std::find(active.begin(), active.end(), home_) != active.end()) {
-      ++completed_;
-    }
+    if (is_active(p, home_)) ++completed_;
   }
 
   template <Process P>
