@@ -93,7 +93,11 @@
 /// claims never collide (a chunk's word-aligned bitmap words belong to the
 /// one worker that walks it), let every worker write the output bitmap
 /// directly and skip the OR. Sinks are inlined lambdas, never an indirect
-/// call per sample. The sampling loop software-prefetches the CSR
+/// call per sample. A chunk's RNG is a local of the chunk walker: the
+/// buffered ChunkRng by default, or the bare engine for samplers that draw
+/// only through `rng()`, which the compiler then keeps in registers — the
+/// cobra walk's choice, up to ~2x per sample on a serial dense round of a
+/// cache-resident graph (EXPERIMENTS.md A6). The sampling loop software-prefetches the CSR
 /// adjacency row a few vertices ahead (ascending visit order makes the
 /// offsets stream sequential, so only the targets row needs the hint).
 
@@ -305,7 +309,8 @@ class NeighborSampler {
 
 class FrontierEngine {
  public:
-  /// The RNG handed to samplers: a block-buffered xoshiro (rng/batch.hpp).
+  /// The default RNG handed to samplers: a block-buffered xoshiro
+  /// (rng/batch.hpp), stream-equivalent to the bare `Engine`.
   using ChunkRng = rng::Batched<Engine, 256>;
 
   explicit FrontierEngine(const Graph& g, FrontierOptions opts = {});
@@ -317,12 +322,20 @@ class FrontierEngine {
   /// `frontier` and `next` must be distinct objects. `sampler` is shared
   /// across worker threads — it must be const-callable and must not mutate
   /// shared state without synchronization.
-  template <typename Sampler>
+  ///
+  /// `Rng` is the type of the per-chunk generator the sampler receives:
+  /// ChunkRng by default, or the bare `Engine`, which a chunk keeps in
+  /// registers. Both yield the same value stream (Batched is
+  /// stream-equivalent to its engine), so the choice changes speed only —
+  /// for a sampler that draws through `rng()` alone. A sampler that also
+  /// draws through `rng.inner()` (GeneralizedCobraWalk) needs ChunkRng.
+  template <typename Rng = ChunkRng, typename Sampler>
   void expand(const Frontier& frontier, Frontier& next,
               std::uint64_t round_seed, const Sampler& sampler) {
     assert(&frontier != &next);
-    run_round</*kFilter=*/false>(FrontierView(frontier), next, round_seed,
-                                 sampler, /*materialize=*/false);
+    run_round</*kFilter=*/false, Rng>(FrontierView(frontier), next,
+                                      round_seed, sampler,
+                                      /*materialize=*/false);
   }
 
   /// Span-in / vector-out variant for processes that maintain their own
@@ -421,7 +434,9 @@ class FrontierEngine {
   }
 
   /// Batched-RNG blocks drawn during the most recent round (summed over
-  /// chunks) — the trace sink's "rng_blocks" field.
+  /// chunks) — the trace sink's "rng_blocks" field. It counts refills of
+  /// the buffered ChunkRng only, so it reads 0 on rounds whose chunks draw
+  /// from the bare engine (every CobraWalk round) and on retain rounds.
   [[nodiscard]] std::uint64_t last_rng_blocks() const noexcept {
     return last_rng_blocks_;
   }
@@ -437,7 +452,7 @@ class FrontierEngine {
     /// output). All-zero between rounds: the merge zeroes what it reads.
     std::vector<std::uint64_t> bits;
     std::uint64_t emitted = 0;
-    std::uint64_t blocks = 0;  ///< RNG refills
+    std::uint64_t blocks = 0;  ///< ChunkRng refills
   };
 
   /// Pick the round's representation: the size/hysteresis policy
@@ -546,19 +561,19 @@ class FrontierEngine {
   /// and its claims never collide — a chunk's vertices and (word-aligned)
   /// bitmap words belong to the one worker that walks it — so every
   /// worker writes the output bitmap directly and no OR is needed.
-  template <bool kFilter, typename Body>
+  template <bool kFilter, typename Rng = ChunkRng, typename Body>
   void run_round(const FrontierView& in, Frontier& next,
                  std::uint64_t round_seed, const Body& body,
                  bool materialize);
 
   /// The chunk walker: visit every chunk with active vertices in
-  /// ascending order, seeding chunk c's RNG from derive_seed(round_seed,
+  /// ascending order, seeding chunk c's `Rng` from derive_seed(round_seed,
   /// c), with the sink `make_sink(w, emitted)` builds for worker w. Runs
   /// in-line as worker 0 when `pool` is nullptr, else as `workers` workers
   /// — the caller plus pool tasks — whose slots the driver sized. Expand
   /// bodies get the CSR row prefetched a few vertices ahead. Leaves the
   /// per-worker tallies in `workers_`.
-  template <bool kFilter, typename Body, typename MakeSink>
+  template <bool kFilter, typename Rng, typename Body, typename MakeSink>
   void walk_chunks(const FrontierView& in, std::uint64_t round_seed,
                    par::ThreadPool* pool, std::size_t workers,
                    const Body& body, const MakeSink& make_sink);
@@ -587,7 +602,7 @@ class FrontierEngine {
   bool worker_bits_dirty_ = false;
 };
 
-template <bool kFilter, typename Body, typename MakeSink>
+template <bool kFilter, typename Rng, typename Body, typename MakeSink>
 void FrontierEngine::walk_chunks(const FrontierView& in,
                                  std::uint64_t round_seed,
                                  par::ThreadPool* pool, std::size_t workers,
@@ -601,7 +616,7 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
                              std::span<const Vertex> vs) {
     std::uint64_t emitted = 0;  // a local, so the sampling loop keeps it
     const auto sink = make_sink(w, emitted);  // in a register
-    ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
+    Rng rng(Engine(rng::derive_seed(round_seed, c)));
     for (std::size_t i = 0; i < vs.size(); ++i) {
 #if defined(__GNUC__) || defined(__clang__)
       // Ascending visits stream the offsets; only the targets row needs
@@ -615,7 +630,7 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
     }
     WorkerSlot& slot = workers_[w];
     slot.emitted += emitted;
-    slot.blocks += rng.refills();
+    if constexpr (requires { rng.refills(); }) slot.blocks += rng.refills();
   };
 
   if (pool == nullptr) {
@@ -660,7 +675,7 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
   }
 }
 
-template <bool kFilter, typename Body>
+template <bool kFilter, typename Rng, typename Body>
 void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
                                std::uint64_t round_seed, const Body& body,
                                bool materialize) {
@@ -708,7 +723,7 @@ void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
   double sample_s = 0.0;
   if (dense) {
     std::uint64_t* out = next.bits_.data();  // after the clear: may realloc
-    walk_chunks<kFilter>(
+    walk_chunks<kFilter, Rng>(
         in, round_seed, pool, workers, body,
         [this, out](std::size_t w, std::uint64_t& emitted) {
           std::uint64_t* bits =
@@ -723,7 +738,7 @@ void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
     next.dense_ = true;
     next.list_valid_ = materialize;  // else materialized lazily by vertices()
   } else {
-    walk_chunks<kFilter>(
+    walk_chunks<kFilter, Rng>(
         in, round_seed, pool, workers, body,
         [this](std::size_t w, std::uint64_t& emitted) {
           std::vector<Vertex>* claims = &workers_[w].claims;

@@ -34,7 +34,9 @@
 ///   max_chunk / mean_chunk
 ///              input-frontier occupancy of the fullest occupied chunk
 ///              and the mean — the load-imbalance proxy
-///   rng_blocks batched-RNG refills drawn during the step
+///   rng_blocks refills of the buffered chunk RNG (FrontierEngine::
+///              ChunkRng) during the step; 0 on rounds that draw from the
+///              bare engine, which every CobraWalk round does
 ///   sample_s   the chunk walk: sampling plus the sink writes
 ///   merge_s    the dedup merge: the dense rounds' OR of the per-worker
 ///              bitmaps (with popcount), or the sparse rounds' sort +

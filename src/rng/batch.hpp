@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -10,11 +11,17 @@
 /// \file batch.hpp
 /// Batched RNG buffering: wrap an engine and refill a block of raw 64-bit
 /// outputs at a time (ramping geometrically from a small first block up to
-/// N). The frontier engine hands each chunk a `Batched` view so the hot
-/// sampling loop reads from a hot cache-resident array instead of spinning
-/// the full engine state machine per draw; the engine call overhead (and
-/// the occasional Lemire rejection re-draw) is amortized over the block,
-/// while a chunk that needs only a handful of draws never pays for N.
+/// N), so a chunk that needs only a handful of draws never pays for N.
+/// The frontier engine's default chunk RNG (`FrontierEngine::ChunkRng`) is
+/// a `Batched` view: it is what lets a sampler hand `inner()` to code that
+/// takes an `Engine&` (GeneralizedCobraWalk's branching schedules).
+///
+/// The buffer is not the fast path. On a serial dense cobra round the bare
+/// xoshiro engine, kept in registers for the whole chunk, draws in about
+/// half the time: through `Batched` every draw stores and reloads the
+/// cursor and writes and reads back a buffer slot, and the cursor stays in
+/// memory because the sink's bitmap stores may alias it. `CobraWalk`
+/// therefore draws from the bare engine (EXPERIMENTS.md A6).
 ///
 /// Ordering guarantee: `operator()` returns the underlying engine's outputs
 /// in generation order, so `Batched<E>` is stream-equivalent to `E` — the
@@ -47,7 +54,10 @@ class Batched {
   }
 
   /// Direct access to the wrapped engine (see the ordering caveat above).
-  [[nodiscard]] Engine& inner() noexcept { return engine_; }
+  [[nodiscard]] Engine& inner() noexcept {
+    if (owed_ != 0) finish_block();
+    return engine_;
+  }
 
   /// Raw values still buffered (exposed for tests).
   [[nodiscard]] std::size_t buffered() const noexcept { return filled_ - pos_; }
@@ -64,20 +74,35 @@ class Batched {
     // doesn't pay for N; sustained consumers double up to the full block
     // and get the amortization. Any refill size keeps the stream
     // generation-ordered, so this is invisible to the values produced.
-    next_fill_ = std::min(N, next_fill_);
+    // A degraded refill left part of its block undrawn: finish that block
+    // before starting the next, so the ramp never sees the fault.
+    std::size_t block = owed_;
+    if (block == 0) {
+      block = next_fill_;
+      next_fill_ = std::min(N, block * 2);
+    }
     // Fault site `rng.block_refill` (GRACEFUL): model a refill that cannot
     // get its full block (the future SIMD/device refill path can fail
     // partway) by degrading THIS refill to a single draw. The ordering
     // guarantee above makes the degradation invisible to the value
-    // stream — only the block count changes — which is exactly the
-    // contract cobra_chaos verifies.
-    std::size_t fill = next_fill_;
+    // stream — only the block count changes. The rest of the block stays
+    // owed, and inner() draws it before handing out the engine, so inner()
+    // draws also land where they would after a full refill.
+    std::size_t fill = block;
     if (util::fault::should_fail("rng.block_refill")) fill = 1;
     for (std::size_t i = 0; i < fill; ++i) buffer_[i] = engine_();
     filled_ = fill;
     pos_ = 0;
-    next_fill_ = std::min(N, fill * 2);
+    owed_ = block - fill;
     ++refills_;
+  }
+
+  /// Draw the owed rest of a degraded block behind the values still
+  /// buffered (it fits: a block is at most N and started at index 0).
+  void finish_block() noexcept {
+    for (std::size_t i = 0; i < owed_; ++i) buffer_[filled_ + i] = engine_();
+    filled_ += owed_;
+    owed_ = 0;
   }
 
   static constexpr std::size_t kInitialFill = N < 8 ? N : 8;
@@ -87,6 +112,7 @@ class Batched {
   std::size_t pos_ = 0;
   std::size_t filled_ = 0;  // empty until first refill
   std::size_t next_fill_ = kInitialFill;
+  std::size_t owed_ = 0;  // draws a degraded refill left undrawn
   std::uint64_t refills_ = 0;
 };
 

@@ -78,7 +78,12 @@
 ///                              as worker 0 into the output bitmap)
 ///   rng.block_refill           GRACEFUL  batched-RNG block refill
 ///                              (degrades to single-draw refills; the
-///                              value stream is unchanged by contract)
+///                              value stream is unchanged by contract,
+///                              inner() draws included). Reached by the
+///                              ChunkRng clients that draw:
+///                              GeneralizedCobraWalk, Gossip and
+///                              CoalescingWalks — not CobraWalk (bare
+///                              engine) or GreedyMIS (draws nothing)
 ///   pool.thread_spawn          GRACEFUL  worker spawn in ThreadPool
 ///                              (pool comes up smaller, >= 1 worker;
 ///                              results are thread-count-invariant)

@@ -652,6 +652,86 @@ TEST(FrontierEngine, ThrowingPoolRoundLeavesNoStaleBits) {
             expected);
 }
 
+/// k neighbor draws through NeighborSampler plus one raw rng() draw that
+/// decides whether v survives: exercises both ways a sampler reads its RNG.
+struct MixedDrawSampler {
+  const Graph* g;
+  NeighborSampler pick;
+  std::uint32_t k;
+  template <typename Rng, typename Sink>
+  void operator()(Vertex v, Rng& rng, Sink&& sink) const {
+    const auto nbrs = g->neighbors(v);
+    for (std::uint32_t i = 0; i < k; ++i) sink(pick(nbrs, rng));
+    if ((rng() >> 63) != 0) sink(v);
+  }
+};
+
+/// Frontier-API trajectory from every 50th vertex with the chunk RNG type
+/// `Rng`.
+template <typename Rng>
+std::vector<std::vector<Vertex>> run_with_rng(const Graph& g,
+                                              FrontierOptions opts,
+                                              std::uint64_t rounds) {
+  FrontierEngine engine(g, opts);
+  const MixedDrawSampler sampler{&g, NeighborSampler(g), 3};
+  std::vector<Vertex> starts;
+  for (Vertex v = 0; v < g.num_vertices(); v += 50) starts.push_back(v);
+  Frontier frontier, next;
+  engine.dedupe(starts, frontier);
+  std::vector<std::vector<Vertex>> trajectory;
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    engine.expand<Rng>(frontier, next, /*round_seed=*/0xC0B4A000ULL + r,
+                       sampler);
+    frontier.swap(next);
+    const auto vs = frontier.vertices();
+    trajectory.emplace_back(vs.begin(), vs.end());
+  }
+  return trajectory;
+}
+
+TEST(FrontierEngine, BareEngineChunkRngMatchesBufferedChunkRng) {
+  // Batched is stream-equivalent to its engine, so a sampler that draws
+  // only through rng() must produce the same frontiers from either chunk
+  // RNG type, in every representation, pool size and chunking. Both graphs
+  // have a partial last word; the 4-regular graph arms NeighborSampler's
+  // shift path, the grid (degrees 2-4) its Lemire path.
+  Engine graph_gen(51);
+  const Graph rreg = make_random_regular(graph_gen, 1000, 4);
+  const Graph grid = make_grid(2, 30);
+  for (const Graph* g : {&rreg, &grid}) {
+    ASSERT_NE(g->num_vertices() % 64, 0u);
+    for (const std::size_t chunk :
+         {std::size_t{64}, FrontierOptions{}.chunk_size}) {
+      FrontierOptions base;
+      base.chunk_size = chunk;
+      base.parallel_threshold = static_cast<std::size_t>(-1);
+      base.mode = FrontierMode::ForceSparse;
+      const auto reference =
+          run_with_rng<FrontierEngine::ChunkRng>(*g, base, 12);
+      ASSERT_GT(reference.back().size(), 200u);
+      for (const FrontierMode mode :
+           {FrontierMode::ForceSparse, FrontierMode::ForceDense,
+            FrontierMode::Auto}) {
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+          par::ThreadPool pool(threads);
+          FrontierOptions opts = base;
+          opts.mode = mode;
+          opts.parallel_threshold = 1;
+          opts.pool = &pool;
+          const auto where = ::testing::Message()
+                             << "n=" << g->num_vertices() << " chunk=" << chunk
+                             << " mode=" << static_cast<int>(mode) << " "
+                             << threads << " threads";
+          EXPECT_EQ(run_with_rng<Engine>(*g, opts, 12), reference) << where;
+          EXPECT_EQ(run_with_rng<FrontierEngine::ChunkRng>(*g, opts, 12),
+                    reference)
+              << where;
+        }
+      }
+    }
+  }
+}
+
 TEST(FrontierEngineDeathTest, SpanFrontierWithDuplicateIsRejected) {
   // Sorted but not duplicate-free: the span contract is strictly
   // ascending, and a plain sortedness check would let this through.

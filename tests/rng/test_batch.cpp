@@ -61,6 +61,30 @@ TEST(Batched, RefillFaultDegradesBlockSizeNotTheStream) {
   util::fault::disarm_all();
 }
 
+TEST(Batched, RefillFaultKeepsInnerDrawsInPlace) {
+  // A consumer mixing operator() and inner() draws sees the same values
+  // with the refill site armed: a degraded refill owes the rest of its
+  // block, and inner() draws it before handing out the engine.
+  const auto mixed = [] {
+    Batched<Xoshiro256, 32> batched(Xoshiro256(31));
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 500; ++i) {
+      if (i % 7 == 3) out.push_back(batched.inner()());
+      out.push_back(batched());
+    }
+    return out;
+  };
+  util::fault::disarm_all();
+  const std::vector<std::uint64_t> reference = mixed();
+  util::fault::arm_spec(util::fault::FaultPlan::parse("rng.block_refill%0.5")
+                            .specs[0],
+                        /*seed=*/17);
+  const std::vector<std::uint64_t> degraded = mixed();
+  EXPECT_GT(util::fault::fired("rng.block_refill"), 0u);
+  util::fault::disarm_all();
+  EXPECT_EQ(degraded, reference);
+}
+
 TEST(Batched, InnerAdvancesPastBuffer) {
   // inner() draws come from beyond the buffered block: deterministic, and
   // no value is handed out twice.
