@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "gen/registry.hpp"
+#include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
+#include "rng/xoshiro256.hpp"
 #include "util/checkpoint_io.hpp"
 
 namespace cobra::gen {
@@ -89,6 +91,42 @@ constexpr Pinned kLedger[] = {
     {"ws:n=50000,k=6,beta=0.1,seed=5", 0x802d5543305016ffULL},
 };
 
+/// Call shapes the spec rows above do not reach: a generator called
+/// directly, seeded from a fresh Xoshiro256, the way tests and examples
+/// build graphs. The rreg row is the trajectory ledger's graph.
+struct PinnedCall {
+  const char* call;
+  Graph (*build)();
+  std::uint64_t fingerprint;
+};
+
+const PinnedCall kCallShapes[] = {
+    {"rreg(0x1ED6E0, 4096, 4)",
+     [] {
+       rng::Xoshiro256 eng(0x1ED6E0);
+       return graph::make_random_regular(eng, 4096, 4);
+     },
+     0x978af7a374ac14e9ULL},
+    {"gnp(3, 500, 0.02)",
+     [] {
+       rng::Xoshiro256 eng(3);
+       return graph::make_erdos_renyi(eng, 500, 0.02);
+     },
+     0xa0e0297322c36e20ULL},
+    {"geo(7, 1000, 0.08)",
+     [] {
+       rng::Xoshiro256 eng(7);
+       return graph::make_random_geometric(eng, 1000, 0.08);
+     },
+     0x383e7f0045009b5aULL},
+    {"chunglu(5, 2000, 2.5, 3.0)",
+     [] {
+       rng::Xoshiro256 eng(5);
+       return graph::make_chung_lu_power_law(eng, 2000, 2.5, 3.0);
+     },
+     0x6cb4b522d20aff78ULL},
+};
+
 template <typename T>
 std::span<const std::uint8_t> bytes_of(const std::vector<T>& v) {
   return {reinterpret_cast<const std::uint8_t*>(v.data()),
@@ -128,6 +166,16 @@ TEST(GraphLedger, FingerprintsArePinnedSeriallyAndOnEveryPool) {
       EXPECT_EQ(fp, row.fingerprint)
           << row.spec << " (" << names[b] << ") fingerprint=" << got;
     }
+  }
+}
+
+TEST(GraphLedger, DirectCallShapesArePinned) {
+  for (const PinnedCall& row : kCallShapes) {
+    const std::uint64_t fp = csr_fingerprint(row.build());
+    char got[32];
+    std::snprintf(got, sizeof got, "0x%016llxULL",
+                  static_cast<unsigned long long>(fp));
+    EXPECT_EQ(fp, row.fingerprint) << row.call << " fingerprint=" << got;
   }
 }
 
