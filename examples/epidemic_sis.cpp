@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "core/sis_epidemic.hpp"
+#include "gen/families.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "io/args.hpp"
@@ -74,13 +75,10 @@ int main(int argc, char** argv) {
   const auto contacts = static_cast<std::uint32_t>(args.get_uint("contacts", 2));
   const std::uint64_t seed = args.get_uint("seed", 7);
 
-  core::Engine graph_gen(seed);
-
   // Power-law contact network (superspreaders): take the giant component so
   // the epidemic can reach everyone.
   {
-    const graph::Graph raw =
-        graph::make_chung_lu_power_law(graph_gen, n, 2.5, 3.0);
+    const graph::Graph raw = gen::chung_lu(n, 2.5, 3.0, seed);
     const auto giant = graph::largest_component(raw);
     run_outbreak(giant.graph, "power-law contact network (giant component)",
                  contacts, seed + 1);
@@ -89,9 +87,10 @@ int main(int argc, char** argv) {
   // Random geometric graph (proximity contacts), radius just above the
   // connectivity threshold.
   {
+    core::Engine graph_gen(seed);
     const double radius = 1.8 * std::sqrt(std::log(static_cast<double>(n)) /
                                           (3.14159265 * n));
-    const graph::Graph raw = graph::make_random_geometric(graph_gen, n, radius);
+    const graph::Graph raw = gen::random_geometric(n, radius, graph_gen());
     const auto giant = graph::largest_component(raw);
     run_outbreak(giant.graph, "random geometric contact network (giant component)",
                  contacts, seed + 2);

@@ -21,6 +21,8 @@
 #include "core/cobra_walk.hpp"
 #include "core/gossip.hpp"
 #include "core/parallel_walks.hpp"
+#include "gen/families.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "io/args.hpp"
 #include "io/table.hpp"
@@ -47,10 +49,12 @@ int main(int argc, char** argv) {
   while ((side + 1) * (side + 1) <= n) ++side;
 
   const std::vector<Network> networks = {
-      {"random 6-regular", graph::make_random_regular(graph_gen, n, 6)},
+      {"random 6-regular", gen::random_regular(n, 6, graph_gen())},
       {"hypercube", graph::make_hypercube(dim)},
       {"2-D grid", graph::make_grid(2, side)},
-      {"preferential attachment", graph::make_barabasi_albert(graph_gen, n, 3)},
+      {"preferential attachment",
+       graph::largest_component(gen::barabasi_albert(n, 3, graph_gen()))
+           .graph},
   };
 
   struct Protocol {

@@ -4,10 +4,12 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/bucket_sort.hpp"
 #include "parallel/monte_carlo.hpp"
@@ -765,6 +767,54 @@ Graph random_geometric(std::uint32_t n, double radius, std::uint64_t seed,
     }
   });
   return assemble(n, chunks, false, opts);
+}
+
+Graph chung_lu(std::uint32_t n, double gamma, double min_deg,
+               std::uint64_t seed) {
+  if (gamma <= 1.0) throw std::invalid_argument("chung_lu: gamma > 1");
+  if (n < 2) throw std::invalid_argument("chung_lu: n >= 2");
+
+  // Expected weights w_i = min_deg * (n / (i+1))^{1/(gamma-1)}, the standard
+  // Chung-Lu power-law parameterization. Cap at sqrt(sum_w) so that
+  // probabilities min(1, w_u w_v / W) stay proper.
+  std::vector<double> weights(n);
+  const double inv_exp = 1.0 / (gamma - 1.0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    weights[i] = min_deg * std::pow(static_cast<double>(n) /
+                                        static_cast<double>(i + 1),
+                                    inv_exp);
+  }
+  double total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
+  const double cap = std::sqrt(total_weight);
+  for (double& w : weights) w = std::min(w, cap);
+  total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
+
+  // Miller–Hagberg skip sampling (efficient Chung–Lu): weights are
+  // non-increasing, so for fixed u the pair probability p(u, v) is
+  // non-increasing in v. Walk v with geometric skips under the current
+  // majorizer p, thinning each candidate by the exact ratio q/p.
+  rng::Xoshiro256 eng(seed);
+  graph::GraphBuilder b(n);
+  for (std::uint32_t u = 0; u + 1 < n; ++u) {
+    const double base = weights[u] / total_weight;
+    std::uint32_t v = u + 1;
+    double p = std::min(1.0, base * weights[v]);
+    while (v < n && p > 0.0) {
+      if (p < 1.0) {
+        const double r = rng::uniform_unit(eng);
+        const double skip = std::floor(std::log1p(-r) / std::log1p(-p));
+        if (skip >= static_cast<double>(n)) break;
+        v += static_cast<std::uint32_t>(skip);
+      }
+      if (v >= n) break;
+      const double q = std::min(1.0, base * weights[v]);
+      if (rng::uniform_unit(eng) < q / p) b.add_edge(u, v);
+      p = q;
+      ++v;
+    }
+  }
+  b.simplify();
+  return b.build();
 }
 
 }  // namespace cobra::gen

@@ -44,6 +44,8 @@
 ///            repair whose O(defects) swaps are serial
 ///   * geo  — random geometric graph; points chunk-parallel, neighbor search
 ///            grid-bucketed, edge scan chunked over vertices
+///   * chunglu — Chung–Lu power-law graph via Miller–Hagberg skip sampling;
+///            the one serial family: a single engine seeded from `seed`
 
 namespace cobra::gen {
 
@@ -114,7 +116,7 @@ struct GenOptions {
 /// sort and the defect scan (a sort of the pairing's edges) run in
 /// parallel; the repair's swaps are serial and O(defects). Requires n*d
 /// even, d < n; throws std::runtime_error when repair fails (d too large
-/// for n). graph::make_random_regular is a thin wrapper over this.
+/// for n). W.h.p. the result is connected and an expander for d >= 3.
 [[nodiscard]] graph::Graph random_regular(std::uint32_t n, std::uint32_t d,
                                           std::uint64_t seed,
                                           const GenOptions& opts = {},
@@ -122,9 +124,18 @@ struct GenOptions {
 
 /// Random geometric graph: n points uniform in the unit square, edges at
 /// Euclidean distance <= radius, found by grid-bucketed neighbor search in
-/// O(n + m) expected. Requires radius in (0, 1.5].
+/// O(n + m) expected. Requires radius in (0, 1.5]. Not necessarily
+/// connected; the connectivity threshold is radius ~ sqrt(ln n / (pi n)).
 [[nodiscard]] graph::Graph random_geometric(std::uint32_t n, double radius,
                                             std::uint64_t seed,
                                             const GenOptions& opts = {});
+
+/// Chung–Lu graph with expected power-law degree sequence of exponent
+/// `gamma` (typically 2 < gamma < 3) and minimum expected degree `min_deg`:
+/// edge {u,v} appears with probability min(1, w_u w_v / sum_w). Serial,
+/// drawing from one rng::Xoshiro256(seed). Requires gamma > 1, n >= 2.
+/// Simple; not necessarily connected.
+[[nodiscard]] graph::Graph chung_lu(std::uint32_t n, double gamma,
+                                    double min_deg, std::uint64_t seed);
 
 }  // namespace cobra::gen

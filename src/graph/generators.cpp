@@ -1,16 +1,11 @@
 #include "graph/generators.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <limits>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
-#include "gen/families.hpp"
 #include "graph/builder.hpp"
 #include "graph/grid_coords.hpp"
-#include "rng/distributions.hpp"
 
 namespace cobra::graph {
 
@@ -105,8 +100,8 @@ Graph make_kary_tree(std::uint32_t arity, std::uint32_t levels) {
   for (std::uint32_t l = 0; l < levels; ++l) {
     n += layer;
     layer *= arity;
-    if (n > (1ull << 32)) {
-      throw std::invalid_argument("make_kary_tree: tree exceeds 2^32 vertices");
+    if (n > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument("make_kary_tree: tree exceeds 2^32 - 1 vertices");
     }
   }
   const auto total = static_cast<std::uint32_t>(n);
@@ -156,122 +151,6 @@ Graph make_barbell(std::uint32_t clique_size, std::uint32_t path_length) {
   }
   b.add_edge(prev, right_base);
   return b.build();
-}
-
-Graph make_random_regular(rng::Xoshiro256& gen, std::uint32_t n,
-                          std::uint32_t degree, std::uint32_t max_attempts) {
-  // Thin wrapper over gen::random_regular (hashed-key stub permutation +
-  // edge-swap repair; see make_erdos_renyi above for the seed-drawing
-  // rationale). max_attempts bounds the repair passes.
-  gen::GenOptions opts;
-  opts.serial = true;
-  return gen::random_regular(n, degree, gen(), opts, max_attempts);
-}
-
-Graph make_erdos_renyi(rng::Xoshiro256& gen, std::uint32_t n, double p) {
-  // Thin wrapper over the chunked skip-sampling generator in src/gen/: one
-  // seed drawn from the caller's engine keeps the "deterministic function
-  // of the passed engine state" contract, and the in-line path keeps this
-  // signature pool-free (spec-built graphs get the parallel path).
-  gen::GenOptions opts;
-  opts.serial = true;
-  return gen::gnp(n, p, gen(), opts);
-}
-
-Graph make_chung_lu_power_law(rng::Xoshiro256& gen, std::uint32_t n, double gamma,
-                              double min_deg) {
-  if (gamma <= 1.0) throw std::invalid_argument("make_chung_lu: gamma > 1");
-  if (n < 2) throw std::invalid_argument("make_chung_lu: n >= 2");
-
-  // Expected weights w_i = min_deg * (n / (i+1))^{1/(gamma-1)}, the standard
-  // Chung-Lu power-law parameterization. Cap at sqrt(sum_w) so that
-  // probabilities min(1, w_u w_v / W) stay proper.
-  std::vector<double> weights(n);
-  const double inv_exp = 1.0 / (gamma - 1.0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    weights[i] = min_deg * std::pow(static_cast<double>(n) /
-                                        static_cast<double>(i + 1),
-                                    inv_exp);
-  }
-  double total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
-  const double cap = std::sqrt(total_weight);
-  for (double& w : weights) w = std::min(w, cap);
-  total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
-
-  // Miller–Hagberg skip sampling (efficient Chung–Lu): weights are
-  // non-increasing, so for fixed u the pair probability p(u, v) is
-  // non-increasing in v. Walk v with geometric skips under the current
-  // majorizer p, thinning each candidate by the exact ratio q/p.
-  GraphBuilder b(n);
-  for (std::uint32_t u = 0; u + 1 < n; ++u) {
-    const double base = weights[u] / total_weight;
-    std::uint32_t v = u + 1;
-    double p = std::min(1.0, base * weights[v]);
-    while (v < n && p > 0.0) {
-      if (p < 1.0) {
-        const double r = rng::uniform_unit(gen);
-        const double skip = std::floor(std::log1p(-r) / std::log1p(-p));
-        if (skip >= static_cast<double>(n)) break;
-        v += static_cast<std::uint32_t>(skip);
-      }
-      if (v >= n) break;
-      const double q = std::min(1.0, base * weights[v]);
-      if (rng::uniform_unit(gen) < q / p) b.add_edge(u, v);
-      p = q;
-      ++v;
-    }
-  }
-  b.simplify();
-  return b.build();
-}
-
-Graph make_barabasi_albert(rng::Xoshiro256& gen, std::uint32_t n,
-                           std::uint32_t attach_edges) {
-  if (attach_edges < 1) throw std::invalid_argument("make_ba: attach_edges >= 1");
-  if (n < attach_edges + 1) {
-    throw std::invalid_argument("make_ba: n must exceed attach_edges");
-  }
-  GraphBuilder b(n);
-  // Repeated-endpoint list: sampling a uniform element of `endpoints` is
-  // exactly degree-proportional sampling.
-  std::vector<Vertex> endpoints;
-  endpoints.reserve(2ull * n * attach_edges);
-
-  const std::uint32_t seed_size = attach_edges + 1;
-  for (Vertex u = 0; u < seed_size; ++u) {
-    for (Vertex v = u + 1; v < seed_size; ++v) {
-      b.add_edge(u, v);
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-  std::vector<Vertex> chosen;
-  chosen.reserve(attach_edges);
-  for (Vertex v = seed_size; v < n; ++v) {
-    chosen.clear();
-    // Sample distinct targets preferentially; rejection on duplicates.
-    while (chosen.size() < attach_edges) {
-      const Vertex candidate = endpoints[static_cast<std::size_t>(
-          rng::uniform_below(gen, endpoints.size()))];
-      if (std::find(chosen.begin(), chosen.end(), candidate) == chosen.end()) {
-        chosen.push_back(candidate);
-      }
-    }
-    for (const Vertex target : chosen) {
-      b.add_edge(v, target);
-      endpoints.push_back(v);
-      endpoints.push_back(target);
-    }
-  }
-  return b.build();
-}
-
-Graph make_random_geometric(rng::Xoshiro256& gen, std::uint32_t n, double radius) {
-  // Thin wrapper over the grid-bucketed generator in src/gen/ (see
-  // make_erdos_renyi above for the seed-drawing rationale).
-  gen::GenOptions opts;
-  opts.serial = true;
-  return gen::random_geometric(n, radius, gen(), opts);
 }
 
 Graph make_double_clique(std::uint32_t clique_size) {

@@ -9,6 +9,7 @@
 #include "core/coalescing_walk.hpp"
 #include "core/cobra_walk.hpp"
 #include "core/generalized_cobra.hpp"
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/distributions.hpp"
@@ -21,7 +22,6 @@ using graph::make_cycle;
 using graph::make_grid;
 using graph::make_hypercube;
 using graph::make_path;
-using graph::make_random_regular;
 
 constexpr std::size_t kChunk = 256;  // shared by every compared config
 
@@ -53,7 +53,7 @@ std::vector<Vertex> run_rounds(const Graph& g, FrontierOptions opts,
 
 TEST(FrontierEngine, ParallelBitIdenticalToSerialAcrossThreadCounts) {
   Engine graph_gen(21);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
 
   FrontierOptions serial;
   serial.chunk_size = kChunk;
@@ -73,7 +73,7 @@ TEST(FrontierEngine, ParallelBitIdenticalToSerialAcrossThreadCounts) {
 
 TEST(FrontierEngine, ParallelPathActuallyRuns) {
   Engine graph_gen(22);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
   par::ThreadPool pool(2);
   FrontierOptions opts;
   opts.chunk_size = kChunk;
@@ -132,7 +132,7 @@ TEST(FrontierEngine, ParallelDenseOpsBitIdenticalToSerialOps) {
 
 TEST(FrontierEngine, CobraWalkBitIdenticalAcrossPools) {
   Engine graph_gen(23);
-  const Graph g = make_random_regular(graph_gen, 8192, 4);
+  const Graph g = gen::random_regular(8192, 4, graph_gen());
 
   CobraWalk serial_walk(g, 0, 3);
   serial_walk.engine().options().chunk_size = kChunk;
@@ -207,7 +207,7 @@ TEST(NeighborSampler, GenericPathForNonPow2AndDegreeOne) {
   Engine graph_gen(24);
   EXPECT_FALSE(NeighborSampler(make_hypercube(3)).fast_path());  // 3-regular
   EXPECT_FALSE(
-      NeighborSampler(make_random_regular(graph_gen, 100, 6)).fast_path());
+      NeighborSampler(gen::random_regular(100, 6, graph_gen())).fast_path());
   EXPECT_FALSE(NeighborSampler(make_path(2)).fast_path());  // 1-regular
   EXPECT_FALSE(NeighborSampler(make_path(5)).fast_path());  // irregular
 }
@@ -262,7 +262,7 @@ std::vector<std::vector<Vertex>> run_trajectory(const Graph& g,
 
 TEST(FrontierEngine, SparseAndDensePathsProduceIdenticalTrajectories) {
   Engine graph_gen(31);
-  const Graph g = make_random_regular(graph_gen, 4096, 4);
+  const Graph g = gen::random_regular(4096, 4, graph_gen());
 
   FrontierOptions sparse;
   sparse.chunk_size = kChunk;
@@ -283,7 +283,7 @@ TEST(FrontierEngine, SparseAndDensePathsProduceIdenticalTrajectories) {
 
 TEST(FrontierEngine, ForcedDenseBitIdenticalAcrossThreadCounts) {
   Engine graph_gen(32);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
 
   FrontierOptions serial;
   serial.chunk_size = kChunk;
@@ -304,7 +304,7 @@ TEST(FrontierEngine, ForcedDenseBitIdenticalAcrossThreadCounts) {
 
 TEST(FrontierEngine, DenseRoundsAreTakenAndCountedInAutoMode) {
   Engine graph_gen(33);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
   FrontierOptions opts;
   opts.chunk_size = kChunk;
   opts.parallel_threshold = static_cast<std::size_t>(-1);
@@ -384,7 +384,7 @@ TEST(FrontierEngine, InterleavedRepresentationsMatchAllSparse) {
   // all-sparse reference exactly, including with a reset-path dedupe()
   // spliced between rounds.
   Engine graph_gen(34);
-  const Graph g = make_random_regular(graph_gen, 4096, 4);
+  const Graph g = gen::random_regular(4096, 4, graph_gen());
   const TwoSampler sampler{&g, NeighborSampler(g)};
 
   auto run = [&](bool alternate) {
@@ -425,7 +425,7 @@ TEST(FrontierEngine, ParallelThresholdIsAWorkEstimate) {
   // 300 active vertices with branching_hint 8 is 2400 estimated samples:
   // above a threshold of 1000 even though the raw frontier is below it.
   Engine graph_gen(35);
-  const Graph g = make_random_regular(graph_gen, 2048, 4);
+  const Graph g = gen::random_regular(2048, 4, graph_gen());
   par::ThreadPool pool(2);
   const TwoSampler sampler{&g, NeighborSampler(g)};
   std::vector<Vertex> frontier(300);
@@ -498,7 +498,7 @@ struct LastWordSampler {
 
 TEST(FrontierEngine, PoolRoundsMatchInlineWithATailWord) {
   Engine graph_gen(41);
-  const Graph g = make_random_regular(graph_gen, 4133, 4);
+  const Graph g = gen::random_regular(4133, 4, graph_gen());
   ASSERT_NE(g.num_vertices() % 64, 0u);
   for (const FrontierMode mode :
        {FrontierMode::ForceSparse, FrontierMode::ForceDense,
@@ -516,7 +516,7 @@ TEST(FrontierEngine, PoolRoundsMatchInlineWithMoreWorkersThanChunks) {
   // 300 vertices in 64-id chunks is 5 chunks: the 8-thread pool has idle
   // workers whose private bitmaps and claim lists stay empty.
   Engine graph_gen(42);
-  const Graph g = make_random_regular(graph_gen, 300, 4);
+  const Graph g = gen::random_regular(300, 4, graph_gen());
   for (const FrontierMode mode :
        {FrontierMode::ForceSparse, FrontierMode::ForceDense}) {
     FrontierOptions base;
@@ -545,7 +545,7 @@ TEST(FrontierEngine, PoolRoundsMatchInlineWithOffspringOnlyInTheLastWord) {
   // bitmap collides on one word. The next round draws everywhere again:
   // a private word the merge failed to zero would resurface there.
   Engine graph_gen(43);
-  const Graph g = make_random_regular(graph_gen, 4133, 4);
+  const Graph g = gen::random_regular(4133, 4, graph_gen());
   const LastWordSampler last_word{g.num_vertices()};
   const TwoSampler two{&g, NeighborSampler(g)};
   FrontierOptions base;
@@ -580,7 +580,7 @@ TEST(FrontierEngine, PoolRoundsMatchInlineRightAfterADenseToSparseSwitch) {
   // switch — and round 3 runs sparse on pool claim lists (its input stays
   // below the n / dense_alpha entry threshold).
   Engine graph_gen(44);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
   const TwoSampler two{&g, NeighborSampler(g)};
   const auto collapse = [&two](Vertex v, auto& rng, const auto& sink) {
     two(v, rng, [&sink](Vertex u) { sink(u & ~Vertex{1023}); });
@@ -622,7 +622,7 @@ TEST(FrontierEngine, ThrowingPoolRoundLeavesNoStaleBits) {
   // A sampler that throws mid-round leaves private bitmaps half written;
   // the engine's next pool round must still match a fresh engine's.
   Engine graph_gen(45);
-  const Graph g = make_random_regular(graph_gen, 4096, 4);
+  const Graph g = gen::random_regular(4096, 4, graph_gen());
   const TwoSampler two{&g, NeighborSampler(g)};
   const auto throwing = [&two](Vertex v, auto& rng, const auto& sink) {
     two(v, rng, sink);
@@ -696,7 +696,7 @@ TEST(FrontierEngine, BareEngineChunkRngMatchesBufferedChunkRng) {
   // have a partial last word; the 4-regular graph arms NeighborSampler's
   // shift path, the grid (degrees 2-4) its Lemire path.
   Engine graph_gen(51);
-  const Graph rreg = make_random_regular(graph_gen, 1000, 4);
+  const Graph rreg = gen::random_regular(1000, 4, graph_gen());
   const Graph grid = make_grid(2, 30);
   for (const Graph* g : {&rreg, &grid}) {
     ASSERT_NE(g->num_vertices() % 64, 0u);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/audit.hpp"
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -20,7 +21,6 @@ namespace cobra::core {
 namespace {
 
 using graph::make_cycle;
-using graph::make_random_regular;
 
 constexpr std::size_t kChunk = 256;
 
@@ -100,7 +100,7 @@ TEST(FrontierRetain, KeepAllKeepNoneAndEmptyInput) {
 
 TEST(FrontierRetain, SparseAndDenseRepresentationsAgree) {
   Engine graph_gen(41);
-  const Graph g = make_random_regular(graph_gen, 4096, 4);
+  const Graph g = gen::random_regular(4096, 4, graph_gen());
 
   FrontierOptions sparse;
   sparse.chunk_size = kChunk;
@@ -119,7 +119,7 @@ TEST(FrontierRetain, SparseAndDenseRepresentationsAgree) {
 
 TEST(FrontierRetain, BitIdenticalAcrossThreadCountsBothModes) {
   Engine graph_gen(42);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
 
   for (const FrontierMode mode :
        {FrontierMode::ForceSparse, FrontierMode::ForceDense}) {
@@ -143,7 +143,7 @@ TEST(FrontierRetain, BitIdenticalAcrossThreadCountsBothModes) {
 
 TEST(FrontierRetain, DrawsNoRandomnessAndCountsSurvivors) {
   Engine graph_gen(43);
-  const Graph g = make_random_regular(graph_gen, 2048, 4);
+  const Graph g = gen::random_regular(2048, 4, graph_gen());
   FrontierOptions opts;
   opts.chunk_size = kChunk;
   for (const FrontierMode mode :
@@ -171,7 +171,7 @@ TEST(FrontierRetain, AuditedRemovalRoundsPassAndObserveOnly) {
   audit::set_level(0);
   audit::set_throw_on_violation(true);
   Engine graph_gen(44);
-  const Graph g = make_random_regular(graph_gen, 1024, 4);
+  const Graph g = gen::random_regular(1024, 4, graph_gen());
   FrontierOptions opts;
   opts.chunk_size = kChunk;
   const auto plain = run_expand_retain(g, opts, 8);

@@ -11,6 +11,7 @@
 #include <set>
 #include <vector>
 
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "rng/splitmix64.hpp"
 
@@ -20,7 +21,6 @@ namespace {
 using graph::make_complete;
 using graph::make_cycle;
 using graph::make_kary_tree;
-using graph::make_random_regular;
 using graph::make_star;
 
 void run_to_done(GreedyMIS& mis, Engine& gen) {
@@ -80,7 +80,7 @@ TEST(GreedyMIS, IndependentAndMaximalAtExtinction) {
   const std::vector<Graph> graphs = {
       make_cycle(97),      make_complete(32),
       make_star(64),       make_kary_tree(3, 5),
-      make_random_regular(graph_gen, 512, 6)};
+      gen::random_regular(512, 6, graph_gen())};
   std::uint64_t seed = 100;
   for (const Graph& g : graphs) {
     GreedyMIS mis(g);
@@ -117,7 +117,7 @@ TEST(GreedyMIS, SingleVertexGraph) {
 
 TEST(GreedyMIS, ResetReproducesTheRunExactly) {
   Engine graph_gen(52);
-  const Graph g = make_random_regular(graph_gen, 256, 4);
+  const Graph g = gen::random_regular(256, 4, graph_gen());
   GreedyMIS mis(g);
   Engine gen1(77);
   run_to_done(mis, gen1);

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "gen/families.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
@@ -49,10 +50,10 @@ TEST(Metropolis, SigmaHatMonotoneAlongPaths) {
 
 TEST(Metropolis, Lemma18BoundHolds) {
   // sigma_hat(x, v) <= e^{-p(x,v)}.
-  core::Engine gen(1);
+  core::Engine eng(1);
   for (const Graph& g :
        {make_cycle(12), make_grid(2, 4, true), make_complete(8),
-        graph::make_random_regular(gen, 24, 4)}) {
+        gen::random_regular(24, 4, eng())}) {
     const MetropolisWalk walk(g, 0);
     for (graph::Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_LE(walk.sigma_hat(v), walk.lemma18_bound(v) + 1e-9) << "v=" << v;
@@ -75,16 +76,16 @@ TEST(Metropolis, StationaryIsNormalizedAndTargetHeavy) {
 TEST(Metropolis, TransitionsAreInverseDegreeLegal) {
   // The derived chain P must satisfy P(x,y) >= (1 - 1/d(x))/d(x): that is
   // what makes it an inverse-degree-biased walk (s5.3's key derivation).
-  core::Engine gen(2);
+  core::Engine eng(2);
   for (const Graph& g : {make_cycle(10), make_grid(2, 4, true),
-                         graph::make_random_regular(gen, 20, 4)}) {
+                         gen::random_regular(20, 4, eng())}) {
     const MetropolisWalk walk(g, 3);
     EXPECT_GE(walk.min_transition_margin(), -1e-9);
   }
 }
 
 TEST(Metropolis, ReturnTimeWithinCorollary17Bound) {
-  core::Engine gen(3);
+  core::Engine eng(3);
   struct Case {
     std::string name;
     Graph g;
@@ -93,7 +94,7 @@ TEST(Metropolis, ReturnTimeWithinCorollary17Bound) {
       {"cycle16", make_cycle(16)},
       {"torus4", make_grid(2, 4, true)},
       {"complete8", make_complete(8)},
-      {"regular", graph::make_random_regular(gen, 24, 4)},
+      {"regular", gen::random_regular(24, 4, eng())},
   };
   for (const auto& [name, g] : cases) {
     MetropolisWalk walk(g, 0);

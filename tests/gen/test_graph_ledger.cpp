@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "gen/families.hpp"
 #include "gen/registry.hpp"
-#include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/xoshiro256.hpp"
 #include "util/checkpoint_io.hpp"
@@ -92,39 +92,29 @@ constexpr Pinned kLedger[] = {
 };
 
 /// Call shapes the spec rows above do not reach: a generator called
-/// directly, seeded from a fresh Xoshiro256, the way tests and examples
-/// build graphs. The rreg row is the trajectory ledger's graph.
+/// directly with one draw of a fresh Xoshiro256 as its seed, the way tests
+/// and examples build graphs (chung_lu takes the engine seed itself). The
+/// rreg row is the trajectory ledger's graph.
 struct PinnedCall {
   const char* call;
   Graph (*build)();
   std::uint64_t fingerprint;
 };
 
+std::uint64_t draw(std::uint64_t seed) { return rng::Xoshiro256(seed)(); }
+
 const PinnedCall kCallShapes[] = {
     {"rreg(0x1ED6E0, 4096, 4)",
-     [] {
-       rng::Xoshiro256 eng(0x1ED6E0);
-       return graph::make_random_regular(eng, 4096, 4);
-     },
+     [] { return random_regular(4096, 4, draw(0x1ED6E0)); },
      0x978af7a374ac14e9ULL},
-    {"gnp(3, 500, 0.02)",
-     [] {
-       rng::Xoshiro256 eng(3);
-       return graph::make_erdos_renyi(eng, 500, 0.02);
-     },
+    {"gnp(3, 500, 0.02)", [] { return gnp(500, 0.02, draw(3)); },
      0xa0e0297322c36e20ULL},
-    {"geo(7, 1000, 0.08)",
-     [] {
-       rng::Xoshiro256 eng(7);
-       return graph::make_random_geometric(eng, 1000, 0.08);
-     },
+    {"geo(7, 1000, 0.08)", [] { return random_geometric(1000, 0.08, draw(7)); },
      0x383e7f0045009b5aULL},
-    {"chunglu(5, 2000, 2.5, 3.0)",
-     [] {
-       rng::Xoshiro256 eng(5);
-       return graph::make_chung_lu_power_law(eng, 2000, 2.5, 3.0);
-     },
+    {"chunglu(5, 2000, 2.5, 3.0)", [] { return chung_lu(2000, 2.5, 3.0, 5); },
      0x6cb4b522d20aff78ULL},
+    {"ba(6, 500, 3)", [] { return barabasi_albert(500, 3, draw(6)); },
+     0xdc3c5731c76dcb7fULL},
 };
 
 template <typename T>

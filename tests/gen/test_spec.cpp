@@ -114,6 +114,15 @@ TEST(Registry, DeterministicFamiliesMatchDirectConstruction) {
                    graph::make_double_clique(5)));
 }
 
+TEST(Registry, TreeOfExactly2To32VerticesIsRejected) {
+  // 1 + (2^32 - 1) vertices: one past the largest id space, from the
+  // builder and from user input.
+  EXPECT_THROW((void)graph::make_kary_tree(4294967295u, 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)build_graph("tree:levels=2,arity=4294967295"),
+               std::invalid_argument);
+}
+
 TEST(Registry, GridSugarDerivesSideFromN) {
   const graph::Graph g = build_graph("grid:n=1024");
   EXPECT_EQ(g.num_vertices(), 32u * 32u);

@@ -6,8 +6,10 @@
 #include <utility>
 #include <vector>
 
+#include "gen/families.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace cobra::graph {
 namespace {
@@ -207,8 +209,8 @@ TEST(Components, IdsAreDenseInOrderOfMinimumVertex) {
 
   // A sparse random graph with many components: a vertex either joins a
   // component seen earlier or opens the next id.
-  rng::Xoshiro256 gen(11);
-  const Graph sparse = make_erdos_renyi(gen, 3000, 0.4 / 3000.0);
+  rng::Xoshiro256 eng(11);
+  const Graph sparse = gen::gnp(3000, 0.4 / 3000.0, eng());
   const auto comp = connected_components(sparse);
   std::uint32_t next = 0;
   for (const std::uint32_t c : comp) {

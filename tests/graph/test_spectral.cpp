@@ -4,8 +4,10 @@
 
 #include <cmath>
 
+#include "gen/families.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace cobra::graph {
 namespace {
@@ -83,8 +85,8 @@ TEST(Spectrum, CompleteMatchesClosedForm) {
 }
 
 TEST(Spectrum, GapInUnitInterval) {
-  rng::Xoshiro256 gen(1);
-  const Graph g = make_random_regular(gen, 64, 4);
+  rng::Xoshiro256 eng(1);
+  const Graph g = gen::random_regular(64, 4, eng());
   const SpectralResult spec = lazy_walk_spectrum(g);
   EXPECT_GE(spec.lambda2, 0.0);
   EXPECT_LE(spec.lambda2, 1.0);
@@ -92,8 +94,8 @@ TEST(Spectrum, GapInUnitInterval) {
 }
 
 TEST(Spectrum, ExpanderHasLargeGapPathHasSmallGap) {
-  rng::Xoshiro256 gen(2);
-  const Graph expander = make_random_regular(gen, 128, 6);
+  rng::Xoshiro256 eng(2);
+  const Graph expander = gen::random_regular(128, 6, eng());
   const Graph path = make_path(128);
   const double gap_expander = lazy_walk_spectrum(expander).spectral_gap;
   const double gap_path = lazy_walk_spectrum(path).spectral_gap;

@@ -4,8 +4,10 @@
 
 #include <cmath>
 
+#include "gen/families.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace cobra::graph {
 namespace {
@@ -70,9 +72,9 @@ TEST(WaltPairDigraph, SizesAndOutWeights) {
 
 TEST(WaltPairDigraph, IsEulerian) {
   // The paper's construction must be weight-balanced for every regular G.
-  rng::Xoshiro256 gen(1);
+  rng::Xoshiro256 eng(1);
   for (const Graph& g : {make_cycle(6), make_complete(5), make_hypercube(3),
-                         make_random_regular(gen, 12, 4)}) {
+                         gen::random_regular(12, 4, eng())}) {
     EXPECT_TRUE(walt_pair_digraph(g).is_weight_balanced())
         << "n=" << g.num_vertices() << " d=" << g.degree(0);
   }

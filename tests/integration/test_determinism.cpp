@@ -1,7 +1,8 @@
 /// Determinism audit: every randomized component must be a pure function
 /// of its seed. This is what makes EXPERIMENTS.md reproducible, so it gets
 /// its own suite — any component that silently reads global state (time,
-/// thread ids, ...) fails here.
+/// thread ids, ...) fails here. Graph generators are pinned to literal
+/// fingerprints in gen/test_graph_ledger instead.
 
 #include <gtest/gtest.h>
 
@@ -22,31 +23,6 @@ namespace {
 using core::Engine;
 using graph::Graph;
 using graph::Vertex;
-
-template <typename MakeGraph>
-void expect_same_graph(MakeGraph&& make) {
-  rng::Xoshiro256 g1(777), g2(777);
-  const Graph a = make(g1);
-  const Graph b = make(g2);
-  EXPECT_EQ(a.offsets(), b.offsets());
-  EXPECT_EQ(a.targets(), b.targets());
-}
-
-TEST(Determinism, AllRandomGeneratorsSeedPure) {
-  expect_same_graph(
-      [](rng::Xoshiro256& gen) { return graph::make_random_regular(gen, 80, 4); });
-  expect_same_graph(
-      [](rng::Xoshiro256& gen) { return graph::make_erdos_renyi(gen, 150, 0.05); });
-  expect_same_graph([](rng::Xoshiro256& gen) {
-    return graph::make_chung_lu_power_law(gen, 200, 2.5);
-  });
-  expect_same_graph([](rng::Xoshiro256& gen) {
-    return graph::make_barabasi_albert(gen, 150, 2);
-  });
-  expect_same_graph([](rng::Xoshiro256& gen) {
-    return graph::make_random_geometric(gen, 200, 0.12);
-  });
-}
 
 TEST(Determinism, ProcessesReplayExactly) {
   const Graph g = graph::make_grid(2, 6);

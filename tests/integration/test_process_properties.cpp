@@ -15,6 +15,7 @@
 #include "core/parallel_walks.hpp"
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
+#include "gen/families.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "sim/runner.hpp"
@@ -45,8 +46,8 @@ std::vector<SweepCase> families() {
       {"lollipop", [] { return graph::make_lollipop(10, 6); }},
       {"regular",
        [] {
-         Engine gen(42);
-         return graph::make_random_regular(gen, 48, 4);
+         Engine eng(42);
+         return gen::random_regular(48, 4, eng());
        }},
   };
 }

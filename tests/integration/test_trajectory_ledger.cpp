@@ -41,6 +41,7 @@
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
 #include "gen/constraints.hpp"
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/runner.hpp"
@@ -78,8 +79,8 @@ FrontierOptions ledger_options(par::ThreadPool& pool, FrontierMode mode) {
 /// a torus (long sparse phase, few busy chunks per round).
 const Graph& ledger_graph(int which) {
   static const Graph rreg = [] {
-    rng::Xoshiro256 gen(0x1ED6E0ULL);
-    return graph::make_random_regular(gen, 4096, 4);
+    rng::Xoshiro256 eng(0x1ED6E0ULL);
+    return gen::random_regular(4096, 4, eng());
   }();
   static const Graph torus = graph::make_grid(2, 50, /*torus=*/true);
   return which == 0 ? rreg : torus;

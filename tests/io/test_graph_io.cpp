@@ -5,9 +5,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "gen/families.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace cobra::io {
 namespace {
@@ -30,10 +32,10 @@ TEST(GraphIo, ReadsBasicFormat) {
 }
 
 TEST(GraphIo, RoundTripsGeneratedGraphs) {
-  rng::Xoshiro256 gen(1);
+  rng::Xoshiro256 eng(1);
   for (const graph::Graph& g :
        {graph::make_grid(2, 5), graph::make_hypercube(4),
-        graph::make_random_regular(gen, 30, 4), graph::make_star(9)}) {
+        gen::random_regular(30, 4, eng()), graph::make_star(9)}) {
     std::stringstream buffer;
     write_edge_list(buffer, g);
     const graph::Graph back = read_edge_list(buffer);
