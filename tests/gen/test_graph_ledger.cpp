@@ -36,8 +36,9 @@ struct Pinned {
 };
 
 /// Two sizes per family. The rreg rows cover the repair path
-/// (n=2^14,d=6 and the high-degree n=1000,d=30 both start with defects)
-/// and a pairing whose stub sort spans many sort chunks (n=2^18,d=4);
+/// (n=2^14,d=6 and the high-degree n=1000,d=30 both start with defects),
+/// a pairing whose stub sort spans many sort chunks (n=2^18,d=4), the
+/// cover_rreg benchmark graph (n=2^20,d=4) and an odd degree (n=5000,d=5);
 /// the larger random rows span several generator chunks each. The lcc=1
 /// rows cover largest-component extraction: many small components (gnp
 /// avg_deg=1.5), isolated vertices after simplify (rmat), long
@@ -81,6 +82,8 @@ constexpr Pinned kLedger[] = {
     {"rreg:n=1000,d=30,seed=2", 0xe9f3e1b889b98567ULL},
     {"rreg:n=2^14,d=6,seed=1", 0x06f4604d7f4b7ae1ULL},
     {"rreg:n=2^18,d=4,seed=1", 0x7df66d2d26b0b555ULL},
+    {"rreg:n=2^20,d=4,seed=1", 0xbaa1ffa71fd10949ULL},
+    {"rreg:n=5000,d=5,seed=4", 0x104af61791f792cdULL},
     {"star:n=50", 0x0bf5c5384f1d7d77ULL},
     {"star:n=1000", 0x664da03d5d700279ULL},
     {"torus:side=12", 0xd2bfe411d0590dcfULL},
