@@ -1,39 +1,12 @@
 #include "core/frontier_engine.hpp"
 
-#include <array>
 #include <new>
-#include <numeric>
 #include <stdexcept>
 
+#include "parallel/bucket_sort.hpp"
 #include "util/fault.hpp"
 
 namespace cobra::core {
-
-namespace {
-
-/// Sort `keys` ascending: an LSD radix sort over 8-bit digits of
-/// (key - min), with only as many passes as the key span needs, and
-/// `scratch` as the second buffer. A sparse round's claims arrive in
-/// random order with duplicates, where std::sort's comparisons mispredict;
-/// this costs O(passes * (size + 256)) instead, and sorts the same keys to
-/// the same order.
-void radix_sort(std::vector<Vertex>& keys, std::vector<Vertex>& scratch) {
-  if (keys.size() < 2) return;
-  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
-  const Vertex base = *lo;
-  const auto bits =
-      static_cast<int>(std::bit_width(static_cast<std::uint32_t>(*hi - base)));
-  scratch.resize(keys.size());
-  for (int shift = 0; shift < bits; shift += 8) {
-    std::array<std::size_t, 257> start{};
-    for (const Vertex v : keys) ++start[((v - base) >> shift & 0xFF) + 1];
-    std::partial_sum(start.begin(), start.end(), start.begin());
-    for (const Vertex v : keys) scratch[start[(v - base) >> shift & 0xFF]++] = v;
-    keys.swap(scratch);
-  }
-}
-
-}  // namespace
 
 FrontierEngine::FrontierEngine(const Graph& g, FrontierOptions opts)
     : g_(&g), opts_(opts) {
@@ -220,8 +193,11 @@ void FrontierEngine::merge_claims(std::vector<Vertex>& out) {
   // the schedule and the representation (the dense path is ascending by
   // construction). An in-line filter round claims in visit order, which
   // already is ascending and duplicate-free; the check costs one
-  // early-exit scan otherwise.
-  if (!std::is_sorted(out.begin(), out.end())) radix_sort(out, sort_scratch_);
+  // early-exit scan otherwise. A sparse round's claims arrive in random
+  // order with duplicates, where the radix sort beats std::sort.
+  if (!std::is_sorted(out.begin(), out.end())) {
+    par::radix_sort(out, sort_scratch_, [](Vertex v) { return v; });
+  }
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
@@ -416,7 +392,10 @@ void FrontierEngine::dedupe(std::span<const Vertex> in, Frontier& out) {
   out.clear();
   out.list_.assign(in.begin(), in.end());
   // Canonical ascending order — the invariant every expand input relies on.
-  std::sort(out.list_.begin(), out.list_.end());
+  // Callers often pass it already sorted (GreedyMIS passes 0..n-1).
+  if (!std::is_sorted(out.list_.begin(), out.list_.end())) {
+    std::sort(out.list_.begin(), out.list_.end());
+  }
   out.list_.erase(std::unique(out.list_.begin(), out.list_.end()),
                   out.list_.end());
   out.count_ = out.list_.size();

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -47,9 +48,9 @@ constexpr std::uint64_t kBaEdgesPerChunk = 1u << 16;
 constexpr std::uint64_t kGeoPointsPerChunk = 1u << 16;
 constexpr std::uint64_t kGeoScanVerticesPerChunk = 1u << 14;
 
-// Work split of rreg's edge scans. rreg draws no per-chunk RNG stream, so
-// its graphs do not depend on this one.
-constexpr std::uint64_t kRregEdgesPerChunk = 1u << 16;
+// Work split of rreg's edge and row scans. rreg draws no per-chunk RNG
+// stream, so its graphs do not depend on this one.
+constexpr std::uint64_t kRregItemsPerChunk = 1u << 16;
 
 /// Evenly split [0, total) into n_chunks ranges; boundary of chunk c.
 std::uint64_t range_start(std::uint64_t total, std::uint64_t n_chunks,
@@ -84,25 +85,6 @@ std::vector<std::vector<Edge>> chunked_edges(const GenOptions& opts,
   return chunks;
 }
 
-/// par::bucket_sorted of value_at(0..n) on `opts`' pool. `lead(value)` is
-/// the value's leading sort component, at most `lead_max`; its top bits
-/// pick the bucket, which keeps the buckets monotone in the value.
-template <typename ValueAt, typename Lead>
-auto parallel_sorted(const GenOptions& opts, std::size_t n,
-                     std::uint64_t lead_max, const ValueAt& value_at,
-                     const Lead& lead) {
-  const std::size_t n_buckets = par::sort_buckets(n);
-  const int bits = static_cast<int>(std::countr_zero(n_buckets));
-  const int shift =
-      std::max(0, static_cast<int>(std::bit_width(lead_max)) - bits);
-  return par::bucket_sorted(
-      n, n_buckets, value_at,
-      [&](const auto& value) {
-        return bits == 0 ? 0 : static_cast<std::size_t>(lead(value) >> shift);
-      },
-      n > par::kSortChunk ? usable_pool(opts) : nullptr);
-}
-
 /// The chunks' elements in chunk order; the chunks are left empty.
 template <typename T>
 std::vector<T> concat(std::vector<std::vector<T>>& chunks) {
@@ -116,6 +98,13 @@ std::vector<T> concat(std::vector<std::vector<T>>& chunks) {
     std::vector<T>().swap(chunk);
   }
   return out;
+}
+
+/// Canonical key of the undirected edge {a, b}: (min << 32) | max, so keys
+/// order like (min, max) pairs.
+using EdgeKey = std::uint64_t;
+constexpr EdgeKey edge_key(Vertex a, Vertex b) {
+  return a < b ? (EdgeKey{a} << 32) | b : (EdgeKey{b} << 32) | a;
 }
 
 /// Compile the chunks' edges, taken in chunk order, into CSR; the chunks
@@ -146,9 +135,11 @@ Graph assemble(std::uint32_t n, std::vector<std::vector<Edge>>& chunks,
       }
     });
     std::vector<Edge> edges = concat(chunks);
-    edges = parallel_sorted(
-        opts, edges.size(), n - 1, [&](std::size_t i) { return edges[i]; },
-        [](const Edge& e) { return e.first; });
+    edges = par::bucket_sorted(
+        edges.size(), edge_key(n - 1, n - 1),
+        [&](std::size_t i) { return edges[i]; },
+        [](const Edge& e) { return edge_key(e.first, e.second); },
+        edges.size() > par::kSortChunk ? usable_pool(opts) : nullptr);
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     chunks.assign(1, std::move(edges));
   }
@@ -237,108 +228,6 @@ std::uint64_t pair_row(std::uint64_t t) {
   while (r * (r + 1) / 2 <= t) ++r;
   return r;
 }
-
-/// Canonical key of the undirected edge {a, b}: (min << 32) | max, so keys
-/// order like (min, max) pairs. A key with min < max is never 0 and never
-/// all ones.
-using EdgeKey = std::uint64_t;
-constexpr EdgeKey edge_key(Vertex a, Vertex b) {
-  return a < b ? (EdgeKey{a} << 32) | b : (EdgeKey{b} << 32) | a;
-}
-constexpr bool is_loop(EdgeKey key) {
-  return (key >> 32) == (key & 0xFFFFFFFFu);
-}
-
-/// The pairing's edges as (key, index) pairs, sorted.
-using KeyedEdges = std::vector<std::pair<EdgeKey, std::uint64_t>>;
-
-/// rreg's set of clean edges during repair. Its base is the pairing's
-/// KeyedEdges, where each key's first pair is its clean copy; `absent_`
-/// flags the base slots outside the set (defects, and clean edges that
-/// swaps removed). Keys that swaps added live in an open-addressing table
-/// (linear probing, power-of-two size); swaps touch O(defects) keys, so
-/// it stays small.
-class CleanEdges {
- public:
-  CleanEdges(KeyedEdges sorted, std::vector<char> absent)
-      : base_(std::move(sorted)), absent_(std::move(absent)) {}
-
-  [[nodiscard]] bool contains(EdgeKey key) const {
-    const std::size_t at = base_slot(key);
-    if (at != kNone) return absent_[at] == 0;
-    if (added_.empty()) return false;
-    for (std::size_t s = home(key);; s = next(s)) {
-      if (added_[s] == key) return true;
-      if (added_[s] == kEmpty) return false;
-    }
-  }
-
-  /// Requires !contains(key) and min < max.
-  void insert(EdgeKey key) {
-    const std::size_t at = base_slot(key);
-    if (at != kNone) {
-      absent_[at] = 0;
-      return;
-    }
-    if (2 * (used_ + 1) > added_.size()) rehash();
-    std::size_t s = home(key);
-    while (added_[s] != kEmpty && added_[s] != kErased) s = next(s);
-    if (added_[s] == kEmpty) ++used_;
-    added_[s] = key;
-  }
-
-  /// Requires contains(key).
-  void erase(EdgeKey key) {
-    const std::size_t at = base_slot(key);
-    if (at != kNone) {
-      absent_[at] = 1;
-      return;
-    }
-    std::size_t s = home(key);
-    while (added_[s] != key) s = next(s);
-    added_[s] = kErased;
-  }
-
- private:
-  static constexpr EdgeKey kEmpty = 0;
-  static constexpr EdgeKey kErased = ~EdgeKey{0};
-  static constexpr std::size_t kNone = ~std::size_t{0};
-
-  /// Slot of the key's first (clean) base pair, or kNone.
-  [[nodiscard]] std::size_t base_slot(EdgeKey key) const {
-    const auto it = std::lower_bound(
-        base_.begin(), base_.end(), key,
-        [](const auto& pair, EdgeKey k) { return pair.first < k; });
-    return it != base_.end() && it->first == key
-               ? static_cast<std::size_t>(it - base_.begin())
-               : kNone;
-  }
-  [[nodiscard]] std::size_t home(EdgeKey key) const {
-    return static_cast<std::size_t>(rng::splitmix64_mix(key)) &
-           (added_.size() - 1);
-  }
-  [[nodiscard]] std::size_t next(std::size_t s) const {
-    return (s + 1) & (added_.size() - 1);
-  }
-  void rehash() {
-    std::vector<EdgeKey> live;
-    for (const EdgeKey key : added_) {
-      if (key != kEmpty && key != kErased) live.push_back(key);
-    }
-    added_.assign(std::bit_ceil(4 * live.size() + 16), kEmpty);
-    used_ = live.size();
-    for (const EdgeKey key : live) {
-      std::size_t s = home(key);
-      while (added_[s] != kEmpty) s = next(s);
-      added_[s] = key;
-    }
-  }
-
-  KeyedEdges base_;
-  std::vector<char> absent_;
-  std::vector<EdgeKey> added_;
-  std::size_t used_ = 0;  // non-empty slots of added_, erased ones included
-};
 
 }  // namespace
 
@@ -574,73 +463,81 @@ Graph random_regular(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
   }
   const std::uint64_t num_stubs = static_cast<std::uint64_t>(n) * d;
   const std::size_t num_edges = num_stubs / 2;
-  const std::uint64_t edge_chunks = std::max<std::uint64_t>(
-      1, (num_edges + kRregEdgesPerChunk - 1) / kRregEdgesPerChunk);
-  const auto for_edge_ranges = [&](auto&& body) {
-    run_chunks(opts, edge_chunks, [&](std::size_t c) {
-      body(c, range_start(num_edges, edge_chunks, c),
-           range_start(num_edges, edge_chunks, c + 1));
+  const auto chunks_of = [](std::uint64_t total) {
+    return std::max<std::uint64_t>(
+        1, (total + kRregItemsPerChunk - 1) / kRregItemsPerChunk);
+  };
+  const auto for_ranges = [&](std::uint64_t total, auto&& body) {
+    const std::uint64_t chunks = chunks_of(total);
+    run_chunks(opts, chunks, [&](std::size_t c) {
+      body(c, range_start(total, chunks, c),
+           range_start(total, chunks, c + 1));
     });
   };
 
   // Uniform stub permutation: stub i gets the hashed key
-  // derive_seed(seed, i), and consecutive stubs in (key, i) order pair up
-  // (ties, astronomically unlikely, break by index).
-  std::vector<Edge> edges(num_edges);
+  // derive_seed(seed, i), and consecutive stubs in (key, i) order pair up,
+  // so edge i joins stubs stub[2i] and stub[2i + 1] (ties, astronomically
+  // unlikely, break by index). Stub s belongs to vertex s / d.
+  std::vector<std::uint64_t> stub;
   {
 #if COBRA_OBS_LEVEL >= 1
     static obs::Timer& timer = obs::registry().timer("gen.rreg.permute");
     obs::ScopedTimer timed(timer);
 #endif
-    const auto keyed = parallel_sorted(
-        opts, num_stubs, ~std::uint64_t{0},
-        [seed](std::size_t i) {
-          return std::pair{rng::derive_seed(seed, i), std::uint64_t{i}};
-        },
-        [](const auto& k) { return k.first; });
-    for_edge_ranges([&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        edges[i] = {static_cast<Vertex>(keyed[2 * i].second / d),
-                    static_cast<Vertex>(keyed[2 * i + 1].second / d)};
-      }
-    });
+    stub = par::bucket_sorted(
+        num_stubs, ~std::uint64_t{0},
+        [](std::size_t i) { return std::uint64_t{i}; },
+        [seed](std::uint64_t i) { return rng::derive_seed(seed, i); },
+        num_stubs > par::kSortChunk ? usable_pool(opts) : nullptr);
   }
+  const auto vertex_of = [d](std::uint64_t s) {
+    return static_cast<Vertex>(s / d);
+  };
+  const auto edge_at = [&](std::size_t i) {
+    return Edge{vertex_of(stub[2 * i]), vertex_of(stub[2 * i + 1])};
+  };
 
-  // Defects, ascending: every self-loop, and every copy of an edge after
-  // its lowest-index one — exactly the edges a set of present edges,
-  // filled in index order, would reject. Sorting (key, index) pairs puts
-  // each edge's copies side by side, lowest index first.
-  std::vector<char> bad(num_edges, 0);
-  std::vector<std::size_t> defective;
-  KeyedEdges by_key;
-  std::vector<char> absent(num_edges, 0);  // by_key slots that are defects
+  // The pairing is the CSR: stub s = v * d + k is slot s, in row v, so
+  // each edge writes its two slots and every slot is written once. Sorting
+  // a row puts a self-loop's two copies of v, and a repeated neighbour's
+  // copies, side by side; `doubled` collects their keys.
+  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1);
+  std::vector<Vertex> targets(num_stubs);
+  std::vector<EdgeKey> doubled;
+  const auto row = [&](Vertex v) {
+    return targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
+  };
   {
 #if COBRA_OBS_LEVEL >= 1
-    static obs::Timer& timer = obs::registry().timer("gen.rreg.dedup");
+    static obs::Timer& timer = obs::registry().timer("gen.rreg.csr");
     obs::ScopedTimer timed(timer);
 #endif
-    by_key = parallel_sorted(
-        opts, num_edges, n - 1,
-        [&](std::size_t i) {
-          return std::pair{edge_key(edges[i].first, edges[i].second),
-                           std::uint64_t{i}};
-        },
-        [](const auto& k) { return k.first >> 32; });
-    std::vector<std::vector<std::size_t>> found(edge_chunks);
-    for_edge_ranges([&](std::size_t c, std::uint64_t lo, std::uint64_t hi) {
-      for (std::uint64_t p = lo; p < hi; ++p) {
-        const auto [key, i] = by_key[p];
-        if (is_loop(key) || (p > 0 && by_key[p - 1].first == key)) {
-          bad[i] = 1;
-          absent[p] = 1;
-          found[c].push_back(i);
+    for_ranges(num_edges,
+               [&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
+                 for (std::uint64_t i = lo; i < hi; ++i) {
+                   targets[stub[2 * i]] = vertex_of(stub[2 * i + 1]);
+                   targets[stub[2 * i + 1]] = vertex_of(stub[2 * i]);
+                 }
+               });
+    std::vector<std::vector<EdgeKey>> found(chunks_of(n));
+    for_ranges(n, [&](std::size_t c, std::uint64_t lo, std::uint64_t hi) {
+      for (auto v = static_cast<Vertex>(lo); v < hi; ++v) {
+        offsets[v] = static_cast<EdgeIndex>(v) * d;
+        std::sort(row(v), row(v) + d);
+        for (std::uint32_t k = 1; k < d; ++k) {
+          const Vertex w = row(v)[k];
+          if (w >= v && w == row(v)[k - 1]) {
+            found[c].push_back(edge_key(v, w));
+          }
         }
       }
     });
-    defective = concat(found);
-    std::sort(defective.begin(), defective.end());
+    offsets[n] = num_stubs;
+    doubled = concat(found);
+    std::sort(doubled.begin(), doubled.end());
+    doubled.erase(std::unique(doubled.begin(), doubled.end()), doubled.end());
   }
-  obs::count("gen.rreg.defects", defective.size());
 
   // Edge-swap repair: defective (u,v) + random clean (x,y) -> (u,x) +
   // (v,y), accepted when both results are loop-free and new. A raw
@@ -649,48 +546,106 @@ Graph random_regular(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
   // double-swap preserves the degree sequence exactly and (by the
   // standard switching argument) leaves the distribution asymptotically
   // uniform over simple d-regular graphs. Serial by design — its work is
-  // O(defects) draws plus O(log m) lookups each, and a serial pass with a
+  // O(defects) draws plus O(d) row updates each, and a serial pass with a
   // derived seed keeps the result a pure function of (n, d, seed).
   {
 #if COBRA_OBS_LEVEL >= 1
     static obs::Timer& timer = obs::registry().timer("gen.rreg.repair");
     obs::ScopedTimer timed(timer);
 #endif
-    CleanEdges present(std::move(by_key), std::move(absent));
+    // Defects, ascending: every self-loop, and every copy of an edge after
+    // its lowest-index one — exactly the edges a set of present edges,
+    // filled in index order, would reject. Only doubled keys have any, so
+    // one scan over the edges collects those keys' copies. A bitmap of
+    // their vertices' stubs passes over the other edges without a division.
+    std::vector<std::size_t> defective;
+    if (!doubled.empty()) {
+      std::vector<bool> marked(num_stubs, false);
+      for (const EdgeKey key : doubled) {
+        for (const std::uint64_t v : {key >> 32, key & 0xFFFFFFFFu}) {
+          std::fill_n(marked.begin() + static_cast<std::ptrdiff_t>(v * d), d,
+                      true);
+        }
+      }
+      std::vector<std::vector<std::size_t>> copies(chunks_of(num_edges));
+      for_ranges(num_edges,
+                 [&](std::size_t c, std::uint64_t lo, std::uint64_t hi) {
+                   for (std::uint64_t i = lo; i < hi; ++i) {
+                     if (!marked[stub[2 * i]] || !marked[stub[2 * i + 1]]) {
+                       continue;
+                     }
+                     const auto [a, b] = edge_at(i);
+                     if (std::binary_search(doubled.begin(), doubled.end(),
+                                            edge_key(a, b))) {
+                       copies[c].push_back(i);
+                     }
+                   }
+                 });
+      std::vector<char> seen(doubled.size(), 0);
+      for (const std::size_t i : concat(copies)) {
+        const auto [a, b] = edge_at(i);
+        const auto k = static_cast<std::size_t>(
+            std::lower_bound(doubled.begin(), doubled.end(), edge_key(a, b)) -
+            doubled.begin());
+        if (a == b || std::exchange(seen[k], 1) != 0) defective.push_back(i);
+      }
+    }
+    obs::count("gen.rreg.defects", defective.size());
+
+    // The clean edges' keys are distinct, so key k names a clean edge iff
+    // its copies in the rows outnumber the defects still pending with key k.
+    std::multiset<EdgeKey> pending_keys;
+    for (const std::size_t i : defective) {
+      const auto [a, b] = edge_at(i);
+      pending_keys.insert(edge_key(a, b));
+    }
+    const auto contains = [&](EdgeKey key) {
+      const auto a = static_cast<Vertex>(key >> 32);
+      const auto [lo, hi] =
+          std::equal_range(row(a), row(a) + d, static_cast<Vertex>(key));
+      return static_cast<std::size_t>(hi - lo) > pending_keys.count(key);
+    };
+    // Row r's entry `from` becomes `to`, and the row is sorted again.
+    const auto relink = [&](Vertex r, Vertex from, Vertex to) {
+      *std::lower_bound(row(r), row(r) + d, from) = to;
+      std::sort(row(r), row(r) + d);
+    };
+
     ChunkEngine repair_eng(rng::derive_seed(~seed, 0x5e9a1));
     for (std::uint32_t pass = 0; pass < max_passes && !defective.empty();
          ++pass) {
+      // Pending: the defects this pass kept, and the ones it has not
+      // reached yet; both lists are ascending.
       std::vector<std::size_t> still_bad;
-      for (const std::size_t i : defective) {
-        const auto [u, v] = edges[i];
+      for (auto at = defective.begin(); at != defective.end(); ++at) {
+        const std::size_t i = *at;
+        const auto [u, v] = edge_at(i);
         const auto j = static_cast<std::size_t>(
             rng::uniform_below(repair_eng, num_edges));
-        const auto [x, y] = edges[j];
-        if (j == i || bad[j] != 0 || u == x || v == y ||
-            edge_key(u, x) == edge_key(v, y) ||
-            present.contains(edge_key(u, x)) ||
-            present.contains(edge_key(v, y))) {
+        const auto [x, y] = edge_at(j);
+        if (std::binary_search(at, defective.end(), j) ||
+            std::binary_search(still_bad.begin(), still_bad.end(), j) ||
+            u == x || v == y || edge_key(u, x) == edge_key(v, y) ||
+            contains(edge_key(u, x)) || contains(edge_key(v, y))) {
           still_bad.push_back(i);
           continue;
         }
-        present.erase(edge_key(x, y));
-        present.insert(edge_key(u, x));
-        present.insert(edge_key(v, y));
-        edges[i] = {u, x};
-        edges[j] = {v, y};
-        bad[i] = 0;
+        // Trading stubs 2i + 1 and 2j makes edge i (u, x) and edge j (v, y).
+        std::swap(stub[2 * i + 1], stub[2 * j]);
+        relink(u, v, x);
+        relink(v, u, y);
+        relink(x, y, u);
+        relink(y, x, v);
+        pending_keys.erase(pending_keys.find(edge_key(u, v)));
       }
       defective.swap(still_bad);
     }
+    if (!defective.empty()) {
+      throw std::runtime_error(
+          "random_regular: repair failed; degree too large for n?");
+    }
   }
-  if (!defective.empty()) {
-    throw std::runtime_error(
-        "random_regular: repair failed; degree too large for n?");
-  }
-
-  std::vector<std::vector<Edge>> chunks(1);
-  chunks[0] = std::move(edges);
-  return assemble(n, chunks, false, opts);
+  return Graph(n, std::move(offsets), std::move(targets));
 }
 
 Graph random_geometric(std::uint32_t n, double radius, std::uint64_t seed,

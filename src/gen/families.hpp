@@ -39,9 +39,11 @@
 ///            copy-model (Sanders–Schulz): each edge slot's random choice is
 ///            a pure hash of (seed, slot), so any slot resolves independently
 ///   * rreg — random d-regular configuration model; the stub permutation
-///            and the self-loop/parallel-edge scan are deterministic
-///            parallel sorts (par::bucket_sorted), followed by an edge-swap
-///            repair whose O(defects) swaps are serial
+///            is a deterministic parallel sort (par::bucket_sorted) whose
+///            pairing writes the CSR directly (stub v*d + k is row v's slot
+///            k); sorted rows show the self-loops and parallel edges, and
+///            an edge-swap repair re-pairs their stubs in O(defects)
+///            serial swaps
 ///   * geo  — random geometric graph; points chunk-parallel, neighbor search
 ///            grid-bucketed, edge scan chunked over vertices
 ///   * chunglu — Chung–Lu power-law graph via Miller–Hagberg skip sampling;
@@ -113,10 +115,12 @@ struct GenOptions {
 /// Random d-regular simple graph: configuration-model pairing through a
 /// sort-by-hashed-key stub permutation, then edge-swap repair of the
 /// self-loops and parallel edges (up to `max_passes` passes). The stub
-/// sort and the defect scan (a sort of the pairing's edges) run in
-/// parallel; the repair's swaps are serial and O(defects). Requires n*d
-/// even, d < n; throws std::runtime_error when repair fails (d too large
-/// for n). W.h.p. the result is connected and an expander for d >= 3.
+/// sort, the CSR scatter with its row sort, and the defect scan (one pass
+/// over the edges for the few keys a sorted row shows twice) run in
+/// parallel; the repair's swaps are serial, O(defects), and patch the
+/// four rows each one touches. Requires n*d even, d < n; throws
+/// std::runtime_error when repair fails (d too large for n). W.h.p. the
+/// result is connected and an expander for d >= 3.
 [[nodiscard]] graph::Graph random_regular(std::uint32_t n, std::uint32_t d,
                                           std::uint64_t seed,
                                           const GenOptions& opts = {},

@@ -467,6 +467,15 @@ TEST(FrontierEngine, DedupeKeepsFirstOccurrence) {
             (std::vector<Vertex>{0, 7}));
   engine.dedupe({}, out);
   EXPECT_TRUE(out.empty());
+  // Sorted input skips the sort but still drops the repeats; canonical
+  // input comes back unchanged.
+  engine.dedupe(std::vector<Vertex>{0, 0, 2, 2, 2, 5}, out);
+  EXPECT_EQ(std::vector<Vertex>(out.vertices().begin(), out.vertices().end()),
+            (std::vector<Vertex>{0, 2, 5}));
+  engine.dedupe(std::vector<Vertex>{1, 4, 6}, out);
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(std::vector<Vertex>(out.vertices().begin(), out.vertices().end()),
+            (std::vector<Vertex>{1, 4, 6}));
 }
 
 /// Run `run(opts)` in-line and on 2, 4 and 8 pool threads (parallel

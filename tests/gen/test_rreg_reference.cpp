@@ -67,6 +67,22 @@ TEST(RandomRegularReference, SameGraphOverSeedsAndSizes) {
   }
 }
 
+TEST(RandomRegularReference, SameOutcomeOnEverySmallDenseShape) {
+  // Small dense pairings start with many defects whose keys also have
+  // clean copies, so swaps often remove a key's clean copy while a defect
+  // copy of it is still pending: the membership test must then say the
+  // key is absent. Some shapes exhaust the repair budget.
+  par::ThreadPool pool(4);
+  for (std::uint32_t n = 12; n <= 40; ++n) {
+    for (std::uint32_t d = 3; d + 3 <= n; ++d) {
+      if (n * d % 2 != 0) continue;
+      for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        expect_same_outcome(n, d, seed, 200, pool);
+      }
+    }
+  }
+}
+
 TEST(RandomRegularReference, SameOutcomeWhenRepairBudgetRunsOut) {
   par::ThreadPool pool(4);
   // No passes at all: any defect is fatal, and n=64, d=20 always has some.

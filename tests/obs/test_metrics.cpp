@@ -184,8 +184,8 @@ TEST(Metrics, RandomRegularBuildReportsPhasesAndDefects) {
   (void)gen::build_graph("rreg:n=2^14,d=6,seed=1");
   EXPECT_GT(defects.value(), defects_before);
   const auto samples = obs::registry().snapshot();
-  for (const char* phase : {"gen.rreg.permute", "gen.rreg.dedup",
-                            "gen.rreg.repair", "gen.assemble"}) {
+  for (const char* phase :
+       {"gen.rreg.permute", "gen.rreg.csr", "gen.rreg.repair"}) {
     const obs::Sample* s = find_sample(samples, phase);
     ASSERT_NE(s, nullptr) << phase;
     EXPECT_EQ(s->kind, "timer") << phase;
