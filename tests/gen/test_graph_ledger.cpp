@@ -16,11 +16,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "gen/constraints.hpp"
 #include "gen/families.hpp"
 #include "gen/registry.hpp"
+#include "graph/generators.hpp"
+#include "graph/tensor_product.hpp"
+#include "io/graph_io.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/xoshiro256.hpp"
 #include "util/checkpoint_io.hpp"
@@ -39,6 +44,7 @@ struct Pinned {
 /// (n=2^14,d=6 and the high-degree n=1000,d=30 both start with defects),
 /// a pairing whose stub sort spans many sort chunks (n=2^18,d=4), the
 /// cover_rreg benchmark graph (n=2^20,d=4) and an odd degree (n=5000,d=5);
+/// the 2^18 torus row is the cover_torus benchmark graph, and
 /// the larger random rows span several generator chunks each. The lcc=1
 /// rows cover largest-component extraction: many small components (gnp
 /// avg_deg=1.5), isolated vertices after simplify (rmat), long
@@ -88,6 +94,7 @@ constexpr Pinned kLedger[] = {
     {"star:n=1000", 0x664da03d5d700279ULL},
     {"torus:side=12", 0xd2bfe411d0590dcfULL},
     {"torus:n=2^12,dims=3", 0x1c02010b4614d565ULL},
+    {"torus:n=2^18,dims=2", 0xe9149a76e974f4c5ULL},
     {"tree:levels=4", 0x7bf2fd55f088548dULL},
     {"tree:n=1000,arity=3", 0x0b28d2c4ad9c8fe0ULL},
     {"ws:n=1000,k=4,beta=0.2,seed=3", 0xd346d74b560a27b9ULL},
@@ -96,8 +103,10 @@ constexpr Pinned kLedger[] = {
 
 /// Call shapes the spec rows above do not reach: a generator called
 /// directly with one draw of a fresh Xoshiro256 as its seed, the way tests
-/// and examples build graphs (chung_lu takes the engine seed itself). The
-/// rreg row is the trajectory ledger's graph.
+/// and examples build graphs (chung_lu takes the engine seed itself), and
+/// the graphs compiled outside the registry: a tensor product, a clause
+/// dependency graph and an edge-list file with a self-loop and a repeated
+/// edge. The rreg row is the trajectory ledger's graph.
 struct PinnedCall {
   const char* call;
   Graph (*build)();
@@ -118,6 +127,18 @@ const PinnedCall kCallShapes[] = {
      0x6cb4b522d20aff78ULL},
     {"ba(6, 500, 3)", [] { return barabasi_albert(500, 3, draw(6)); },
      0xdc3c5731c76dcb7fULL},
+    {"tensor(ring 7)",
+     [] { return graph::tensor_product(graph::make_cycle(7)); },
+     0x2f7c5d8b74a71e21ULL},
+    {"dependency(ksat(60, 120, 3, 9))",
+     [] { return dependency_graph(random_ksat(60, 120, 3, 9)); },
+     0x1d5684e024ba160eULL},
+    {"read_edge_list(loop + repeat)",
+     [] {
+       std::istringstream in("5\n0 1\n1 2\n2 2\n3 1\n1 3\n1 3\n4 0\n");
+       return io::read_edge_list(in);
+     },
+     0x8aede6194301585dULL},
 };
 
 template <typename T>
