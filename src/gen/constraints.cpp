@@ -53,24 +53,25 @@ ClauseSystem random_ksat(std::uint32_t num_vars, std::uint32_t num_clauses,
 graph::Graph dependency_graph(const ClauseSystem& sys) {
   const std::uint32_t m = sys.num_clauses();
   // Invert to var -> clause incidence, then emit every within-variable
-  // clause pair; simplify() merges clauses sharing several variables into
-  // one edge (and drops the self-pairings that never arise here).
+  // clause pair; the simplifying compile merges clauses sharing several
+  // variables into one edge.
   std::vector<std::vector<std::uint32_t>> incidence(sys.num_vars);
   for (std::uint32_t c = 0; c < m; ++c) {
     for (const std::uint32_t x : sys.clause_vars(c)) {
       incidence[x].push_back(c);
     }
   }
-  graph::GraphBuilder builder(m);
+  std::vector<graph::Edge> edges;
   for (const auto& clauses : incidence) {
     for (std::size_t i = 0; i < clauses.size(); ++i) {
       for (std::size_t j = i + 1; j < clauses.size(); ++j) {
-        if (clauses[i] != clauses[j]) builder.add_edge(clauses[i], clauses[j]);
+        if (clauses[i] != clauses[j]) {
+          edges.emplace_back(clauses[i], clauses[j]);
+        }
       }
     }
   }
-  builder.simplify();
-  return builder.build();
+  return graph::from_edges(m, {&edges, 1}, true);
 }
 
 }  // namespace cobra::gen

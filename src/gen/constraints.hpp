@@ -19,7 +19,7 @@
 /// resampling sharpens the dependency accounting).
 ///
 /// `dependency_graph` builds the clause-adjacency graph (clauses adjacent
-/// iff they share a variable) through graph::GraphBuilder — that graph is
+/// iff they share a variable) through graph::from_edges — that graph is
 /// the state space the resampler's FrontierEngine chunks, and its
 /// neighborhoods are exactly the "clauses whose status a resampling can
 /// touch" sets.
@@ -88,8 +88,8 @@ struct ClauseSystem {
                                        std::uint32_t k, std::uint64_t seed);
 
 /// The clause dependency graph: one vertex per clause, an edge between two
-/// distinct clauses iff they share a variable (duplicate pairs merged via
-/// GraphBuilder::simplify). Isolated clauses are fine — they resample
+/// distinct clauses iff they share a variable (duplicate pairs merged by
+/// from_edges' simplify). Isolated clauses are fine — they resample
 /// alone.
 [[nodiscard]] graph::Graph dependency_graph(const ClauseSystem& sys);
 

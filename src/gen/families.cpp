@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <ranges>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -30,10 +31,12 @@ par::ThreadPool* usable_pool(const GenOptions& opts) {
 
 namespace {
 
+using graph::Edge;
 using graph::EdgeIndex;
+using graph::EdgeKey;
 using graph::Graph;
 using graph::Vertex;
-using Edge = std::pair<Vertex, Vertex>;
+using graph::edge_key;
 using ChunkEngine = rng::Xoshiro256;
 
 // Fixed chunk-granularity constants. These are part of the determinism
@@ -85,137 +88,6 @@ std::vector<std::vector<Edge>> chunked_edges(const GenOptions& opts,
   return chunks;
 }
 
-/// The chunks' elements in chunk order; the chunks are left empty.
-template <typename T>
-std::vector<T> concat(std::vector<std::vector<T>>& chunks) {
-  if (chunks.size() == 1) return std::move(chunks[0]);
-  std::size_t total = 0;
-  for (const auto& chunk : chunks) total += chunk.size();
-  std::vector<T> out;
-  out.reserve(total);
-  for (auto& chunk : chunks) {
-    out.insert(out.end(), chunk.begin(), chunk.end());
-    std::vector<T>().swap(chunk);
-  }
-  return out;
-}
-
-/// Canonical key of the undirected edge {a, b}: (min << 32) | max, so keys
-/// order like (min, max) pairs.
-using EdgeKey = std::uint64_t;
-constexpr EdgeKey edge_key(Vertex a, Vertex b) {
-  return a < b ? (EdgeKey{a} << 32) | b : (EdgeKey{b} << 32) | a;
-}
-
-/// Compile the chunks' edges, taken in chunk order, into CSR; the chunks
-/// are left empty. With `simplify`, self-loops and duplicate undirected
-/// edges are removed first (canonicalize per chunk, then one parallel
-/// sort + unique: a deterministic function of the edge multiset).
-///
-/// The fill is owner-computes: [0, n) splits into one vertex range per
-/// pool worker (one range in-line, and for phases of at most
-/// par::kSortChunk edges), and each owner scans every chunk twice —
-/// counting, then placing — the arcs whose source it owns, with plain
-/// stores into rows no other owner touches. Every row receives its arcs
-/// in chunk order whatever the owner count, so the rows (and after the
-/// per-vertex sort, parallel over fixed vertex chunks) are bit-identical
-/// at any thread count.
-Graph assemble(std::uint32_t n, std::vector<std::vector<Edge>>& chunks,
-               bool simplify, const GenOptions& opts) {
-#if COBRA_OBS_LEVEL >= 1
-  static obs::Timer& timer = obs::registry().timer("gen.assemble");
-  obs::ScopedTimer timed(timer);
-#endif
-  if (simplify) {
-    run_chunks(opts, chunks.size(), [&](std::size_t c) {
-      std::erase_if(chunks[c],
-                    [](const Edge& e) { return e.first == e.second; });
-      for (auto& [u, v] : chunks[c]) {
-        if (u > v) std::swap(u, v);
-      }
-    });
-    std::vector<Edge> edges = concat(chunks);
-    edges = par::bucket_sorted(
-        edges.size(), edge_key(n - 1, n - 1),
-        [&](std::size_t i) { return edges[i]; },
-        [](const Edge& e) { return edge_key(e.first, e.second); },
-        edges.size() > par::kSortChunk ? usable_pool(opts) : nullptr);
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    chunks.assign(1, std::move(edges));
-  }
-
-  std::size_t num_edges = 0;
-  for (const auto& chunk : chunks) num_edges += chunk.size();
-  par::ThreadPool* pool =
-      num_edges > par::kSortChunk ? usable_pool(opts) : nullptr;
-  const std::size_t owners =
-      std::clamp<std::size_t>(pool != nullptr ? pool->size() : 1, 1,
-                              std::max<std::uint32_t>(n, 1));
-  const auto owner_start = [&](std::size_t o) {
-    return static_cast<std::size_t>(range_start(n, owners, o));
-  };
-  // body(x, y) for every arc (x, y) of the chunks, in chunk order.
-  const auto for_each_arc = [&](const auto& body) {
-    for (const auto& chunk : chunks) {
-      for (const auto& [u, v] : chunk) {
-        body(u, v);
-        body(v, u);
-      }
-    }
-  };
-
-  // Count: offsets[x + 1] = deg(x), then each owner's running sum over its
-  // slots [lo + 1, hi]; a scan over the owners turns each owner's last slot
-  // into a running total, so slot lo holds the owner's base.
-  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
-  run_chunks(opts, owners, [&](std::size_t o) {
-    const std::size_t lo = owner_start(o);
-    const std::size_t hi = owner_start(o + 1);
-    for_each_arc([&](Vertex x, Vertex) {
-      if (x - lo < hi - lo) ++offsets[x + 1];
-    });
-    for (std::size_t v = lo + 2; v <= hi; ++v) offsets[v] += offsets[v - 1];
-  });
-  for (std::size_t o = 1; o < owners; ++o) {
-    offsets[owner_start(o + 1)] += offsets[owner_start(o)];
-  }
-
-  // Place: add the base to the owner's inner slots, then write each arc at
-  // its row's cursor. The cursors are a separate n-sized array allocated
-  // after `targets`, as in a serial counting sort. Placing through
-  // `offsets` itself saves that array, but then glibc kept a freed graph
-  // resident, and repeated 2^20 rreg builds peaked ~25 MB higher.
-  std::vector<Vertex> targets(offsets.back());
-  std::vector<EdgeIndex> cursor(n);
-  run_chunks(opts, owners, [&](std::size_t o) {
-    const std::size_t lo = owner_start(o);
-    const std::size_t hi = owner_start(o + 1);
-    for (std::size_t v = lo + 1; v < hi; ++v) offsets[v] += offsets[lo];
-    std::copy(offsets.begin() + static_cast<std::ptrdiff_t>(lo),
-              offsets.begin() + static_cast<std::ptrdiff_t>(hi),
-              cursor.begin() + static_cast<std::ptrdiff_t>(lo));
-    for_each_arc([&](Vertex x, Vertex y) {
-      if (x - lo < hi - lo) targets[cursor[x]++] = y;
-    });
-  });
-  for (auto& chunk : chunks) std::vector<Edge>().swap(chunk);
-
-  const std::size_t sort_chunks =
-      (static_cast<std::size_t>(n) + kWsVerticesPerChunk - 1) /
-      kWsVerticesPerChunk;
-  run_chunks(opts, std::max<std::size_t>(sort_chunks, 1), [&](std::size_t c) {
-    const std::size_t lo = c * kWsVerticesPerChunk;
-    const std::size_t hi =
-        std::min<std::size_t>(n, lo + kWsVerticesPerChunk);
-    for (std::size_t v = lo; v < hi; ++v) {
-      std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-    }
-  });
-
-  return Graph(n, std::move(offsets), std::move(targets));
-}
-
 /// Row of linear pair index t: the unique r >= 1 with
 /// r(r-1)/2 <= t < r(r+1)/2. The double sqrt is a guess (its rounding
 /// error at t ~ 2^60 is far below 1 after the division); the loops settle
@@ -238,10 +110,7 @@ Graph gnp(std::uint32_t n, double p, std::uint64_t seed,
   }
   const std::uint64_t total_pairs =
       static_cast<std::uint64_t>(n) * (n > 0 ? n - 1 : 0) / 2;
-  if (p <= 0.0 || total_pairs == 0) {
-    std::vector<std::vector<Edge>> none;
-    return assemble(n, none, false, opts);
-  }
+  if (p <= 0.0 || total_pairs == 0) return graph::from_edges(n, {}, false);
 
   const double expected_edges = static_cast<double>(total_pairs) * p;
   const auto n_chunks = static_cast<std::uint64_t>(std::clamp(
@@ -283,7 +152,7 @@ Graph gnp(std::uint32_t n, double p, std::uint64_t seed,
       }
     });
   }
-  return assemble(n, chunks, false, opts);
+  return graph::from_edges(n, chunks, false, usable_pool(opts));
 }
 
 Graph gnm(std::uint32_t n, std::uint64_t m, std::uint64_t seed,
@@ -292,10 +161,6 @@ Graph gnm(std::uint32_t n, std::uint64_t m, std::uint64_t seed,
       static_cast<std::uint64_t>(n) * (n > 0 ? n - 1 : 0) / 2;
   if (m > total_pairs) {
     throw std::invalid_argument("gnm: m exceeds n*(n-1)/2");
-  }
-  if (m == 0) {
-    std::vector<std::vector<Edge>> none;
-    return assemble(n, none, false, opts);
   }
 
   // Keyed 4-round Feistel over 2*half_bits >= ceil(log2(total_pairs))
@@ -343,7 +208,7 @@ Graph gnm(std::uint32_t n, std::uint64_t m, std::uint64_t seed,
                        static_cast<Vertex>(t - r * (r - 1) / 2));
     }
   });
-  return assemble(n, chunks, false, opts);
+  return graph::from_edges(n, chunks, false, usable_pool(opts));
 }
 
 Graph rmat(std::uint32_t levels, std::uint64_t num_edges, double a, double b,
@@ -380,7 +245,7 @@ Graph rmat(std::uint32_t levels, std::uint64_t num_edges, double a, double b,
       out.emplace_back(static_cast<Vertex>(row), static_cast<Vertex>(col));
     }
   });
-  return assemble(n, chunks, true, opts);
+  return graph::from_edges(n, chunks, true, usable_pool(opts));
 }
 
 Graph watts_strogatz(std::uint32_t n, std::uint32_t k, double beta,
@@ -418,7 +283,7 @@ Graph watts_strogatz(std::uint32_t n, std::uint32_t k, double beta,
       }
     }
   });
-  return assemble(n, chunks, true, opts);
+  return graph::from_edges(n, chunks, true, usable_pool(opts));
 }
 
 Graph barabasi_albert(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
@@ -452,7 +317,7 @@ Graph barabasi_albert(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
                        static_cast<Vertex>(pos / 2 / d));
     }
   });
-  return assemble(n, chunks, true, opts);
+  return graph::from_edges(n, chunks, true, usable_pool(opts));
 }
 
 Graph random_regular(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
@@ -534,7 +399,9 @@ Graph random_regular(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
       }
     });
     offsets[n] = num_stubs;
-    doubled = concat(found);
+    for (const auto& keys : found) {
+      doubled.insert(doubled.end(), keys.begin(), keys.end());
+    }
     std::sort(doubled.begin(), doubled.end());
     doubled.erase(std::unique(doubled.begin(), doubled.end()), doubled.end());
   }
@@ -582,7 +449,7 @@ Graph random_regular(std::uint32_t n, std::uint32_t d, std::uint64_t seed,
                    }
                  });
       std::vector<char> seen(doubled.size(), 0);
-      for (const std::size_t i : concat(copies)) {
+      for (const std::size_t i : copies | std::views::join) {
         const auto [a, b] = edge_at(i);
         const auto k = static_cast<std::size_t>(
             std::lower_bound(doubled.begin(), doubled.end(), edge_key(a, b)) -
@@ -721,7 +588,7 @@ Graph random_geometric(std::uint32_t n, double radius, std::uint64_t seed,
       }
     }
   });
-  return assemble(n, chunks, false, opts);
+  return graph::from_edges(n, chunks, false, usable_pool(opts));
 }
 
 Graph chung_lu(std::uint32_t n, double gamma, double min_deg,
@@ -749,7 +616,7 @@ Graph chung_lu(std::uint32_t n, double gamma, double min_deg,
   // non-increasing in v. Walk v with geometric skips under the current
   // majorizer p, thinning each candidate by the exact ratio q/p.
   rng::Xoshiro256 eng(seed);
-  graph::GraphBuilder b(n);
+  std::vector<Edge> edges;
   for (std::uint32_t u = 0; u + 1 < n; ++u) {
     const double base = weights[u] / total_weight;
     std::uint32_t v = u + 1;
@@ -763,13 +630,12 @@ Graph chung_lu(std::uint32_t n, double gamma, double min_deg,
       }
       if (v >= n) break;
       const double q = std::min(1.0, base * weights[v]);
-      if (rng::uniform_unit(eng) < q / p) b.add_edge(u, v);
+      if (rng::uniform_unit(eng) < q / p) edges.emplace_back(u, v);
       p = q;
       ++v;
     }
   }
-  b.simplify();
-  return b.build();
+  return graph::from_edges(n, {&edges, 1}, true);
 }
 
 }  // namespace cobra::gen

@@ -13,11 +13,11 @@
 /// into its own edge buffer, and the buffers are read in chunk order.
 /// Thread count only decides which worker runs which chunk, so the emitted
 /// edge list is bit-identical across 1, 2, ... N threads and identical to
-/// the in-line serial path. The CSR fill is owner-computes: each pool
-/// worker owns one vertex range and places only its own rows' arcs, in
-/// chunk order, so the assembled CSR is bit-identical too. This is the
-/// same determinism contract as core::FrontierEngine, applied to
-/// KaGen-style graph generation.
+/// the in-line serial path. graph::from_edges compiles the buffers with an
+/// owner-computes fill: each pool worker owns one vertex range and places
+/// only its own rows' arcs, in chunk order, so the CSR is bit-identical
+/// too. This is the same determinism contract as core::FrontierEngine,
+/// applied to KaGen-style graph generation.
 ///
 /// The chunk-size constants are part of that contract: changing one changes
 /// the graphs a given seed produces (a new RNG-to-work assignment), so they

@@ -46,7 +46,7 @@ inline constexpr std::uint32_t kUnreachable = 0xFFFFFFFFu;
 /// vertex wins. Kept vertices keep their relative order, and every arc of
 /// a kept vertex is kept, so self-loops and parallel edges survive with
 /// their multiplicity; each new row is sorted (an unsorted input row is
-/// sorted after relabelling). Expects a symmetric CSR, as GraphBuilder and
+/// sorted after relabelling). Expects a symmetric CSR, as from_edges and
 /// every gen:: generator produce.
 ///
 /// The labelling is a union-find whose roots are the components' minimum

@@ -1,51 +1,46 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 /// \file builder.hpp
-/// Mutable edge-list accumulator that compiles into an immutable CSR Graph.
-/// All generators funnel through this: they add undirected edges (each once)
-/// and the builder materializes the symmetric arc arrays, optionally
-/// deduplicating parallel edges and dropping self-loops (needed by the
-/// configuration model, which produces both).
+/// The library's one edge-list -> CSR compiler. Only rreg's stub pairing
+/// and largest_component's relabel write a CSR without it.
+
+namespace cobra::par {
+class ThreadPool;
+}  // namespace cobra::par
 
 namespace cobra::graph {
 
-class GraphBuilder {
- public:
-  explicit GraphBuilder(std::uint32_t num_vertices);
+/// An undirected edge {first, second}; a self-loop has first == second.
+using Edge = std::pair<Vertex, Vertex>;
 
-  /// Record the undirected edge {u, v}. Self-loops (u == v) are allowed at
-  /// this stage. Out-of-range endpoints throw std::invalid_argument.
-  void add_edge(Vertex u, Vertex v);
+/// Canonical key of the undirected edge {a, b}: (min << 32) | max, so keys
+/// order like (min, max) pairs.
+using EdgeKey = std::uint64_t;
+constexpr EdgeKey edge_key(Vertex a, Vertex b) {
+  return a < b ? (EdgeKey{a} << 32) | b : (EdgeKey{b} << 32) | a;
+}
 
-  /// Reserve space for `num_edges` undirected edges.
-  void reserve(std::size_t num_edges);
-
-  [[nodiscard]] std::uint32_t num_vertices() const noexcept { return n_; }
-  [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
-
-  /// Remove parallel edges and self-loops in place (the simplification step
-  /// of the configuration model). Returns the number of edges removed.
-  std::size_t simplify();
-
-  /// Compile into a CSR Graph. Each undirected edge {u, v} becomes arcs
-  /// u->v and v->u; a self-loop {v, v} becomes two arcs v->v (degree +2),
-  /// matching the vol(V) = 2|E| convention. The builder remains usable.
-  [[nodiscard]] Graph build() const;
-
-  /// The raw undirected edge list (tests use this).
-  [[nodiscard]] const std::vector<std::pair<Vertex, Vertex>>& edges() const noexcept {
-    return edges_;
-  }
-
- private:
-  std::uint32_t n_;
-  std::vector<std::pair<Vertex, Vertex>> edges_;
-};
+/// Compile the chunks' edges, taken in chunk order, into a CSR Graph on n
+/// vertices; the chunks are left empty. A single edge list is one chunk:
+/// `from_edges(n, {&edges, 1}, simplify)`.
+///
+/// Each edge {u, v} becomes arcs u->v and v->u; a self-loop {v, v} becomes
+/// two arcs v->v (degree +2), matching the vol(V) = 2|E| convention. Rows
+/// are sorted. With `simplify`, self-loops and repeated undirected edges
+/// (in either orientation) are removed first. An endpoint >= n throws
+/// std::invalid_argument.
+///
+/// `pool` == nullptr compiles in-line; with a pool the compile runs on it,
+/// and the graph is bit-identical at any thread count.
+[[nodiscard]] Graph from_edges(std::uint32_t n,
+                               std::span<std::vector<Edge>> chunks,
+                               bool simplify, par::ThreadPool* pool = nullptr);
 
 }  // namespace cobra::graph

@@ -24,8 +24,8 @@ Graph::Graph(std::uint32_t num_vertices, std::vector<EdgeIndex> offsets,
   for (const Vertex t : targets_) {
     if (t >= n_) throw std::invalid_argument("Graph: target vertex out of range");
   }
-  // Undirectedness (arc symmetry) is the caller's job: GraphBuilder, gen's
-  // CSR assembly and largest_component all emit both arcs of every edge.
+  // Undirectedness (arc symmetry) is the caller's job: from_edges, rreg's
+  // stub pairing and largest_component all emit both arcs of every edge.
   // Re-verifying here would cost a full pass on every build; build_graph
   // audits it with validate() in debug builds.
 }

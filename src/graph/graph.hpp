@@ -14,8 +14,8 @@
 ///      cache line stream per vertex.
 ///   2. Vertices are 32-bit ids. The paper's experiments top out around
 ///      10^6-10^7 vertices; 32-bit ids halve memory traffic vs 64-bit.
-///   3. Graphs are undirected and static. Mutation happens in
-///      `GraphBuilder` (builder.hpp); once built, a `Graph` never changes,
+///   3. Graphs are undirected and static. Edge lists compile through
+///      `from_edges` (builder.hpp); once built, a `Graph` never changes,
 ///      making it trivially shareable across Monte-Carlo worker threads.
 ///
 /// Multi-edges are permitted (the configuration model produces them before
@@ -36,7 +36,7 @@ class Graph {
   /// `num_vertices + 1`, be non-decreasing, start at 0 and end at
   /// `targets.size()`; every target must be < num_vertices. Each undirected
   /// edge {u, v} appears twice: v in u's list and u in v's. Violations
-  /// throw std::invalid_argument. Prefer GraphBuilder over calling this.
+  /// throw std::invalid_argument. Prefer from_edges over calling this.
   Graph(std::uint32_t num_vertices, std::vector<EdgeIndex> offsets,
         std::vector<Vertex> targets);
 

@@ -23,7 +23,7 @@ void check_product_size(const Graph& g) {
 Graph tensor_product(const Graph& g) {
   check_product_size(g);
   const std::uint32_t n = g.num_vertices();
-  GraphBuilder b(n * n);
+  std::vector<Edge> edges;
   // Each product edge {(u,u'), (v,v')} corresponds to the *ordered* pair of
   // G-edges; to emit each undirected product edge once, iterate arcs of G
   // for the first coordinate (u < v via arc dedup below) and all arcs for
@@ -35,12 +35,12 @@ Graph tensor_product(const Graph& g) {
         for (const Vertex vp : g.neighbors(up)) {
           const Vertex a = tensor_id(u, up, n);
           const Vertex c = tensor_id(v, vp, n);
-          if (a < c) b.add_edge(a, c);
+          if (a < c) edges.emplace_back(a, c);
         }
       }
     }
   }
-  return b.build();
+  return from_edges(n * n, {&edges, 1}, false);
 }
 
 Digraph walt_pair_digraph(const Graph& g) {

@@ -1,9 +1,11 @@
 #include "io/graph_io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
 
@@ -33,11 +35,12 @@ graph::Graph read_edge_list(std::istream& in) {
   std::int64_t n = -1;
   header >> n;
   std::string junk;
-  if (header.fail() || n < 0 || (header >> junk)) {
+  if (header.fail() || n < 0 || n > std::numeric_limits<std::uint32_t>::max() ||
+      (header >> junk)) {
     throw std::invalid_argument("read_edge_list: bad header: " + line);
   }
 
-  graph::GraphBuilder builder(static_cast<std::uint32_t>(n));
+  std::vector<graph::Edge> edges;
   while (next_content_line(in, line)) {
     std::istringstream edge(line);
     std::int64_t u = -1, v = -1;
@@ -49,10 +52,10 @@ graph::Graph read_edge_list(std::istream& in) {
       throw std::invalid_argument("read_edge_list: endpoint out of range: " +
                                   line);
     }
-    builder.add_edge(static_cast<graph::Vertex>(u),
-                     static_cast<graph::Vertex>(v));
+    edges.emplace_back(static_cast<graph::Vertex>(u),
+                       static_cast<graph::Vertex>(v));
   }
-  return builder.build();
+  return graph::from_edges(static_cast<std::uint32_t>(n), {&edges, 1}, false);
 }
 
 graph::Graph load_edge_list(const std::string& path) {

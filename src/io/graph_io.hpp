@@ -13,10 +13,10 @@
 ///     <num_vertices>            (header, first non-comment line)
 ///     <u> <v>                   (one undirected edge per line)
 ///
-/// Vertices are 0-based integers below num_vertices. Parallel edges and
-/// self-loops round-trip verbatim (the reader does not simplify; callers
-/// wanting simple graphs pass the result through GraphBuilder::simplify
-/// semantics by re-building).
+/// Vertices are 0-based integers below num_vertices, and num_vertices is at
+/// most 2^32 - 1. Parallel edges and self-loops round-trip verbatim (the
+/// reader does not simplify; callers wanting simple graphs compile the
+/// edges with graph::from_edges' simplify).
 
 namespace cobra::io {
 

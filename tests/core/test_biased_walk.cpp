@@ -139,10 +139,8 @@ TEST(BiasedWalk, InvalidConstruction) {
 }
 
 TEST(BiasedWalk, UnreachableTargetThrows) {
-  graph::GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  const Graph g = b.build();
+  std::vector<graph::Edge> edges = {{0, 1}, {2, 3}};
+  const Graph g = graph::from_edges(4, {&edges, 1}, false);
   EXPECT_THROW(BiasedWalk(g, 0, 2, BiasSchedule::EpsilonBias, 0.5),
                std::invalid_argument);
 }

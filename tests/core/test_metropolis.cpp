@@ -129,10 +129,9 @@ TEST(Metropolis, RejectsBadInput) {
   EXPECT_THROW(MetropolisWalk(make_cycle(5), 9), std::out_of_range);
   // min degree < 2 (path) and disconnected graphs are rejected.
   EXPECT_THROW(MetropolisWalk(graph::make_path(5), 0), std::invalid_argument);
-  graph::GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  EXPECT_THROW(MetropolisWalk(b.build(), 0), std::invalid_argument);
+  std::vector<graph::Edge> edges = {{0, 1}, {2, 3}};
+  EXPECT_THROW(MetropolisWalk(graph::from_edges(4, {&edges, 1}, false), 0),
+               std::invalid_argument);
 }
 
 }  // namespace

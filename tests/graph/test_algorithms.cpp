@@ -32,10 +32,8 @@ TEST(Bfs, DistancesOnHypercube) {
 }
 
 TEST(Bfs, UnreachableMarked) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  const Graph g = b.build();
+  std::vector<Edge> edges = {{0, 1}, {2, 3}};
+  const Graph g = from_edges(4, {&edges, 1}, false);
   const auto dist = bfs_distances(g, 0);
   EXPECT_EQ(dist[1], 1u);
   EXPECT_EQ(dist[2], kUnreachable);
@@ -78,25 +76,20 @@ TEST(ShortestPath, SelfIsSingleton) {
 }
 
 TEST(ShortestPath, UnreachableIsEmpty) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  const Graph g = b.build();
+  std::vector<Edge> edges = {{0, 1}};
+  const Graph g = from_edges(3, {&edges, 1}, false);
   EXPECT_TRUE(shortest_path(g, 0, 2).empty());
 }
 
 TEST(Connectivity, Basics) {
   EXPECT_TRUE(is_connected(make_cycle(5)));
   EXPECT_TRUE(is_connected(Graph{}));
-  GraphBuilder b(2);
-  EXPECT_FALSE(is_connected(b.build()));
+  EXPECT_FALSE(is_connected(from_edges(2, {}, false)));
 }
 
 TEST(Components, TwoIslands) {
-  GraphBuilder b(6);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(3, 4);
-  const Graph g = b.build();  // {0,1,2}, {3,4}, {5}
+  std::vector<Edge> edges = {{0, 1}, {1, 2}, {3, 4}};
+  const Graph g = from_edges(6, {&edges, 1}, false);  // {0,1,2}, {3,4}, {5}
   const auto comp = connected_components(g);
   EXPECT_EQ(num_components(g), 3u);
   EXPECT_EQ(comp[0], comp[1]);
@@ -107,13 +100,9 @@ TEST(Components, TwoIslands) {
 }
 
 TEST(LargestComponent, ExtractsAndRemaps) {
-  GraphBuilder b(7);
-  b.add_edge(0, 1);  // small comp
-  b.add_edge(2, 3);
-  b.add_edge(3, 4);
-  b.add_edge(4, 5);
-  b.add_edge(5, 2);  // big comp: cycle {2,3,4,5}; vertex 6 isolated
-  const Graph g = b.build();
+  // Small comp {0,1}; big comp the cycle {2,3,4,5}; vertex 6 isolated.
+  std::vector<Edge> edges = {{0, 1}, {2, 3}, {3, 4}, {4, 5}, {5, 2}};
+  const Graph g = from_edges(7, {&edges, 1}, false);
   const auto ext = largest_component(g);
   EXPECT_EQ(ext.graph.num_vertices(), 4u);
   EXPECT_EQ(ext.graph.num_edges(), 4u);
@@ -135,25 +124,18 @@ TEST(LargestComponent, WholeGraphWhenConnected) {
 }
 
 TEST(LargestComponent, TieGoesToSmallerMinimumVertex) {
-  GraphBuilder b(7);  // {0}, {1,5,6}, {2,3,4}: two components of size 3
-  b.add_edge(2, 3);
-  b.add_edge(3, 4);
-  b.add_edge(6, 5);
-  b.add_edge(5, 1);
-  const auto ext = largest_component(b.build());
+  // {0}, {1,5,6}, {2,3,4}: two components of size 3
+  std::vector<Edge> edges = {{2, 3}, {3, 4}, {6, 5}, {5, 1}};
+  const auto ext = largest_component(from_edges(7, {&edges, 1}, false));
   EXPECT_EQ(ext.new_to_old, (std::vector<Vertex>{1, 5, 6}));
   EXPECT_EQ(ext.graph.offsets(), (std::vector<EdgeIndex>{0, 1, 3, 4}));
   EXPECT_EQ(ext.graph.targets(), (std::vector<Vertex>{1, 0, 2, 1}));
 }
 
 TEST(LargestComponent, KeepsSelfLoopsAndParallelEdges) {
-  GraphBuilder b(5);  // {0,1,2} with a double edge and a loop; {3,4}
-  b.add_edge(1, 0);
-  b.add_edge(0, 1);
-  b.add_edge(1, 1);
-  b.add_edge(2, 1);
-  b.add_edge(3, 4);
-  const auto ext = largest_component(b.build());
+  // {0,1,2} with a double edge and a loop; {3,4}
+  std::vector<Edge> edges = {{1, 0}, {0, 1}, {1, 1}, {2, 1}, {3, 4}};
+  const auto ext = largest_component(from_edges(5, {&edges, 1}, false));
   EXPECT_EQ(ext.graph.num_edges(), 4u);
   EXPECT_EQ(ext.graph.offsets(), (std::vector<EdgeIndex>{0, 2, 7, 8}));
   EXPECT_EQ(ext.graph.targets(),
@@ -163,12 +145,8 @@ TEST(LargestComponent, KeepsSelfLoopsAndParallelEdges) {
 
 TEST(LargestComponent, UnsortedCsrRowsExtractSorted) {
   // {0,2,3,5} as a 4-cycle plus chord 0-3, and {1,4}; vertex 6 isolated.
-  GraphBuilder b(7);
-  for (const auto& [u, v] : {std::pair{0u, 2u}, {2u, 3u}, {3u, 5u}, {5u, 0u},
-                             {0u, 3u}, {1u, 4u}}) {
-    b.add_edge(u, v);
-  }
-  const Graph built = b.build();
+  std::vector<Edge> edges = {{0, 2}, {2, 3}, {3, 5}, {5, 0}, {0, 3}, {1, 4}};
+  const Graph built = from_edges(7, {&edges, 1}, false);
   std::vector<Vertex> reversed = built.targets();
   for (Vertex v = 0; v < built.num_vertices(); ++v) {
     std::reverse(reversed.begin() +
@@ -196,12 +174,9 @@ TEST(LargestComponent, EmptyGraphGivesEmptyGraph) {
 }
 
 TEST(Components, IdsAreDenseInOrderOfMinimumVertex) {
-  GraphBuilder b(8);  // {0,5}, {1,2,6}, {3,7}, {4}
-  b.add_edge(5, 0);
-  b.add_edge(6, 2);
-  b.add_edge(2, 1);
-  b.add_edge(7, 3);
-  const Graph g = b.build();
+  // {0,5}, {1,2,6}, {3,7}, {4}
+  std::vector<Edge> edges = {{5, 0}, {6, 2}, {2, 1}, {7, 3}};
+  const Graph g = from_edges(8, {&edges, 1}, false);
   EXPECT_EQ(connected_components(g),
             (std::vector<std::uint32_t>{0, 1, 1, 2, 3, 0, 1, 2}));
   EXPECT_EQ(num_components(g), 4u);
@@ -236,9 +211,8 @@ TEST(Diameter, KnownValues) {
 }
 
 TEST(Diameter, DisconnectedIsUnreachable) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  EXPECT_EQ(exact_diameter(b.build()), kUnreachable);
+  std::vector<Edge> edges = {{0, 1}};
+  EXPECT_EQ(exact_diameter(from_edges(3, {&edges, 1}, false)), kUnreachable);
 }
 
 TEST(DoubleSweep, ExactOnTreesAndPaths) {

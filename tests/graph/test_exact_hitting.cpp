@@ -107,15 +107,14 @@ TEST(ExactHitting, MatthewsUpperBoundHolds) {
 TEST(ExactHitting, InputValidation) {
   const Graph g = make_path(4);
   EXPECT_THROW(exact_rw_hitting_times(g, 9), std::out_of_range);
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  EXPECT_THROW(exact_rw_hitting_times(b.build(), 0), std::invalid_argument);
+  std::vector<Edge> edges = {{0, 1}};
+  EXPECT_THROW(exact_rw_hitting_times(from_edges(3, {&edges, 1}, false), 0),
+               std::invalid_argument);
 }
 
 TEST(ExactHitting, SingleVertex) {
-  GraphBuilder b(1);
-  b.add_edge(0, 0);  // self-loop keeps degree positive
-  const Graph g = b.build();
+  std::vector<Edge> edges = {{0, 0}};  // self-loop keeps degree positive
+  const Graph g = from_edges(1, {&edges, 1}, false);
   const auto h = exact_rw_hitting_times(g, 0);
   EXPECT_EQ(h.size(), 1u);
   EXPECT_EQ(h[0], 0.0);

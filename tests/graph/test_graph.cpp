@@ -10,11 +10,8 @@ namespace cobra::graph {
 namespace {
 
 Graph triangle() {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 0);
-  return b.build();
+  std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 0}};
+  return from_edges(3, {&edges, 1}, false);
 }
 
 TEST(Graph, EmptyGraph) {
@@ -55,10 +52,8 @@ TEST(Graph, NeighborIndexAccessor) {
 }
 
 TEST(Graph, HasEdge) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  const Graph g = b.build();
+  std::vector<Edge> edges = {{0, 1}, {2, 3}};
+  const Graph g = from_edges(4, {&edges, 1}, false);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 0));
   EXPECT_FALSE(g.has_edge(0, 2));
@@ -86,42 +81,33 @@ TEST(Graph, CsrValidationRejectsBadTargets) {
 }
 
 TEST(Graph, SelfLoopDetectedByIsSimple) {
-  GraphBuilder b(2);
-  b.add_edge(0, 0);
-  b.add_edge(0, 1);
-  const Graph g = b.build();
+  std::vector<Edge> edges = {{0, 0}, {0, 1}};
+  const Graph g = from_edges(2, {&edges, 1}, false);
   EXPECT_FALSE(g.is_simple());
   // A self-loop contributes 2 to degree.
   EXPECT_EQ(g.degree(0), 3u);
 }
 
 TEST(Graph, ParallelEdgeDetectedByIsSimple) {
-  GraphBuilder b(2);
-  b.add_edge(0, 1);
-  b.add_edge(0, 1);
-  const Graph g = b.build();
+  std::vector<Edge> edges = {{0, 1}, {0, 1}};
+  const Graph g = from_edges(2, {&edges, 1}, false);
   EXPECT_FALSE(g.is_simple());
   EXPECT_EQ(g.degree(0), 2u);
   EXPECT_EQ(g.num_edges(), 2u);
 }
 
 TEST(Graph, IrregularDegrees) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  const Graph g = b.build();
+  std::vector<Edge> edges = {{0, 1}};
+  const Graph g = from_edges(3, {&edges, 1}, false);
   EXPECT_FALSE(g.is_regular());
   EXPECT_EQ(g.min_degree(), 0u);
   EXPECT_EQ(g.max_degree(), 1u);
 }
 
 TEST(Graph, ValidateAcceptsBuilderOutput) {
-  GraphBuilder b(5);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 0);
-  b.add_edge(3, 4);
+  std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 0}, {3, 4}};
   std::string why = "sentinel";
-  EXPECT_TRUE(b.build().validate(&why));
+  EXPECT_TRUE(from_edges(5, {&edges, 1}, false).validate(&why));
   EXPECT_TRUE(why.empty());  // success clears the error
   EXPECT_TRUE(Graph(0, {0}, {}).validate(nullptr));
 }
@@ -129,12 +115,9 @@ TEST(Graph, ValidateAcceptsBuilderOutput) {
 TEST(Graph, ValidateAcceptsSelfLoopsAndParallelEdges) {
   // Non-simple but structurally sound: a loop stores two arcs, a parallel
   // edge stores two in each direction.
-  GraphBuilder b(2);
-  b.add_edge(0, 0);
-  b.add_edge(0, 1);
-  b.add_edge(0, 1);
+  std::vector<Edge> edges = {{0, 0}, {0, 1}, {0, 1}};
   std::string why;
-  EXPECT_TRUE(b.build().validate(&why)) << why;
+  EXPECT_TRUE(from_edges(2, {&edges, 1}, false).validate(&why)) << why;
 }
 
 TEST(Graph, ValidateCatchesAsymmetricArcs) {

@@ -148,9 +148,9 @@ TEST(EstimateConductance, HypercubeSweepWithinCheegerBand) {
 
 TEST(Spectrum, GuardsInvalidInput) {
   EXPECT_THROW(lazy_walk_spectrum(make_path(1)), std::invalid_argument);
-  GraphBuilder b(3);
-  b.add_edge(0, 1);  // vertex 2 isolated
-  EXPECT_THROW(lazy_walk_spectrum(b.build()), std::invalid_argument);
+  std::vector<Edge> edges = {{0, 1}};  // vertex 2 isolated
+  EXPECT_THROW(lazy_walk_spectrum(from_edges(3, {&edges, 1}, false)),
+               std::invalid_argument);
 }
 
 TEST(ClosedForms, GuardDomains) {

@@ -46,11 +46,8 @@ TEST(GraphIo, RoundTripsGeneratedGraphs) {
 }
 
 TEST(GraphIo, RoundTripsSelfLoopsAndParallelEdges) {
-  graph::GraphBuilder b(3);
-  b.add_edge(0, 0);
-  b.add_edge(1, 2);
-  b.add_edge(1, 2);
-  const graph::Graph g = b.build();
+  std::vector<graph::Edge> edges = {{0, 0}, {1, 2}, {1, 2}};
+  const graph::Graph g = graph::from_edges(3, {&edges, 1}, false);
   std::stringstream buffer;
   write_edge_list(buffer, g);
   const graph::Graph back = read_edge_list(buffer);
@@ -93,6 +90,15 @@ TEST(GraphIo, RejectsMalformedInput) {
   }
   {
     std::istringstream in("3\n-1 0\n");
+    EXPECT_THROW(read_edge_list(in), std::invalid_argument);
+  }
+  {
+    // A vertex count above 2^32 - 1 does not fit a Vertex.
+    std::istringstream in("4294967299\n0 1\n1 2\n");
+    EXPECT_THROW(read_edge_list(in), std::invalid_argument);
+  }
+  {
+    std::istringstream in("4294967296\n");
     EXPECT_THROW(read_edge_list(in), std::invalid_argument);
   }
 }
