@@ -136,8 +136,10 @@ TEST(Builder, PooledCompileRejectsOutOfRangeEndpoints) {
   constexpr std::uint32_t n = 3000;
   par::ThreadPool pool4(4);
   for (const bool simplify : {false, true}) {
+    // Far enough out of range that its sort key would land past the last
+    // bucket of the simplify sort.
     auto chunks = multigraph_chunks(n);
-    chunks[3].emplace_back(n + 1, n + 2);
+    chunks[3].emplace_back(0xFFFFFFFFu, 0xFFFFFFFEu);
     EXPECT_THROW(from_edges(n, chunks, simplify, &pool4),
                  std::invalid_argument);
   }
