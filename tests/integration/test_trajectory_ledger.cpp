@@ -27,6 +27,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/coalescing_walk.hpp"
@@ -101,8 +102,9 @@ std::uint64_t cobra_fp(const Graph& g, FrontierOptions opts) {
   return chain_u64(fp, gen());
 }
 
-std::uint64_t generalized_fp(const Graph& g, FrontierOptions opts) {
-  GeneralizedCobraWalk walk(g, 0, schedules::bernoulli_mixture(1, 0.5));
+std::uint64_t generalized_fp(const Graph& g, FrontierOptions opts,
+                             BranchingSchedule schedule) {
+  GeneralizedCobraWalk walk(g, 0, std::move(schedule));
   walk.engine().options() = opts;
   Engine gen(kWalkSeed);
   std::uint64_t fp = chain(kFnvBasis, walk.active());
@@ -203,8 +205,23 @@ TEST(TrajectoryLedger, CobraWalk) {
 }
 
 TEST(TrajectoryLedger, GeneralizedCobraWalk) {
-  expect_pinned("GeneralizedCobraWalk", generalized_fp,
-                {0x1766e606c9e47db8ULL, 0x0bea9c10a4e410e5ULL});
+  expect_pinned(
+      "GeneralizedCobraWalk",
+      [](const Graph& g, FrontierOptions opts) {
+        return generalized_fp(g, opts, schedules::bernoulli_mixture(1, 0.5));
+      },
+      {0x1766e606c9e47db8ULL, 0x0bea9c10a4e410e5ULL});
+}
+
+// A schedule that draws nothing: the chunk streams feed only the neighbour
+// picks, so this row cannot move with how the schedule's draws interleave.
+TEST(TrajectoryLedger, GeneralizedCobraWalkFixed) {
+  expect_pinned(
+      "GeneralizedCobraWalk fixed(2)",
+      [](const Graph& g, FrontierOptions opts) {
+        return generalized_fp(g, opts, schedules::fixed(2));
+      },
+      {0x2548a2e49990f6f2ULL, 0xfaacab0b27a974c6ULL});
 }
 
 TEST(TrajectoryLedger, CoalescingWalks) {
