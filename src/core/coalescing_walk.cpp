@@ -30,7 +30,7 @@ void CoalescingWalks::step(Engine& gen) {
   ++round_;
   const std::uint64_t round_seed = gen();
   engine_.expand(walkers_, next_, round_seed,
-                 [this](Vertex v, FrontierEngine::ChunkRng& rng, auto&& sink) {
+                 [this](Vertex v, Engine& rng, auto&& sink) {
                    sink(pick_(g_->neighbors(v), rng));
                  });
   merges_ += walkers_.size() - next_.size();

@@ -64,15 +64,13 @@ void CobraWalk::step(Engine& gen) {
   // One caller draw seeds the entire round; the engine derives per-chunk
   // streams from it, keeping the walk thread-count independent.
   const std::uint64_t round_seed = gen();
-  // The body draws only through rng(), so each chunk can use the bare
-  // engine, which stays in registers, instead of the buffered ChunkRng.
-  engine_.expand<Engine>(frontier_, next_, round_seed,
-                         [this](Vertex v, Engine& rng, auto&& sink) {
-                           const auto nbrs = g_->neighbors(v);
-                           for (std::uint32_t i = 0; i < k_; ++i) {
-                             sink(pick_(nbrs, rng));
-                           }
-                         });
+  engine_.expand(frontier_, next_, round_seed,
+                 [this](Vertex v, Engine& rng, auto&& sink) {
+                   const auto nbrs = g_->neighbors(v);
+                   for (std::uint32_t i = 0; i < k_; ++i) {
+                     sink(pick_(nbrs, rng));
+                   }
+                 });
   samples_ += static_cast<std::uint64_t>(k_) * frontier_.size();
   frontier_.swap(next_);
   ++round_;

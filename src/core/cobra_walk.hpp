@@ -25,9 +25,7 @@
 ///     it becomes a bitmap once it reaches Θ(n), and `active()`
 ///     materializes the sorted vertex list on demand (`frontier().size()`
 ///     is always O(1)).
-///   * Each chunk draws from a bare xoshiro engine (`expand<Engine>`) rather
-///     than the engine's buffered ChunkRng: the body draws only through
-///     rng(), so the values are the same, and the engine state stays in
+///   * Each chunk draws from a bare xoshiro engine, whose state stays in
 ///     registers across the chunk's sampling loop (EXPERIMENTS.md A6).
 ///   * One draw of the caller's engine per round seeds the whole round, so
 ///     a walk remains a pure function of (graph, start, k, engine seed)

@@ -271,7 +271,6 @@ void FrontierEngine::reset_workers(std::size_t workers) {
   for (WorkerSlot& slot : workers_) {
     slot.claims.clear();
     slot.emitted = 0;
-    slot.blocks = 0;
   }
 }
 
@@ -354,7 +353,6 @@ void FrontierEngine::emit_trace(const FrontierView& in, std::size_t produced,
   t.mean_chunk = t.chunks > 0 ? static_cast<double>(in.size()) /
                                     static_cast<double>(t.chunks)
                               : 0.0;
-  t.rng_blocks = last_rng_blocks_;
   t.sample_s = sample_s;
   t.merge_s = merge_s;
   t.seconds = watch.seconds();

@@ -16,7 +16,6 @@
 #include "parallel/monte_carlo.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
-#include "rng/batch.hpp"
 #include "rng/splitmix64.hpp"
 #include "util/fault.hpp"
 
@@ -31,11 +30,12 @@
 /// greedy MIS operate).
 ///
 /// One round driver (`run_round`) executes every round: for each active
-/// vertex v it calls a per-vertex body `body(v, rng, sink)` and
-/// deduplicates what the body emits. `expand` passes the client's sampler
-/// as the body; `retain` — the removal round shrinking processes (greedy
-/// MIS, LLL resampling) step — passes the filter `if (keep(v)) sink(v)`,
-/// which draws no randomness, so a removal round is just an expand whose
+/// vertex v it calls a per-vertex body — `body(v, rng, sink)` for a body
+/// that draws, `body(v, sink)` for one that does not — and deduplicates
+/// what the body emits. `expand` passes the client's sampler as the body;
+/// `retain` — the removal round shrinking processes (greedy MIS, LLL
+/// resampling) step — passes the filter `if (keep(v)) sink(v)`, which
+/// draws no randomness, so a removal round is just an expand whose
 /// offspring are its own survivors. The driver owns the whole round
 /// skeleton once: the empty-frontier return, the fault round clock, the
 /// step timer, the representation choice, the one output audit and the
@@ -63,16 +63,16 @@
 /// a pure function of its `round_seed`. The VERTEX-ID SPACE [0, n) is split
 /// into fixed ranges of `chunk_size` ids (rounded up to a multiple of 64 so
 /// ranges align with bitmap words); the active vertices of range c are
-/// visited in ascending id order drawing from an engine seeded
-/// rng::derive_seed(round_seed, c). Because both representations walk the
-/// same ranges in the same order, and both dedups compute the same set
-/// union materialized ascending (union is order-free, so which worker saw
-/// which offspring never matters), the produced frontier is bit-identical
-/// across 1, 2, ... N threads, identical to the serial in-line path, AND
-/// identical across the sparse and dense paths. The one requirement this
-/// puts on callers: a frontier passed as a raw span must be sorted
-/// ascending and duplicate-free — which `expand` and `dedupe` outputs
-/// always are.
+/// visited in ascending id order, and their draws are exactly the stream
+/// of `Engine(rng::derive_seed(round_seed, c))`. Because both
+/// representations walk the same ranges in the same order, and both dedups
+/// compute the same set union materialized ascending (union is
+/// order-free, so which worker saw which offspring never matters), the
+/// produced frontier is bit-identical across 1, 2, ... N threads,
+/// identical to the serial in-line path, AND identical across the sparse
+/// and dense paths. The one requirement this puts on callers: a frontier
+/// passed as a raw span must be sorted ascending and duplicate-free — which
+/// `expand` and `dedupe` outputs always are.
 ///
 /// Round state: a dedup needs no memory of earlier rounds, so nothing
 /// outlives a round but storage. Worker 0's bitmap IS the output bitmap;
@@ -93,13 +93,13 @@
 /// claims never collide (a chunk's word-aligned bitmap words belong to the
 /// one worker that walks it), let every worker write the output bitmap
 /// directly and skip the OR. Sinks are inlined lambdas, never an indirect
-/// call per sample. A chunk's RNG is a local of the chunk walker: the
-/// buffered ChunkRng by default, or the bare engine for samplers that draw
-/// only through `rng()`, which the compiler then keeps in registers — the
-/// cobra walk's choice, up to ~2x per sample on a serial dense round of a
-/// cache-resident graph (EXPERIMENTS.md A6). The sampling loop software-prefetches the CSR
-/// adjacency row a few vertices ahead (ascending visit order makes the
-/// offsets stream sequential, so only the targets row needs the hint).
+/// call per sample. A chunk's RNG is a bare `Engine`, a local of the chunk
+/// walker that the compiler keeps in registers (up to ~2x per sample over
+/// a buffered generator on a serial dense round of a cache-resident graph,
+/// EXPERIMENTS.md A6); a body that takes no RNG gets none constructed. The
+/// sampling loop software-prefetches the CSR adjacency row a few vertices
+/// ahead (ascending visit order makes the offsets stream sequential, so
+/// only the targets row needs the hint).
 
 namespace cobra::core {
 
@@ -309,10 +309,6 @@ class NeighborSampler {
 
 class FrontierEngine {
  public:
-  /// The default RNG handed to samplers: a block-buffered xoshiro
-  /// (rng/batch.hpp), stream-equivalent to the bare `Engine`.
-  using ChunkRng = rng::Batched<Engine, 256>;
-
   explicit FrontierEngine(const Graph& g, FrontierOptions opts = {});
 
   /// Expand one round: for every frontier vertex v (ascending order within
@@ -323,19 +319,16 @@ class FrontierEngine {
   /// across worker threads — it must be const-callable and must not mutate
   /// shared state without synchronization.
   ///
-  /// `Rng` is the type of the per-chunk generator the sampler receives:
-  /// ChunkRng by default, or the bare `Engine`, which a chunk keeps in
-  /// registers. Both yield the same value stream (Batched is
-  /// stream-equivalent to its engine), so the choice changes speed only —
-  /// for a sampler that draws through `rng()` alone. A sampler that also
-  /// draws through `rng.inner()` (GeneralizedCobraWalk) needs ChunkRng.
-  template <typename Rng = ChunkRng, typename Sampler>
+  /// `rng` is chunk c's `Engine&`, seeded derive_seed(round_seed, c) and
+  /// shared by the chunk's vertices in visit order. A sampler that draws
+  /// nothing takes `(v, sink)` instead; its chunks construct no engine and
+  /// `round_seed` is unused.
+  template <typename Sampler>
   void expand(const Frontier& frontier, Frontier& next,
               std::uint64_t round_seed, const Sampler& sampler) {
     assert(&frontier != &next);
-    run_round</*kFilter=*/false, Rng>(FrontierView(frontier), next,
-                                      round_seed, sampler,
-                                      /*materialize=*/false);
+    run_round</*kFilter=*/false>(FrontierView(frontier), next, round_seed,
+                                 sampler, /*materialize=*/false);
   }
 
   /// Span-in / vector-out variant for processes that maintain their own
@@ -371,7 +364,7 @@ class FrontierEngine {
     assert(&frontier != &next);
     run_round</*kFilter=*/true>(
         FrontierView(frontier), next, /*round_seed=*/0,
-        [&keep](Vertex v, ChunkRng& /*rng*/, const auto& sink) {
+        [&keep](Vertex v, const auto& sink) {
           if (keep(v)) sink(v);
         },
         /*materialize=*/false);
@@ -433,14 +426,6 @@ class FrontierEngine {
     return last_switch_reason_;
   }
 
-  /// Batched-RNG blocks drawn during the most recent round (summed over
-  /// chunks) — the trace sink's "rng_blocks" field. It counts refills of
-  /// the buffered ChunkRng only, so it reads 0 on rounds whose chunks draw
-  /// from the bare engine (every CobraWalk round) and on retain rounds.
-  [[nodiscard]] std::uint64_t last_rng_blocks() const noexcept {
-    return last_rng_blocks_;
-  }
-
  private:
   /// Reusable per-worker round state (sized once, reset per round). Every
   /// push_back writes a vector header held here, so slots sit on cache
@@ -452,7 +437,6 @@ class FrontierEngine {
     /// output). All-zero between rounds: the merge zeroes what it reads.
     std::vector<std::uint64_t> bits;
     std::uint64_t emitted = 0;
-    std::uint64_t blocks = 0;  ///< ChunkRng refills
   };
 
   /// Pick the round's representation: the size/hysteresis policy
@@ -561,19 +545,19 @@ class FrontierEngine {
   /// and its claims never collide — a chunk's vertices and (word-aligned)
   /// bitmap words belong to the one worker that walks it — so every
   /// worker writes the output bitmap directly and no OR is needed.
-  template <bool kFilter, typename Rng = ChunkRng, typename Body>
+  template <bool kFilter, typename Body>
   void run_round(const FrontierView& in, Frontier& next,
                  std::uint64_t round_seed, const Body& body,
                  bool materialize);
 
   /// The chunk walker: visit every chunk with active vertices in
-  /// ascending order, seeding chunk c's `Rng` from derive_seed(round_seed,
-  /// c), with the sink `make_sink(w, emitted)` builds for worker w. Runs
-  /// in-line as worker 0 when `pool` is nullptr, else as `workers` workers
-  /// — the caller plus pool tasks — whose slots the driver sized. Expand
-  /// bodies get the CSR row prefetched a few vertices ahead. Leaves the
-  /// per-worker tallies in `workers_`.
-  template <bool kFilter, typename Rng, typename Body, typename MakeSink>
+  /// ascending order, handing a drawing body chunk c's `Engine`, seeded
+  /// derive_seed(round_seed, c), and the sink `make_sink(w, emitted)`
+  /// builds for worker w. Runs in-line as worker 0 when `pool` is nullptr,
+  /// else as `workers` workers — the caller plus pool tasks — whose slots
+  /// the driver sized. Expand bodies get the CSR row prefetched a few
+  /// vertices ahead. Leaves the per-worker emit tallies in `workers_`.
+  template <bool kFilter, typename Body, typename MakeSink>
   void walk_chunks(const FrontierView& in, std::uint64_t round_seed,
                    par::ThreadPool* pool, std::size_t workers,
                    const Body& body, const MakeSink& make_sink);
@@ -592,7 +576,6 @@ class FrontierEngine {
   std::uint64_t switches_ = 0;
   std::uint64_t dense_fallbacks_ = 0;
   std::uint64_t last_emitted_ = 0;
-  std::uint64_t last_rng_blocks_ = 0;
   const char* last_switch_reason_ = "";
   bool last_parallel_ = false;     ///< the trace sink's "path" field
   std::uint64_t trace_id_ = 0;     ///< lazily drawn on first traced round
@@ -602,7 +585,7 @@ class FrontierEngine {
   bool worker_bits_dirty_ = false;
 };
 
-template <bool kFilter, typename Rng, typename Body, typename MakeSink>
+template <bool kFilter, typename Body, typename MakeSink>
 void FrontierEngine::walk_chunks(const FrontierView& in,
                                  std::uint64_t round_seed,
                                  par::ThreadPool* pool, std::size_t workers,
@@ -616,7 +599,15 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
                              std::span<const Vertex> vs) {
     std::uint64_t emitted = 0;  // a local, so the sampling loop keeps it
     const auto sink = make_sink(w, emitted);  // in a register
-    Rng rng(Engine(rng::derive_seed(round_seed, c)));
+    // Chosen by the body's signature: a body that takes no RNG gets none.
+    constexpr bool kDraws = requires(Engine& e) { body(vs[0], e, sink); };
+    [[maybe_unused]] auto rng = [&] {
+      if constexpr (kDraws) {
+        return Engine(rng::derive_seed(round_seed, c));
+      } else {
+        return nullptr;
+      }
+    }();
     for (std::size_t i = 0; i < vs.size(); ++i) {
 #if defined(__GNUC__) || defined(__clang__)
       // Ascending visits stream the offsets; only the targets row needs
@@ -626,11 +617,13 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
         __builtin_prefetch(targets + offsets[vs[i + kLookahead]]);
       }
 #endif
-      body(vs[i], rng, sink);
+      if constexpr (kDraws) {
+        body(vs[i], rng, sink);
+      } else {
+        body(vs[i], sink);
+      }
     }
-    WorkerSlot& slot = workers_[w];
-    slot.emitted += emitted;
-    if constexpr (requires { rng.refills(); }) slot.blocks += rng.refills();
+    workers_[w].emitted += emitted;
   };
 
   if (pool == nullptr) {
@@ -668,14 +661,10 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
         });
   }
   last_emitted_ = 0;
-  last_rng_blocks_ = 0;
-  for (const WorkerSlot& slot : workers_) {
-    last_emitted_ += slot.emitted;
-    last_rng_blocks_ += slot.blocks;
-  }
+  for (const WorkerSlot& slot : workers_) last_emitted_ += slot.emitted;
 }
 
-template <bool kFilter, typename Rng, typename Body>
+template <bool kFilter, typename Body>
 void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
                                std::uint64_t round_seed, const Body& body,
                                bool materialize) {
@@ -723,7 +712,7 @@ void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
   double sample_s = 0.0;
   if (dense) {
     std::uint64_t* out = next.bits_.data();  // after the clear: may realloc
-    walk_chunks<kFilter, Rng>(
+    walk_chunks<kFilter>(
         in, round_seed, pool, workers, body,
         [this, out](std::size_t w, std::uint64_t& emitted) {
           std::uint64_t* bits =
@@ -738,7 +727,7 @@ void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
     next.dense_ = true;
     next.list_valid_ = materialize;  // else materialized lazily by vertices()
   } else {
-    walk_chunks<kFilter, Rng>(
+    walk_chunks<kFilter>(
         in, round_seed, pool, workers, body,
         [this](std::size_t w, std::uint64_t& emitted) {
           std::vector<Vertex>* claims = &workers_[w].claims;

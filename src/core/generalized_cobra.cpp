@@ -117,8 +117,8 @@ void GeneralizedCobraWalk::step(Engine& gen) {
   const std::uint64_t round_seed = gen();
   engine_.expand(
       frontier_, next_, round_seed,
-      [&](Vertex v, FrontierEngine::ChunkRng& rng, auto&& sink) {
-        const std::uint32_t k = schedule_(v, round_, rng.inner());
+      [&](Vertex v, Engine& rng, auto&& sink) {
+        const std::uint32_t k = schedule_(v, round_, rng);
         const auto nbrs = g_->neighbors(v);
         for (std::uint32_t i = 0; i < k; ++i) sink(pick_(nbrs, rng));
       });

@@ -37,7 +37,8 @@
 namespace cobra::core {
 
 /// Branching schedule: how many neighbor samples an active vertex emits
-/// this round. Receives (vertex, round, engine).
+/// this round. Receives (vertex, round, engine); the engine is the round's
+/// chunk engine, which then draws that vertex's neighbor picks.
 using BranchingSchedule =
     std::function<std::uint32_t(Vertex, std::uint64_t, Engine&)>;
 

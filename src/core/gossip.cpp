@@ -97,7 +97,7 @@ void Gossip::step(Engine& gen) {
   if (mode_ == GossipMode::Push || mode_ == GossipMode::PushPull) {
     const std::uint64_t round_seed = gen();
     engine_.expand(informed_list_, newly_, round_seed,
-                   [this](Vertex v, FrontierEngine::ChunkRng& rng, auto&& sink) {
+                   [this](Vertex v, Engine& rng, auto&& sink) {
                      const Vertex u = pick_(g_->neighbors(v), rng);
                      if (informed_[u] == 0) sink(u);
                    });
@@ -108,7 +108,7 @@ void Gossip::step(Engine& gen) {
     // No scan of the n - |uninformed| informed vertices happens at all.
     const std::uint64_t round_seed = gen();
     engine_.expand(uninformed_list_, pull_newly_, round_seed,
-                   [this](Vertex v, FrontierEngine::ChunkRng& rng, auto&& sink) {
+                   [this](Vertex v, Engine& rng, auto&& sink) {
                      const Vertex u = pick_(g_->neighbors(v), rng);
                      if (informed_[u] != 0) sink(v);
                    });

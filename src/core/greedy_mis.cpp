@@ -7,14 +7,6 @@
 
 namespace cobra::core {
 
-namespace {
-
-/// The removal-closure expand draws no randomness; this constant only keys
-/// its (unused) chunk streams apart from the winner round's.
-constexpr std::uint64_t kRemovalStream = 0x9e3779b97f4a7c15ULL;
-
-}  // namespace
-
 GreedyMIS::GreedyMIS(const Graph& g, FrontierOptions opts)
     : g_(&g), engine_(g, opts) {
   active_flag_.resize(g.num_vertices());
@@ -43,7 +35,7 @@ void GreedyMIS::step(Engine& gen) {
   // generator state, so the winner set is schedule-independent by
   // construction. Strict total order via the (priority, id) tiebreak.
   const std::uint8_t* active = active_flag_.data();
-  const auto winner_sampler = [&](Vertex v, auto& /*rng*/, const auto& sink) {
+  const auto winner_sampler = [&](Vertex v, const auto& sink) {
     const std::uint64_t pv = rng::derive_seed(round_seed, v);
     for (const Vertex u : g_->neighbors(v)) {
       if (u == v || active[u] == 0) continue;
@@ -65,15 +57,13 @@ void GreedyMIS::step(Engine& gen) {
 
   // Removal closure: each winner takes itself and its still-active
   // neighbors out; the engine dedups overlapping neighborhoods.
-  const auto removal_sampler = [&](Vertex v, auto& /*rng*/, const auto& sink) {
+  const auto removal_sampler = [&](Vertex v, const auto& sink) {
     sink(v);
     for (const Vertex u : g_->neighbors(v)) {
       if (u != v && active[u] != 0) sink(u);
     }
   };
-  engine_.expand(winners_, removed_,
-                 rng::derive_seed(round_seed, kRemovalStream),
-                 removal_sampler);
+  engine_.expand(winners_, removed_, round_seed, removal_sampler);
   for (const Vertex v : removed_.vertices()) active_flag_[v] = 0;
 
   // Shrink the frontier to the survivors — the engine's retain path keeps

@@ -8,11 +8,9 @@ namespace cobra::core {
 
 namespace {
 
-/// Stream keys separating the round's three derived seed uses (winner
-/// chunk streams use round_seed itself; neither sampler draws, so the
-/// values only need to be distinct).
+/// Keys the variable-resampling hash apart from the winner priorities,
+/// which hash round_seed itself.
 constexpr std::uint64_t kVarStream = 0x9e3779b97f4a7c15ULL;
-constexpr std::uint64_t kTouchStream = 0xbf58476d1ce4e5b9ULL;
 
 }  // namespace
 
@@ -57,7 +55,7 @@ void LLLResampler::step(Engine& gen) {
   // priority hash — an independent set in the dependency graph, hence
   // variable-disjoint (same predicate shape as GreedyMIS's winner round).
   const std::uint8_t* bad = violated_flag_.data();
-  const auto winner_sampler = [&](Vertex c, auto& /*rng*/, const auto& sink) {
+  const auto winner_sampler = [&](Vertex c, const auto& sink) {
     const std::uint64_t pc = rng::derive_seed(round_seed, c);
     for (const Vertex d : g_->neighbors(c)) {
       if (d == c || bad[d] == 0) continue;
@@ -86,14 +84,14 @@ void LLLResampler::step(Engine& gen) {
 
   // Only clauses sharing a variable with a winner can change status —
   // exactly the winners plus their dependency neighbors.
-  const auto touch_sampler = [&](Vertex c, auto& /*rng*/, const auto& sink) {
+  const auto touch_sampler = [&](Vertex c, const auto& sink) {
     sink(c);
     for (const Vertex d : g_->neighbors(c)) {
       if (d != c) sink(d);
     }
   };
-  engine_.expand(std::span<const Vertex>(winners_), touched_,
-                 rng::derive_seed(round_seed, kTouchStream), touch_sampler);
+  engine_.expand(std::span<const Vertex>(winners_), touched_, round_seed,
+                 touch_sampler);
   for (const Vertex c : touched_) {
     violated_flag_[c] =
         sys_->satisfied(static_cast<std::uint32_t>(c), assignment_) ? 0 : 1;

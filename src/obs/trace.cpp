@@ -58,16 +58,15 @@ void trace_round(const RoundTrace& t) {
       "{\"trace\": %llu, \"round\": %llu, \"frontier\": %llu, "
       "\"produced\": %llu, \"mode\": \"%s\", \"path\": \"%s\", "
       "\"switch\": \"%s\", \"chunks\": %llu, \"max_chunk\": %llu, "
-      "\"mean_chunk\": %.6g, \"rng_blocks\": %llu, \"sample_s\": %.6g, "
-      "\"merge_s\": %.6g, \"seconds\": %.6g}\n",
+      "\"mean_chunk\": %.6g, \"sample_s\": %.6g, \"merge_s\": %.6g, "
+      "\"seconds\": %.6g}\n",
       static_cast<unsigned long long>(t.trace_id),
       static_cast<unsigned long long>(t.round),
       static_cast<unsigned long long>(t.frontier),
       static_cast<unsigned long long>(t.produced), t.mode, t.path,
       t.switch_reason, static_cast<unsigned long long>(t.chunks),
-      static_cast<unsigned long long>(t.max_chunk), t.mean_chunk,
-      static_cast<unsigned long long>(t.rng_blocks), t.sample_s, t.merge_s,
-      t.seconds);
+      static_cast<unsigned long long>(t.max_chunk), t.mean_chunk, t.sample_s,
+      t.merge_s, t.seconds);
   if (len <= 0) return;
   std::lock_guard lock(g_mu);
   if (g_file == nullptr) return;  // closed between the gate check and here

@@ -15,8 +15,7 @@
 ///   {"trace": 1, "round": 12, "frontier": 4096, "produced": 11890,
 ///    "mode": "dense", "path": "parallel", "switch": "auto-grow",
 ///    "chunks": 32, "max_chunk": 201, "mean_chunk": 128.0,
-///    "rng_blocks": 96, "sample_s": 0.0009, "merge_s": 0.0002,
-///    "seconds": 0.0013}
+///    "sample_s": 0.0009, "merge_s": 0.0002, "seconds": 0.0013}
 ///
 ///   trace      engine instance id (several engines can share one file —
 ///              replicate() trials, multi-process sweeps via O_APPEND)
@@ -34,9 +33,6 @@
 ///   max_chunk / mean_chunk
 ///              input-frontier occupancy of the fullest occupied chunk
 ///              and the mean — the load-imbalance proxy
-///   rng_blocks refills of the buffered chunk RNG (FrontierEngine::
-///              ChunkRng) during the step; 0 on rounds that draw from the
-///              bare engine, which every CobraWalk round does
 ///   sample_s   the chunk walk: sampling plus the sink writes
 ///   merge_s    the dedup merge: the dense rounds' OR of the per-worker
 ///              bitmaps (with popcount), or the sparse rounds' sort +
@@ -64,7 +60,6 @@ struct RoundTrace {
   std::uint64_t chunks = 1;
   std::uint64_t max_chunk = 0;
   double mean_chunk = 0.0;
-  std::uint64_t rng_blocks = 0;
   double sample_s = 0.0;
   double merge_s = 0.0;
   double seconds = 0.0;

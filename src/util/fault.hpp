@@ -44,9 +44,9 @@
 ///   #limit   maximum number of firings, after which the site goes
 ///            dormant (default 0 = unlimited)
 ///
-/// e.g. "checkpoint.write@3,rng.block_refill%0.25#2" — the 4th and later
-/// snapshot writes fail; each RNG block refill degrades with probability
-/// 1/4, at most twice.
+/// e.g. "checkpoint.write@3,trace.write%0.25#2" — the 4th and later
+/// snapshot writes fail; each trace line is dropped with probability 1/4,
+/// at most twice.
 ///
 /// Arming paths:
 ///   * programmatic: `arm("frontier.dense_alloc", 2)` or
@@ -76,14 +76,6 @@
 ///   frontier.worker_bits_alloc GRACEFUL  per-worker private bitmaps of a
 ///                              pool dense round (the round runs in-line
 ///                              as worker 0 into the output bitmap)
-///   rng.block_refill           GRACEFUL  batched-RNG block refill
-///                              (degrades to single-draw refills; the
-///                              value stream is unchanged by contract,
-///                              inner() draws included). Reached by the
-///                              ChunkRng clients that draw:
-///                              GeneralizedCobraWalk, Gossip and
-///                              CoalescingWalks — not CobraWalk (bare
-///                              engine) or GreedyMIS (draws nothing)
 ///   pool.thread_spawn          GRACEFUL  worker spawn in ThreadPool
 ///                              (pool comes up smaller, >= 1 worker;
 ///                              results are thread-count-invariant)

@@ -13,6 +13,7 @@
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/distributions.hpp"
+#include "rng/splitmix64.hpp"
 
 namespace cobra::core {
 namespace {
@@ -661,80 +662,92 @@ TEST(FrontierEngine, ThrowingPoolRoundLeavesNoStaleBits) {
             expected);
 }
 
-/// k neighbor draws through NeighborSampler plus one raw rng() draw that
-/// decides whether v survives: exercises both ways a sampler reads its RNG.
-struct MixedDrawSampler {
+/// Draws 1 + v % 3 raw values, records them in `draws[v]` (each vertex is
+/// visited once per round, so workers write disjoint slots) and emits one
+/// neighbor per draw.
+struct RecordingSampler {
   const Graph* g;
-  NeighborSampler pick;
-  std::uint32_t k;
-  template <typename Rng, typename Sink>
-  void operator()(Vertex v, Rng& rng, Sink&& sink) const {
+  std::vector<std::vector<std::uint64_t>>* draws;
+  void operator()(Vertex v, Engine& rng, const auto& sink) const {
     const auto nbrs = g->neighbors(v);
-    for (std::uint32_t i = 0; i < k; ++i) sink(pick(nbrs, rng));
-    if ((rng() >> 63) != 0) sink(v);
+    std::vector<std::uint64_t>& mine = (*draws)[v];
+    for (Vertex i = 0; i <= v % 3; ++i) {
+      mine.push_back(rng());
+      sink(nbrs[mine.back() % nbrs.size()]);
+    }
   }
 };
 
-/// Frontier-API trajectory from every 50th vertex with the chunk RNG type
-/// `Rng`.
-template <typename Rng>
-std::vector<std::vector<Vertex>> run_with_rng(const Graph& g,
-                                              FrontierOptions opts,
-                                              std::uint64_t rounds) {
-  FrontierEngine engine(g, opts);
-  const MixedDrawSampler sampler{&g, NeighborSampler(g), 3};
-  std::vector<Vertex> starts;
-  for (Vertex v = 0; v < g.num_vertices(); v += 50) starts.push_back(v);
-  Frontier frontier, next;
-  engine.dedupe(starts, frontier);
-  std::vector<std::vector<Vertex>> trajectory;
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    engine.expand<Rng>(frontier, next, /*round_seed=*/0xC0B4A000ULL + r,
-                       sampler);
-    frontier.swap(next);
-    const auto vs = frontier.vertices();
-    trajectory.emplace_back(vs.begin(), vs.end());
-  }
-  return trajectory;
-}
-
-TEST(FrontierEngine, BareEngineChunkRngMatchesBufferedChunkRng) {
-  // Batched is stream-equivalent to its engine, so a sampler that draws
-  // only through rng() must produce the same frontiers from either chunk
-  // RNG type, in every representation, pool size and chunking. Both graphs
-  // have a partial last word; the 4-regular graph arms NeighborSampler's
-  // shift path, the grid (degrees 2-4) its Lemire path.
+TEST(FrontierEngine, ChunkDrawsAreTheChunkEngineStreamInVisitOrder) {
+  // The draw contract, checked against a plain engine rather than another
+  // engine path: the draws of chunk c's active vertices, concatenated in
+  // ascending vertex order, are exactly the stream of
+  // Engine(derive_seed(round_seed, c)), in every representation, pool size
+  // and chunking. Both graphs have a partial last word and several chunks
+  // of 1024 ids.
   Engine graph_gen(51);
-  const Graph rreg = gen::random_regular(1000, 4, graph_gen());
-  const Graph grid = make_grid(2, 30);
+  const Graph rreg = gen::random_regular(3000, 4, graph_gen());
+  const Graph grid = make_grid(2, 55);
   for (const Graph* g : {&rreg, &grid}) {
     ASSERT_NE(g->num_vertices() % 64, 0u);
     for (const std::size_t chunk :
          {std::size_t{64}, FrontierOptions{}.chunk_size}) {
-      FrontierOptions base;
-      base.chunk_size = chunk;
-      base.parallel_threshold = static_cast<std::size_t>(-1);
-      base.mode = FrontierMode::ForceSparse;
-      const auto reference =
-          run_with_rng<FrontierEngine::ChunkRng>(*g, base, 12);
-      ASSERT_GT(reference.back().size(), 200u);
       for (const FrontierMode mode :
            {FrontierMode::ForceSparse, FrontierMode::ForceDense,
             FrontierMode::Auto}) {
         for (const std::size_t threads : {1u, 2u, 4u}) {
           par::ThreadPool pool(threads);
-          FrontierOptions opts = base;
+          FrontierOptions opts;
+          opts.chunk_size = chunk;
           opts.mode = mode;
           opts.parallel_threshold = 1;
           opts.pool = &pool;
-          const auto where = ::testing::Message()
-                             << "n=" << g->num_vertices() << " chunk=" << chunk
-                             << " mode=" << static_cast<int>(mode) << " "
-                             << threads << " threads";
-          EXPECT_EQ(run_with_rng<Engine>(*g, opts, 12), reference) << where;
-          EXPECT_EQ(run_with_rng<FrontierEngine::ChunkRng>(*g, opts, 12),
-                    reference)
-              << where;
+          FrontierEngine engine(*g, opts);
+          std::vector<std::vector<std::uint64_t>> draws(g->num_vertices());
+          const RecordingSampler sampler{g, &draws};
+          std::vector<Vertex> starts;
+          for (Vertex v = 0; v < g->num_vertices(); v += 50) {
+            starts.push_back(v);
+          }
+          Frontier frontier, next;
+          engine.dedupe(starts, frontier);
+          bool saw_dense = false;
+          for (std::uint64_t r = 0; r < 12; ++r) {
+            const std::uint64_t round_seed = 0xC0B4A000ULL + r;
+            for (auto& d : draws) d.clear();
+            engine.expand(frontier, next, round_seed, sampler);
+            const auto where = ::testing::Message()
+                               << "n=" << g->num_vertices()
+                               << " chunk=" << chunk
+                               << " mode=" << static_cast<int>(mode) << " "
+                               << threads << " threads, round " << r;
+            // Replay: one engine per chunk, consumed vertex by vertex in
+            // ascending order; inactive vertices drew nothing.
+            const auto active = frontier.vertices();
+            std::size_t a = 0;
+            std::size_t chunk_of_engine = static_cast<std::size_t>(-1);
+            Engine expected(0);
+            for (Vertex v = 0; v < g->num_vertices(); ++v) {
+              if (a == active.size() || active[a] != v) {
+                ASSERT_TRUE(draws[v].empty()) << where << " v=" << v;
+                continue;
+              }
+              ++a;
+              if (v / chunk != chunk_of_engine) {
+                chunk_of_engine = v / chunk;
+                expected = Engine(rng::derive_seed(round_seed, v / chunk));
+              }
+              ASSERT_EQ(draws[v].size(), 1u + v % 3) << where << " v=" << v;
+              for (const std::uint64_t x : draws[v]) {
+                ASSERT_EQ(x, expected()) << where << " v=" << v;
+              }
+            }
+            saw_dense = saw_dense || next.dense();
+            frontier.swap(next);
+          }
+          EXPECT_EQ(saw_dense, mode != FrontierMode::ForceSparse)
+              << "n=" << g->num_vertices() << " chunk=" << chunk
+              << " mode=" << static_cast<int>(mode);
         }
       }
     }

@@ -8,7 +8,6 @@
 #include "core/cobra_walk.hpp"
 #include "graph/generators.hpp"
 #include "sim/runner.hpp"
-#include "util/fault.hpp"
 
 namespace cobra::core {
 namespace {
@@ -149,38 +148,6 @@ TEST(GeneralizedCobra, HigherMeanBranchingCoversFaster) {
         static_cast<double>(sim::run_cover(fast, gen, 1u << 24).rounds);
   }
   EXPECT_LT(fast_total, slow_total);
-}
-
-TEST(GeneralizedCobra, BlockRefillFaultKeepsTheTrajectory) {
-  // The rng.block_refill site sits on the buffered ChunkRng's refill path,
-  // which CobraWalk (bare engine) no longer reaches but this walk does. Its
-  // schedule draws through rng.inner(), whose stream position depends on
-  // what the buffer holds, so this is the strictest client of the site:
-  // arming it must leave every active set as the unarmed run had it.
-  const Graph g = make_grid(2, 24);
-  const auto run = [&g] {
-    Engine gen(12);
-    GeneralizedCobraWalk walk(g, 0, schedules::bernoulli_mixture(1, 0.5));
-    std::vector<std::vector<Vertex>> rounds;
-    for (int t = 0; t < 200; ++t) {
-      walk.step(gen);
-      rounds.emplace_back(walk.active().begin(), walk.active().end());
-    }
-    return rounds;
-  };
-  util::fault::disarm_all();
-  const auto reference = run();
-  util::fault::arm_spec(
-      util::fault::FaultPlan::parse("rng.block_refill%0.5").specs[0],
-      /*seed=*/13);
-  const auto degraded = run();
-  const std::uint64_t fired = util::fault::fired("rng.block_refill");
-  util::fault::disarm_all();
-  EXPECT_GT(fired, 0u);
-  ASSERT_EQ(degraded.size(), reference.size());
-  for (std::size_t t = 0; t < reference.size(); ++t) {
-    ASSERT_EQ(degraded[t], reference[t]) << "diverged at round " << t;
-  }
 }
 
 }  // namespace

@@ -146,8 +146,7 @@ TEST_F(TraceTest, CoverRunEmitsWellFormedStrictlyIncreasingRounds) {
     // The phases lie inside the round; the slack covers the 6-digit
     // rounding of the printed values.
     EXPECT_LE(sample_s + merge_s, seconds * 1.0001);
-    u64_field(line, "produced");    // present
-    u64_field(line, "rng_blocks");  // present
+    u64_field(line, "produced");  // present
   }
   EXPECT_TRUE(saw_dense) << "cover run never went dense";
   EXPECT_TRUE(saw_grow) << "no auto-grow switch was recorded";
