@@ -21,7 +21,7 @@
 
 #include "harness.hpp"
 
-#include "core/generalized_cobra.hpp"
+#include "core/cobra_walk.hpp"
 #include "sim/runner.hpp"
 
 namespace {
@@ -31,7 +31,7 @@ using namespace cobra;
 double cover_with_schedule(const graph::Graph& g,
                            const core::BranchingSchedule& schedule,
                            core::Engine& gen, std::uint64_t budget) {
-  core::GeneralizedCobraWalk walk(g, 0, schedule);
+  core::CobraWalk walk(g, 0, schedule);
   sim::CoverStop cover;
   sim::Extinction extinct;
   const auto r =

@@ -3,7 +3,7 @@
 /// bound for 2-cobra walks (star shows Omega(n log n)).
 ///
 /// Table: across topologies (including the adversarial ones), compare
-/// 2-cobra cover, push gossip, push-pull, and coalescing walks; report
+/// 2-cobra cover, push gossip and push-pull; report
 /// each normalized by n ln n. The conjecture holds iff the cobra column
 /// stays O(1) on every row — the paper's open problem, checked empirically.
 ///

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/cobra_walk.hpp"
-#include "core/generalized_cobra.hpp"
 #include "core/gossip.hpp"
 #include "gen/registry.hpp"
 #include "parallel/thread_pool.hpp"
@@ -68,7 +67,7 @@ TEST_F(EngineFailureTest, EpochWrapDuringResumedRunKeepsTheTrajectory) {
 
 TEST_F(EngineFailureTest, ForcedDenseStepOnExtinctProcessIsANoOp) {
   const graph::Graph g = gen::build_graph("ring:n=128");
-  core::GeneralizedCobraWalk walk(
+  core::CobraWalk walk(
       g, 0, [](core::Vertex, std::uint64_t, core::Engine&) { return 0u; });
   walk.engine().options().mode = core::FrontierMode::ForceDense;
   core::Engine gen(4);

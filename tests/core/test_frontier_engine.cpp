@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/coalescing_walk.hpp"
 #include "core/cobra_walk.hpp"
-#include "core/generalized_cobra.hpp"
 #include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
@@ -224,9 +222,9 @@ TEST(FrontierEngine, EmptyFrontierIsFreeAndKeepsEpoch) {
   EXPECT_EQ(engine.parallel_rounds(), 0u);
 }
 
-TEST(FrontierEngine, ExtinctGeneralizedWalkStepsAreCheapNoOps) {
+TEST(FrontierEngine, ExtinctScheduleWalkStepsAreCheapNoOps) {
   const Graph g = make_cycle(16);
-  GeneralizedCobraWalk walk(g, 0, schedules::faulty(2, 1.0));  // always drop
+  CobraWalk walk(g, 0, schedules::faulty(2, 1.0));  // always drop
   Engine gen(5);
   walk.step(gen);
   ASSERT_TRUE(walk.extinct());
@@ -334,19 +332,18 @@ TEST(FrontierEngine, SwitchHysteresisAcrossACoalescenceRun) {
   // leaves below 64 — inside that band the PREVIOUS representation must
   // stick (hysteresis), and the run must record exactly the transitions.
   const Graph g = make_complete(1024);
-  CoalescingWalks walks(g, [] {
-    std::vector<Vertex> all(1024);
-    std::iota(all.begin(), all.end(), 0u);
-    return all;
-  }());
+  std::vector<Vertex> all(1024);
+  std::iota(all.begin(), all.end(), 0u);
+  CobraWalk walks(g, 0, 1);
+  walks.reset(all);
   auto& opts = walks.engine().options();
   opts.parallel_threshold = static_cast<std::size_t>(-1);
   opts.dense_alpha = 8.0;
 
   Engine gen(77);
   bool saw_band_round = false;
-  while (walks.walker_count() > 1 && walks.round() < 100000) {
-    const std::size_t before = walks.walker_count();
+  while (walks.frontier().size() > 1 && walks.round() < 100000) {
+    const std::size_t before = walks.frontier().size();
     const std::uint64_t dense_before = walks.engine().dense_rounds();
     walks.step(gen);
     if (before >= 64 && before <= 128) {
@@ -356,7 +353,7 @@ TEST(FrontierEngine, SwitchHysteresisAcrossACoalescenceRun) {
       saw_band_round = true;
     }
   }
-  EXPECT_EQ(walks.walker_count(), 1u);
+  EXPECT_EQ(walks.frontier().size(), 1u);
   EXPECT_TRUE(saw_band_round);
   EXPECT_GT(walks.engine().dense_rounds(), 0u);
   EXPECT_GT(walks.engine().sparse_rounds(), 0u);
@@ -364,11 +361,8 @@ TEST(FrontierEngine, SwitchHysteresisAcrossACoalescenceRun) {
 
   // And the trajectory is representation-independent: a forced-sparse twin
   // reproduces the identical walker sets round for round.
-  CoalescingWalks sparse_twin(g, [] {
-    std::vector<Vertex> all(1024);
-    std::iota(all.begin(), all.end(), 0u);
-    return all;
-  }());
+  CobraWalk sparse_twin(g, 0, 1);
+  sparse_twin.reset(all);
   sparse_twin.engine().options().parallel_threshold =
       static_cast<std::size_t>(-1);
   sparse_twin.engine().options().mode = FrontierMode::ForceSparse;

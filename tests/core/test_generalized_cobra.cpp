@@ -1,7 +1,9 @@
-#include "core/generalized_cobra.hpp"
+// Schedule walks: CobraWalk constructed from a BranchingSchedule, and the
+// canned schedules of core::schedules.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -17,13 +19,13 @@ using graph::make_cycle;
 using graph::make_grid;
 
 TEST(GeneralizedCobra, FixedScheduleMatchesCobraWalkInDistribution) {
-  // With the same engine stream and k = 2, the generalized walk and the
-  // specialized CobraWalk consume randomness identically, so their active
-  // sets coincide step for step.
+  // With the same engine stream and k = 2, the schedule walk and the
+  // fixed-k walk consume randomness identically, so their active sets
+  // coincide step for step.
   const Graph g = make_grid(2, 5);
   Engine g1(9), g2(9);
   CobraWalk specialized(g, 0, 2);
-  GeneralizedCobraWalk generalized(g, 0, schedules::fixed(2));
+  CobraWalk generalized(g, 0, schedules::fixed(2));
   for (int t = 0; t < 100; ++t) {
     specialized.step(g1);
     generalized.step(g2);
@@ -38,7 +40,7 @@ TEST(GeneralizedCobra, FixedScheduleMatchesCobraWalkInDistribution) {
 TEST(GeneralizedCobra, ActiveSetsValid) {
   const Graph g = make_cycle(20);
   Engine gen(1);
-  GeneralizedCobraWalk walk(g, 0, schedules::shifted_geometric(0.5));
+  CobraWalk walk(g, 0, schedules::shifted_geometric(0.5));
   for (int t = 0; t < 500; ++t) {
     walk.step(gen);
     const auto active = walk.active();
@@ -53,7 +55,7 @@ TEST(GeneralizedCobra, BernoulliMixtureMeanBetweenKs) {
   // Mean branching k + p: sample draw counts via samples_drawn.
   const Graph g = make_complete(16);
   Engine gen(2);
-  GeneralizedCobraWalk walk(g, 0, schedules::bernoulli_mixture(2, 0.5));
+  CobraWalk walk(g, 0, schedules::bernoulli_mixture(2, 0.5));
   std::uint64_t active_total = 0;
   for (int t = 0; t < 4000; ++t) {
     active_total += walk.active().size();
@@ -68,7 +70,7 @@ TEST(GeneralizedCobra, DegreeProportionalUsesDegrees) {
   // On a star with alpha = 1, the hub emits n-1 samples, leaves emit 1.
   const Graph g = graph::make_star(10);
   Engine gen(3);
-  GeneralizedCobraWalk walk(g, 0, schedules::degree_proportional(g, 1.0));
+  CobraWalk walk(g, 0, schedules::degree_proportional(g, 1.0));
   walk.step(gen);  // hub emits degree(hub) = 9 samples
   EXPECT_EQ(walk.samples_drawn(), 9u);
   const std::size_t leaves_active = walk.active().size();
@@ -80,7 +82,7 @@ TEST(GeneralizedCobra, FaultySheduleCanGoExtinct) {
   // fail_p = 1: every vertex drops; the walk dies after one step.
   const Graph g = make_cycle(8);
   Engine gen(4);
-  GeneralizedCobraWalk walk(g, 0, schedules::faulty(2, 1.0));
+  CobraWalk walk(g, 0, schedules::faulty(2, 1.0));
   walk.step(gen);
   EXPECT_TRUE(walk.extinct());
   EXPECT_EQ(walk.active().size(), 0u);
@@ -94,7 +96,7 @@ TEST(GeneralizedCobra, FaultyScheduleSurvivesLowFailureOnExpander) {
   int survived = 0;
   constexpr int kTrials = 100;
   for (int t = 0; t < kTrials; ++t) {
-    GeneralizedCobraWalk walk(g, 0, schedules::faulty(2, 0.2));
+    CobraWalk walk(g, 0, schedules::faulty(2, 0.2));
     for (int s = 0; s < 200 && !walk.extinct(); ++s) walk.step(gen);
     if (!walk.extinct()) ++survived;
   }
@@ -104,7 +106,7 @@ TEST(GeneralizedCobra, FaultyScheduleSurvivesLowFailureOnExpander) {
 TEST(GeneralizedCobra, PhasedScheduleSwitches) {
   const Graph g = make_complete(32);
   Engine gen(6);
-  GeneralizedCobraWalk walk(g, 0, schedules::phased(1, 4, 10));
+  CobraWalk walk(g, 0, schedules::phased(1, 4, 10));
   // Rounds 0..9: k = 1, single walker.
   for (int t = 0; t < 10; ++t) {
     walk.step(gen);
@@ -118,7 +120,7 @@ TEST(GeneralizedCobra, PhasedScheduleSwitches) {
 TEST(GeneralizedCobra, WorksWithCoverEngine) {
   const Graph g = make_grid(2, 5);
   Engine gen(7);
-  GeneralizedCobraWalk walk(g, 0, schedules::bernoulli_mixture(2, 0.3));
+  CobraWalk walk(g, 0, schedules::bernoulli_mixture(2, 0.3));
   EXPECT_TRUE(sim::run_cover(walk, gen, 1u << 22).stopped);
 }
 
@@ -131,7 +133,13 @@ TEST(GeneralizedCobra, ScheduleValidation) {
   EXPECT_THROW(schedules::degree_proportional(g, 0.0), std::invalid_argument);
   EXPECT_THROW(schedules::faulty(2, -0.1), std::invalid_argument);
   EXPECT_THROW(schedules::phased(0, 2, 5), std::invalid_argument);
-  EXPECT_THROW(GeneralizedCobraWalk(g, 0, nullptr), std::invalid_argument);
+  // NaN fails every range check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(schedules::bernoulli_mixture(2, nan), std::invalid_argument);
+  EXPECT_THROW(schedules::shifted_geometric(nan), std::invalid_argument);
+  EXPECT_THROW(schedules::degree_proportional(g, nan), std::invalid_argument);
+  EXPECT_THROW(schedules::faulty(2, nan), std::invalid_argument);
+  EXPECT_THROW(CobraWalk(g, 0, nullptr), std::invalid_argument);
 }
 
 TEST(GeneralizedCobra, HigherMeanBranchingCoversFaster) {
@@ -140,10 +148,10 @@ TEST(GeneralizedCobra, HigherMeanBranchingCoversFaster) {
   double slow_total = 0, fast_total = 0;
   constexpr int kTrials = 30;
   for (int t = 0; t < kTrials; ++t) {
-    GeneralizedCobraWalk slow(g, 0, schedules::bernoulli_mixture(1, 0.2));
+    CobraWalk slow(g, 0, schedules::bernoulli_mixture(1, 0.2));
     slow_total +=
         static_cast<double>(sim::run_cover(slow, gen, 1u << 24).rounds);
-    GeneralizedCobraWalk fast(g, 0, schedules::bernoulli_mixture(3, 0.2));
+    CobraWalk fast(g, 0, schedules::bernoulli_mixture(3, 0.2));
     fast_total +=
         static_cast<double>(sim::run_cover(fast, gen, 1u << 24).rounds);
   }

@@ -30,10 +30,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/coalescing_walk.hpp"
 #include "core/cobra_walk.hpp"
 #include "core/frontier_engine.hpp"
-#include "core/generalized_cobra.hpp"
 #include "core/gossip.hpp"
 #include "core/greedy_mis.hpp"
 #include "core/biased_walk.hpp"
@@ -90,8 +88,10 @@ const Graph& ledger_graph(int which) {
 /// A client trajectory: (graph, options) -> fingerprint.
 using Trajectory = std::function<std::uint64_t(const Graph&, FrontierOptions)>;
 
-std::uint64_t cobra_fp(const Graph& g, FrontierOptions opts) {
-  CobraWalk walk(g, 0, 2);
+/// Chain `walk`'s active sets over kRounds rounds, then, when
+/// `with_samples`, its sample tally, then the caller engine's next draw.
+std::uint64_t walk_fp(CobraWalk& walk, FrontierOptions opts,
+                      bool with_samples) {
   walk.engine().options() = opts;
   Engine gen(kWalkSeed);
   std::uint64_t fp = chain(kFnvBasis, walk.active());
@@ -99,35 +99,28 @@ std::uint64_t cobra_fp(const Graph& g, FrontierOptions opts) {
     walk.step(gen);
     fp = chain(fp, walk.active());
   }
+  if (with_samples) fp = chain_u64(fp, walk.samples_drawn());
   return chain_u64(fp, gen());
+}
+
+std::uint64_t cobra_fp(const Graph& g, FrontierOptions opts) {
+  CobraWalk walk(g, 0, 2);
+  return walk_fp(walk, opts, false);
 }
 
 std::uint64_t generalized_fp(const Graph& g, FrontierOptions opts,
                              BranchingSchedule schedule) {
-  GeneralizedCobraWalk walk(g, 0, std::move(schedule));
-  walk.engine().options() = opts;
-  Engine gen(kWalkSeed);
-  std::uint64_t fp = chain(kFnvBasis, walk.active());
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    walk.step(gen);
-    fp = chain(fp, walk.active());
-  }
-  fp = chain_u64(fp, walk.samples_drawn());
-  return chain_u64(fp, gen());
+  CobraWalk walk(g, 0, std::move(schedule));
+  return walk_fp(walk, opts, true);
 }
 
+/// Coalescing random walks: a 1-cobra walk from every third vertex.
 std::uint64_t coalescing_fp(const Graph& g, FrontierOptions opts) {
   std::vector<Vertex> starts;
   for (Vertex v = 0; v < g.num_vertices(); v += 3) starts.push_back(v);
-  CoalescingWalks walks(g, starts);
-  walks.engine().options() = opts;
-  Engine gen(kWalkSeed);
-  std::uint64_t fp = chain(kFnvBasis, walks.active());
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    walks.step(gen);
-    fp = chain(fp, walks.active());
-  }
-  return chain_u64(fp, gen());
+  CobraWalk walks(g, 0, 1);
+  walks.reset(starts);
+  return walk_fp(walks, opts, false);
 }
 
 std::uint64_t gossip_fp(const Graph& g, FrontierOptions opts) {
@@ -217,13 +210,24 @@ TEST(TrajectoryLedger, GeneralizedCobraWalk) {
 
 // A schedule that draws nothing: the chunk streams feed only the neighbour
 // picks, so this row cannot move with how the schedule's draws interleave.
+// The fixed-k constructor must walk the same trajectory and draw the same
+// samples, so both step() bodies are pinned to one literal in every cell.
 TEST(TrajectoryLedger, GeneralizedCobraWalkFixed) {
+  constexpr std::uint64_t kPinned[2] = {0x2548a2e49990f6f2ULL,
+                                        0xfaacab0b27a974c6ULL};
   expect_pinned(
       "GeneralizedCobraWalk fixed(2)",
       [](const Graph& g, FrontierOptions opts) {
         return generalized_fp(g, opts, schedules::fixed(2));
       },
-      {0x2548a2e49990f6f2ULL, 0xfaacab0b27a974c6ULL});
+      kPinned);
+  expect_pinned(
+      "CobraWalk k=2 with samples",
+      [](const Graph& g, FrontierOptions opts) {
+        CobraWalk walk(g, 0, 2);
+        return walk_fp(walk, opts, true);
+      },
+      kPinned);
 }
 
 TEST(TrajectoryLedger, CoalescingWalks) {

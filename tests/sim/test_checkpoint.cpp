@@ -1,6 +1,7 @@
 // Tests for checkpoint/resume: snapshot file integrity (truncation fuzz,
-// checksum, magic/version), process state round trips (CobraWalk,
-// GeneralizedCobraWalk incl. extinct, Gossip incl. mode cross-check),
+// checksum, magic/version), process state round trips (CobraWalk incl. a
+// k=1 multi-start walk and an extinct schedule walk, Gossip incl. mode
+// cross-check),
 // Runner periodic snapshotting, and the headline guarantee — a killed and
 // resumed run reproduces the uninterrupted trajectory bit-identically at
 // 1/2/8 threads.
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "core/cobra_walk.hpp"
-#include "core/generalized_cobra.hpp"
 #include "core/gossip.hpp"
 #include "gen/registry.hpp"
 #include "obs/manifest.hpp"
@@ -103,29 +103,38 @@ TEST_F(CheckpointTest, EverySingleByteCorruptionIsRejected) {
 
 TEST_F(CheckpointTest, CobraWalkStateRoundTripsAndContinuesIdentically) {
   const graph::Graph g = gen::build_graph("rreg:n=128,d=4,seed=11");
-  core::Engine gen(77);
-  core::CobraWalk src(g, 0, 2);
-  for (int i = 0; i < 12; ++i) src.step(gen);
+  // A 2-cobra walk from one vertex, and coalescing walks: a 1-cobra walk
+  // from a start set.
+  const std::vector<core::Vertex> starts = {3, 17, 17, 40, 64, 99, 120};
+  for (const std::uint32_t k : {2u, 1u}) {
+    core::Engine gen(77);
+    core::CobraWalk src(g, 0, k);
+    if (k == 1) src.reset(starts);
+    for (int i = 0; i < 12; ++i) src.step(gen);
 
-  util::CheckpointWriter w;
-  src.save_state(w);
-  core::CobraWalk dst(g, 0, 2);
-  util::CheckpointReader r(w.buffer());
-  dst.restore_state(r);
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(dst.round(), src.round());
-  ASSERT_EQ(std::vector<core::Vertex>(dst.active().begin(), dst.active().end()),
-            std::vector<core::Vertex>(src.active().begin(), src.active().end()));
-
-  // Same randomness from here on => identical futures.
-  core::Engine ga = gen, gb = gen;
-  for (int i = 0; i < 8; ++i) {
-    src.step(ga);
-    dst.step(gb);
+    util::CheckpointWriter w;
+    src.save_state(w);
+    core::CobraWalk dst(g, 0, k);
+    util::CheckpointReader r(w.buffer());
+    dst.restore_state(r);
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(dst.round(), src.round());
+    EXPECT_EQ(dst.samples_drawn(), src.samples_drawn());
     ASSERT_EQ(
         std::vector<core::Vertex>(dst.active().begin(), dst.active().end()),
         std::vector<core::Vertex>(src.active().begin(), src.active().end()))
-        << "diverged at continuation step " << i;
+        << "k=" << k;
+
+    // Same randomness from here on => identical futures.
+    core::Engine ga = gen, gb = gen;
+    for (int i = 0; i < 8; ++i) {
+      src.step(ga);
+      dst.step(gb);
+      ASSERT_EQ(
+          std::vector<core::Vertex>(dst.active().begin(), dst.active().end()),
+          std::vector<core::Vertex>(src.active().begin(), src.active().end()))
+          << "k=" << k << " diverged at continuation step " << i;
+    }
   }
 }
 
@@ -151,9 +160,9 @@ TEST_F(CheckpointTest, CobraWalkRestoreRejectsCorruptFrontiers) {
   }
 }
 
-TEST_F(CheckpointTest, GeneralizedCobraExtinctStateRoundTrips) {
+TEST_F(CheckpointTest, ScheduleWalkExtinctStateRoundTrips) {
   const graph::Graph g = gen::build_graph("ring:n=32");
-  core::GeneralizedCobraWalk src(
+  core::CobraWalk src(
       g, 0, [](core::Vertex, std::uint64_t, core::Engine&) { return 0u; });
   core::Engine gen(4);
   src.step(gen);  // always-zero branching: extinct in one round
@@ -161,7 +170,7 @@ TEST_F(CheckpointTest, GeneralizedCobraExtinctStateRoundTrips) {
 
   util::CheckpointWriter w;
   src.save_state(w);
-  core::GeneralizedCobraWalk dst(
+  core::CobraWalk dst(
       g, 0, [](core::Vertex, std::uint64_t, core::Engine&) { return 0u; });
   util::CheckpointReader r(w.buffer());
   dst.restore_state(r);

@@ -7,9 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/coalescing_walk.hpp"
 #include "core/cobra_walk.hpp"
-#include "core/generalized_cobra.hpp"
 #include "core/gossip.hpp"
 #include "core/grid_drift.hpp"
 #include "core/random_walk.hpp"
@@ -28,7 +26,6 @@ using namespace cobra;
 
 // Every shipped process models the concept (GridDrift via its adapter).
 static_assert(sim::Process<core::CobraWalk>);
-static_assert(sim::Process<core::GeneralizedCobraWalk>);
 static_assert(sim::Process<core::Gossip>);
 static_assert(sim::Process<core::RandomWalk>);
 static_assert(sim::Process<core::SisEpidemic>);
@@ -127,7 +124,7 @@ TEST(Runner, FixedRoundsCountsFromRunStartNotProcessBirth) {
 TEST(Runner, ExtinctionStopsFaultySchedules) {
   const graph::Graph g = gen::build_graph("ring:n=64");
   // Always-zero branching: extinct after the very first step.
-  core::GeneralizedCobraWalk walk(
+  core::CobraWalk walk(
       g, 0, [](core::Vertex, std::uint64_t, core::Engine&) { return 0u; });
   core::Engine gen(4);
   sim::CoverStop cover;
@@ -268,21 +265,24 @@ TEST(Runner, ReplicateMatchesMonteCarloContract) {
 }
 
 TEST(Runner, CollisionDetectorSeesCoalescence) {
-  // Two walkers on a tiny complete graph must eventually merge.
+  // Coalescing walks (a 1-cobra walk from a start set) on a tiny complete
+  // graph must eventually merge into one walker.
   const graph::Graph g = gen::build_graph("complete:n=4");
   core::Engine gen(3);
   std::vector<core::Vertex> starts = {0, 1, 2, 3};
-  core::CoalescingWalks walks(g, starts);
+  core::CobraWalk walks(g, 0, 1);
+  walks.reset(starts);
   sim::CollisionDetector collisions;
   sim::Runner().run(
       walks, gen,
-      sim::until([](const core::CoalescingWalks& w) {
-        return w.walker_count() == 1;
+      sim::until([](const core::CobraWalk& w) {
+        return w.frontier().size() == 1;
       }),
       collisions);
   EXPECT_TRUE(collisions.collided());
   EXPECT_EQ(collisions.total_losses(), 3u);
-  EXPECT_EQ(collisions.total_losses(), walks.merges());
+  EXPECT_EQ(collisions.total_losses(),
+            starts.size() - walks.frontier().size());
 }
 
 }  // namespace
