@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 #include <vector>
 
@@ -179,78 +178,6 @@ TEST(CobraWalk, ManyStepsNoStateCorruption) {
     ASSERT_GE(walk.active().size(), 1u);
   }
   EXPECT_EQ(walk.round(), 20000u);
-}
-
-// ---------------------------------------------- coalescing walks (k = 1) --
-// A 1-cobra walk from a start set is coalescing random walks: walkers that
-// land on one vertex merge, so the merge count is the start count minus
-// the walker count.
-
-TEST(CobraWalk, CoalescingDuplicatesMergeAtReset) {
-  const Graph g = make_cycle(10);
-  const std::vector<Vertex> starts{1, 1, 2, 3, 3, 3};
-  CobraWalk walks(g, 0, 1);
-  walks.reset(starts);
-  EXPECT_EQ(walks.frontier().size(), 3u);
-  EXPECT_EQ(starts.size() - walks.frontier().size(), 3u);  // merges
-}
-
-TEST(CobraWalk, CoalescingWalkerCountNeverGrows) {
-  // Per-round losses add up to the merges: no walker is ever created.
-  const Graph g = make_grid(2, 5);
-  std::vector<Vertex> starts(10);
-  std::iota(starts.begin(), starts.end(), 0);
-  Engine gen(1);
-  CobraWalk walks(g, 0, 1);
-  walks.reset(starts);
-  std::size_t prev = walks.frontier().size();
-  std::size_t losses = 0;
-  for (int t = 0; t < 500; ++t) {
-    walks.step(gen);
-    ASSERT_LE(walks.frontier().size(), prev);
-    ASSERT_GE(walks.frontier().size(), 1u);
-    losses += prev - walks.frontier().size();
-    prev = walks.frontier().size();
-  }
-  EXPECT_EQ(losses, starts.size() - walks.frontier().size());
-}
-
-TEST(CobraWalk, CoalescingPositionsAlwaysDistinct) {
-  const Graph g = make_complete(20);
-  const std::vector<Vertex> starts{0, 1, 2, 3, 4, 5, 6, 7};
-  Engine gen(2);
-  CobraWalk walks(g, 0, 1);
-  walks.reset(starts);
-  for (int t = 0; t < 200; ++t) {
-    walks.step(gen);
-    const auto active = walks.active();
-    const std::set<Vertex> unique(active.begin(), active.end());
-    ASSERT_EQ(unique.size(), active.size());
-  }
-}
-
-TEST(CobraWalk, CoalescingEventuallySingleOnCompleteGraph) {
-  // On K_n coalescence is fast (meeting probability per step is high).
-  const Graph g = make_complete(16);
-  std::vector<Vertex> starts(16);
-  std::iota(starts.begin(), starts.end(), 0);
-  Engine gen(3);
-  CobraWalk walks(g, 0, 1);
-  walks.reset(starts);
-  while (walks.frontier().size() > 1 && walks.round() < 100000) {
-    walks.step(gen);
-  }
-  EXPECT_EQ(walks.frontier().size(), 1u);
-  EXPECT_LT(walks.round(), 100000u);
-  EXPECT_EQ(starts.size() - walks.frontier().size(), 15u);  // merges
-}
-
-TEST(CobraWalk, CoalescingInvalidStarts) {
-  const Graph g = make_cycle(5);
-  CobraWalk walks(g, 0, 1);
-  EXPECT_THROW(walks.reset(std::vector<Vertex>{}), std::invalid_argument);
-  EXPECT_THROW(walks.reset(std::vector<Vertex>{7}), std::out_of_range);
-  EXPECT_THROW(walks.reset(std::vector<Vertex>{0, 7}), std::out_of_range);
 }
 
 }  // namespace
