@@ -12,7 +12,8 @@
 ///   --file      load an edge-list file instead of generating (see
 ///               io/graph_io.hpp for the format); --graph overrides it
 ///   --process   cobra|rw|gossip|pushpull|parallel|walt             [cobra]
-///   --k         cobra branching / parallel walker count            [2]
+///   --k         cobra branching, or the walker count of `parallel`
+///               (k independent random walks from vertex 0)          [2]
 ///   --trials    Monte-Carlo trials                                 [50]
 ///   --precision adaptive mode: run until the 95% CI half-width is
 ///               below this fraction of the mean (overrides --trials)
@@ -23,10 +24,11 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cobra_walk.hpp"
 #include "core/gossip.hpp"
-#include "core/parallel_walks.hpp"
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
 #include "graph/algorithms.hpp"
@@ -66,7 +68,8 @@ double run_process(const std::string& process, const graph::Graph& g,
     return static_cast<double>(sim::run_cover(gossip, gen, 1u << 26).rounds);
   }
   if (process == "parallel") {
-    return sim::cover_rounds<core::ParallelWalks>(gen, g, 0u, k);
+    return sim::cover_rounds<core::RandomWalk>(gen, g,
+                                               std::vector<core::Vertex>(k, 0));
   }
   if (process == "walt") {
     return sim::cover_rounds<core::Walt>(gen, g, 0u,
@@ -123,20 +126,13 @@ int main(int argc, char** argv) {
     stats::SequentialOptions seq;
     seq.base_seed = seed;
     seq.relative_tolerance = args.get_double("precision", 0.02);
-    const auto adaptive = stats::run_until_precise(
+    auto adaptive = stats::run_until_precise(
         par::global_pool(), seq, [&](core::Engine& gen, std::uint32_t) {
           return run_process(process, g, k, gen);
         });
     std::cout << "adaptive mode: " << adaptive.trials_used << " trials, "
               << (adaptive.converged ? "converged" : "NOT converged") << "\n";
-    // Re-materialize the sample for the histogram below (same seeds).
-    par::MonteCarloOptions opts;
-    opts.base_seed = seed;
-    opts.trials = adaptive.trials_used;
-    samples = par::run_trials(par::global_pool(), opts,
-                              [&](core::Engine& gen, std::uint32_t) {
-                                return run_process(process, g, k, gen);
-                              });
+    samples = std::move(adaptive.samples);
   } else {
     par::MonteCarloOptions opts;
     opts.base_seed = seed;

@@ -10,16 +10,17 @@
 ///
 ///   $ ./epidemic_sis [--n 2000] [--contacts 2] [--seed 7]
 
+#include <cmath>
 #include <iostream>
+#include <string>
 
-#include "core/sis_epidemic.hpp"
+#include "core/cobra_walk.hpp"
 #include "gen/families.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "io/args.hpp"
 #include "io/table.hpp"
 #include "sim/runner.hpp"
-#include "stats/histogram.hpp"
 
 namespace {
 
@@ -27,38 +28,41 @@ void run_outbreak(const cobra::graph::Graph& g, const std::string& label,
                   std::uint32_t contacts, std::uint64_t seed) {
   using namespace cobra;
 
+  // The infected set at round t is the cobra walk's active set S_t:
+  // prevalence is |S_t| (GrowthCurve), the ever-infected count is the
+  // covered count, and "everyone exposed" is cover (CoverStop). One Runner
+  // call records both curves.
   core::Engine gen(seed);
-  core::SisEpidemic epi(g, /*patient_zero=*/0, contacts);
+  core::CobraWalk walk(g, /*patient_zero=*/0, contacts);
   const std::uint64_t horizon = 64ull * g.num_vertices();
-  // SIS models the sim::Process concept, so the outbreak runs through the
-  // shared Runner under a process-specific stop rule instead of its own
-  // loop method.
-  sim::Runner(horizon).run(
-      epi, gen,
-      sim::until([](const core::SisEpidemic& e) { return e.everyone_exposed(); }));
+  sim::CoverStop exposed;
+  sim::GrowthCurve prevalence;
+  auto ever_infected = sim::record_of([&exposed](const core::CobraWalk&) {
+    return static_cast<double>(exposed.covered_count());
+  });
+  sim::Runner(horizon).run(walk, gen, exposed, prevalence, ever_infected);
 
   std::cout << "=== " << label << " ===\n";
   std::cout << "n = " << g.num_vertices() << ", contacts/round = " << contacts
             << ", avg degree = " << g.average_degree() << "\n";
 
-  // Epidemic curve at a handful of checkpoints.
+  // Epidemic curve at a handful of checkpoints; new exposures (incidence)
+  // are the per-round growth of the ever-infected count.
   io::Table curve({"round", "prevalence", "new exposures", "attack rate"});
-  const auto& history = epi.history();
+  const auto& ever = ever_infected.values();
   const std::size_t points = 8;
   for (std::size_t p = 0; p <= points; ++p) {
-    const std::size_t idx =
-        p * (history.size() - 1) / points;
-    const auto& rec = history[idx];
+    const std::size_t round = p * (ever.size() - 1) / points;
+    const double incidence = ever[round] - (round == 0 ? 0.0 : ever[round - 1]);
     curve.add_row(
-        {io::Table::fmt_int(static_cast<long long>(rec.round)),
-         io::Table::fmt_int(rec.prevalence),
-         io::Table::fmt_int(rec.incidence),
-         io::Table::fmt(static_cast<double>(rec.ever_infected) /
-                            g.num_vertices() * 100.0, 1) + "%"});
+        {io::Table::fmt_int(static_cast<long long>(round)),
+         io::Table::fmt_int(static_cast<long long>(prevalence.sizes()[round])),
+         io::Table::fmt_int(static_cast<long long>(incidence)),
+         io::Table::fmt(ever[round] / g.num_vertices() * 100.0, 1) + "%"});
   }
   std::cout << curve;
-  if (epi.everyone_exposed()) {
-    std::cout << "everyone exposed after " << epi.round() << " rounds\n\n";
+  if (exposed.complete()) {
+    std::cout << "everyone exposed after " << walk.round() << " rounds\n\n";
   } else {
     std::cout << "NOT fully exposed within " << horizon
               << " rounds (disconnected contact graph?)\n\n";

@@ -7,7 +7,8 @@
 ///   * 2-cobra walk        (this paper)
 ///   * push gossip         (Feige et al.; every informed vertex stays informed)
 ///   * push-pull gossip
-///   * 8 parallel random walks (Alon et al.)
+///   * 8 parallel random walks (Alon et al.): one RandomWalk with eight
+///     walkers started at the same vertex
 ///
 /// and prints rounds-to-full-dissemination with confidence intervals.
 ///
@@ -20,7 +21,7 @@
 
 #include "core/cobra_walk.hpp"
 #include "core/gossip.hpp"
-#include "core/parallel_walks.hpp"
+#include "core/random_walk.hpp"
 #include "gen/families.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -80,7 +81,8 @@ int main(int argc, char** argv) {
        }},
       {"8 parallel walks",
        [](const graph::Graph& g, core::Engine& gen) {
-         return sim::cover_rounds<core::ParallelWalks>(gen, g, 0u, 8u);
+         return sim::cover_rounds<core::RandomWalk>(
+             gen, g, std::vector<core::Vertex>(8, 0));
        }},
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace cobra::core {
@@ -10,6 +11,10 @@ namespace schedules {
 
 // Range checks are written as !(in range) so that a NaN argument fails
 // them too.
+
+/// Where a schedule whose count can exceed a branching factor's range
+/// saturates instead of wrapping.
+constexpr std::uint32_t kMaxBranching = std::numeric_limits<std::uint32_t>::max();
 
 BranchingSchedule fixed(std::uint32_t k) {
   if (k < 1) throw std::invalid_argument("schedules::fixed: k >= 1");
@@ -31,17 +36,21 @@ BranchingSchedule shifted_geometric(double p) {
     throw std::invalid_argument("schedules::shifted_geometric: p in (0,1]");
   }
   return [p](Vertex, std::uint64_t, Engine& gen) {
-    return static_cast<std::uint32_t>(1 + rng::geometric(gen, p));
+    const std::uint64_t failures = rng::geometric(gen, p);
+    return failures < kMaxBranching ? static_cast<std::uint32_t>(1 + failures)
+                                    : kMaxBranching;
   };
 }
 
 BranchingSchedule degree_proportional(const Graph& g, double alpha) {
-  if (!(0.0 < alpha)) {
-    throw std::invalid_argument("schedules::degree_proportional: alpha > 0");
+  if (!(0.0 < alpha && alpha < std::numeric_limits<double>::infinity())) {
+    throw std::invalid_argument(
+        "schedules::degree_proportional: alpha > 0 and finite");
   }
   return [&g, alpha](Vertex v, std::uint64_t, Engine&) {
-    const auto k = static_cast<std::uint32_t>(std::lround(alpha * g.degree(v)));
-    return std::max(1u, k);
+    const double k = std::round(alpha * g.degree(v));
+    return k < kMaxBranching ? std::max(1u, static_cast<std::uint32_t>(k))
+                             : kMaxBranching;
   };
 }
 

@@ -72,10 +72,12 @@ namespace schedules {
 /// k with probability 1-p, k+1 with probability p (mean k + p).
 [[nodiscard]] BranchingSchedule bernoulli_mixture(std::uint32_t k, double p);
 
-/// 1 + Geometric(p): support {1, 2, ...}, mean 1 + (1-p)/p.
+/// 1 + Geometric(p): support {1, 2, ...}, mean 1 + (1-p)/p; saturates at
+/// UINT32_MAX.
 [[nodiscard]] BranchingSchedule shifted_geometric(double p);
 
-/// max(1, round(alpha * degree(v))) — degree-proportional fanout.
+/// max(1, round(alpha * degree(v))) — degree-proportional fanout; alpha
+/// must be positive and finite, and the count saturates at UINT32_MAX.
 [[nodiscard]] BranchingSchedule degree_proportional(const Graph& g, double alpha);
 
 /// k everywhere except 0 with probability fail_p (message-drop faults).

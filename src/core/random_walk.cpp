@@ -5,10 +5,17 @@
 namespace cobra::core {
 
 RandomWalk::RandomWalk(const Graph& g, Vertex start, double laziness)
-    : g_(&g), position_(start), laziness_(laziness) {
+    : RandomWalk(g, std::span<const Vertex>(&start, 1), laziness) {}
+
+RandomWalk::RandomWalk(const Graph& g, std::span<const Vertex> starts,
+                       double laziness)
+    : g_(&g), positions_(starts.begin(), starts.end()), laziness_(laziness) {
   if (g.num_vertices() == 0) throw std::invalid_argument("RandomWalk: empty graph");
-  if (start >= g.num_vertices()) {
-    throw std::out_of_range("RandomWalk: start out of range");
+  if (positions_.empty()) throw std::invalid_argument("RandomWalk: no walkers");
+  for (const Vertex v : positions_) {
+    if (v >= g.num_vertices()) {
+      throw std::out_of_range("RandomWalk: start out of range");
+    }
   }
   if (laziness < 0.0 || laziness >= 1.0) {
     throw std::invalid_argument("RandomWalk: laziness in [0, 1)");
@@ -22,14 +29,16 @@ void RandomWalk::reset(Vertex start) {
   if (start >= g_->num_vertices()) {
     throw std::out_of_range("RandomWalk::reset: start out of range");
   }
-  position_ = start;
+  positions_.assign(positions_.size(), start);
   round_ = 0;
 }
 
 void RandomWalk::step(Engine& gen) {
   ++round_;
-  if (laziness_ > 0.0 && rng::bernoulli(gen, laziness_)) return;
-  position_ = random_neighbor(*g_, position_, gen);
+  for (Vertex& p : positions_) {
+    if (laziness_ > 0.0 && rng::bernoulli(gen, laziness_)) continue;
+    p = random_neighbor(*g_, p, gen);
+  }
 }
 
 }  // namespace cobra::core

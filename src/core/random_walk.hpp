@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "core/types.hpp"
 
@@ -9,6 +10,12 @@
 /// The simple (optionally lazy) random walk — the baseline every theorem is
 /// stated against. Feige's bounds put its cover time between Θ(n log n) and
 /// Θ(n^3); the benches reproduce both endpoints (complete graph, lollipop).
+///
+/// Several walkers run in lockstep when constructed from a start list:
+/// that is the "k parallel random walks" baseline of Alon et al. (SPAA'08)
+/// that §1.2 contrasts with cobra walks. The walker count is a fixed
+/// parameter, whereas a cobra walk's active-set size is a random process,
+/// and walkers pass through each other freely (no coalescing).
 
 namespace cobra::core {
 
@@ -18,15 +25,25 @@ class RandomWalk {
   /// put in a round (0 = standard walk, 0.5 = the usual lazy walk).
   RandomWalk(const Graph& g, Vertex start, double laziness = 0.0);
 
+  /// One independent walker per entry of `starts` (repeats allowed).
+  RandomWalk(const Graph& g, std::span<const Vertex> starts,
+             double laziness = 0.0);
+
+  /// Moves every walker to `start`.
   void reset(Vertex start);
 
+  /// Moves each walker in list order; a single walker draws exactly what
+  /// the one-walker walk draws.
   void step(Engine& gen);
 
-  [[nodiscard]] Vertex position() const noexcept { return position_; }
+  /// Walker 0's position.
+  [[nodiscard]] Vertex position() const noexcept { return positions_[0]; }
 
-  /// Active set of size one (the walker), for the sim::Process concept.
+  /// Positions of all walkers, in start-list order — may contain
+  /// duplicates; the cover engine tolerates that (absorbing a vertex twice
+  /// is a no-op).
   [[nodiscard]] std::span<const Vertex> active() const noexcept {
-    return {&position_, 1};
+    return positions_;
   }
 
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
@@ -38,7 +55,7 @@ class RandomWalk {
 
  private:
   const Graph* g_;
-  Vertex position_;
+  std::vector<Vertex> positions_;
   double laziness_;
   std::uint64_t round_ = 0;
 };

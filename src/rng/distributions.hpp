@@ -83,13 +83,16 @@ template <Uint64Generator G, typename T>
 }
 
 /// Geometric(p): number of failures before the first success, support {0,1,...}.
-/// Sampled by inversion; p must lie in (0, 1].
+/// Sampled by inversion; p must lie in (0, 1]. A draw at or above 2^64 (only
+/// reachable for a tiny p) saturates at UINT64_MAX.
 template <Uint64Generator G>
 [[nodiscard]] std::uint64_t geometric(G& gen, double p) {
   if (p >= 1.0) return 0;
   const double u = uniform_unit(gen);
   // inversion: floor(log(1-u) / log(1-p)); 1-u in (0,1] avoids log(0)
-  return static_cast<std::uint64_t>(std::log1p(-u) / std::log1p(-p));
+  const double failures = std::log1p(-u) / std::log1p(-p);
+  return failures < 0x1p64 ? static_cast<std::uint64_t>(failures)
+                           : std::numeric_limits<std::uint64_t>::max();
 }
 
 /// Standard exponential with rate lambda > 0.

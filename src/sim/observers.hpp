@@ -151,7 +151,7 @@ class FirstVisitTimes {
 
 /// Per-round active-set sizes collected for a histogram — the "round
 /// histogram" view of a process's size distribution (e.g. the occupancy
-/// profile of a long SIS run).
+/// profile of a long cobra walk read as an SIS epidemic).
 class SizeHistogram {
  public:
   template <Process P>

@@ -13,14 +13,16 @@
 /// The `sim::Process` concept — the one shape every experiment in this
 /// repo instantiates: "advance a discrete-time vertex process one round at
 /// a time, reading its active set". The paper's cobra walk, its §4 Walt
-/// surrogate, the §1.2 gossip/parallel-walk baselines, the §5 biased and
-/// Metropolis walks, and the SIS reading all model it, which is what lets
-/// ONE driver (`sim::Runner`) replace the per-process step loops the
-/// benches and examples used to hand-roll.
+/// surrogate, the §1.2 gossip and parallel-walk baselines (a RandomWalk
+/// with several walkers), and the §5 biased and Metropolis walks all model
+/// it, which is what lets ONE driver (`sim::Runner`) replace the
+/// per-process step loops the benches and examples used to hand-roll. The
+/// §1 SIS reading needs no process of its own: it is a cobra walk under
+/// CoverStop and GrowthCurve.
 ///
 /// Requirements:
-///   * `step(Engine&)`   — advance one round (any return type; SIS returns
-///                         its round record, GridDrift its step event);
+///   * `step(Engine&)`   — advance one round (any return type; GridDrift
+///                         returns its step event);
 ///   * `active()`        — the current active set as a vertex span
 ///                         (singleton for single-walker processes);
 ///   * `round()`         — rounds since construction/reset;

@@ -222,7 +222,7 @@ class Extinction {
 };
 
 /// Stop when `fn(process)` holds — the escape hatch for process-specific
-/// conditions (SIS "everyone exposed", walker count thresholds, ...).
+/// conditions (an SIS prevalence threshold, walker count thresholds, ...).
 template <typename F>
 class Until {
  public:

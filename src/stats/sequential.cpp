@@ -13,7 +13,7 @@ SequentialResult run_until_precise(
     par::ThreadPool& pool, const SequentialOptions& options,
     const std::function<double(cobra::rng::Xoshiro256&, std::uint32_t)>& trial) {
   SequentialResult result;
-  std::vector<double> samples;
+  std::vector<double>& samples = result.samples;
   samples.reserve(options.initial_trials);
 
   auto extend_to = [&](std::uint32_t target) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "parallel/monte_carlo.hpp"
 #include "stats/summary.hpp"
@@ -30,10 +31,14 @@ struct SequentialResult {
   Summary summary;
   std::uint32_t trials_used = 0;
   bool converged = false;  ///< false = hit max_trials first
+  /// Every trial's value in index order (size trials_used): samples[i] is
+  /// the trial seeded derive_seed(base_seed, i).
+  std::vector<double> samples;
 };
 
 /// Runs trial(engine, index) in growing batches on `pool` until the CI
-/// criterion is met. The full sample (all batches) feeds the final summary.
+/// criterion is met. The full sample (all batches) feeds the final summary
+/// and is returned with it.
 SequentialResult run_until_precise(
     par::ThreadPool& pool, const SequentialOptions& options,
     const std::function<double(cobra::rng::Xoshiro256&, std::uint32_t)>& trial);

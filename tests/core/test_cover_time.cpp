@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/cobra_walk.hpp"
-#include "core/parallel_walks.hpp"
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
 #include "graph/generators.hpp"
@@ -161,9 +160,9 @@ TEST(CoverTime, WaltCoversWithManyPebbles) {
 TEST(CoverTime, ParallelWalksCover) {
   const graph::Graph g = graph::make_cycle(30);
   core::Engine gen(8);
-  core::ParallelWalks one(g, 0, 1);
+  core::RandomWalk one(g, std::vector<core::Vertex>(1, 0));
   EXPECT_TRUE(sim::run_cover(one, gen).stopped);
-  core::ParallelWalks many(g, 0, 8);
+  core::RandomWalk many(g, std::vector<core::Vertex>(8, 0));
   EXPECT_TRUE(sim::run_cover(many, gen).stopped);
 }
 

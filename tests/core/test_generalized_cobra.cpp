@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <vector>
@@ -140,6 +141,27 @@ TEST(GeneralizedCobra, ScheduleValidation) {
   EXPECT_THROW(schedules::degree_proportional(g, nan), std::invalid_argument);
   EXPECT_THROW(schedules::faulty(2, nan), std::invalid_argument);
   EXPECT_THROW(CobraWalk(g, 0, nullptr), std::invalid_argument);
+  // So does an infinite alpha, which would round to no count at all.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(schedules::degree_proportional(g, inf), std::invalid_argument);
+}
+
+TEST(GeneralizedCobra, SchedulesSaturateInsteadOfWrapping) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const Graph g = make_cycle(5);  // degree 2 everywhere
+  Engine gen(10);
+  // A count past UINT32_MAX saturates; one below it is exact.
+  EXPECT_EQ(schedules::degree_proportional(g, 1e300)(0, 0, gen), kMax);
+  EXPECT_EQ(schedules::degree_proportional(g, 1e9)(0, 0, gen), 2000000000u);
+  // 1 + Geometric(1e-12) is ~1e12: each draw saturates at UINT32_MAX
+  // rather than wrapping mod 2^32.
+  const BranchingSchedule geo = schedules::shifted_geometric(1e-12);
+  Engine twin(11), draws(11);
+  for (int i = 0; i < 100; ++i) {
+    const std::uint64_t failures = rng::geometric(twin, 1e-12);
+    const std::uint64_t expected = failures < kMax ? 1 + failures : kMax;
+    EXPECT_EQ(geo(0, 0, draws), expected);
+  }
 }
 
 TEST(GeneralizedCobra, HigherMeanBranchingCoversFaster) {

@@ -1,9 +1,12 @@
-#include "core/parallel_walks.hpp"
+// k parallel random walks (Alon et al.) as one RandomWalk built from a
+// start list: walker count, per-walker moves, validation, independence,
+// reset, and the one-walker fold onto the single-start walk.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "core/random_walk.hpp"
 #include "graph/generators.hpp"
 
 namespace cobra::core {
@@ -16,8 +19,8 @@ using graph::make_path;
 TEST(ParallelWalks, FixedWalkerCount) {
   const Graph g = make_grid(2, 5);
   Engine gen(1);
-  ParallelWalks walks(g, 0, 8);
-  EXPECT_EQ(walks.walkers(), 8u);
+  RandomWalk walks(g, std::vector<Vertex>(8, 0));
+  EXPECT_EQ(walks.active().size(), 8u);
   for (int t = 0; t < 100; ++t) {
     walks.step(gen);
     EXPECT_EQ(walks.active().size(), 8u);  // never coalesce, never branch
@@ -27,7 +30,7 @@ TEST(ParallelWalks, FixedWalkerCount) {
 TEST(ParallelWalks, EachWalkerMovesAlongEdges) {
   const Graph g = make_cycle(7);
   Engine gen(2);
-  ParallelWalks walks(g, 3, 4);
+  RandomWalk walks(g, std::vector<Vertex>(4, 3));
   std::vector<Vertex> prev(walks.active().begin(), walks.active().end());
   for (int t = 0; t < 100; ++t) {
     walks.step(gen);
@@ -42,19 +45,21 @@ TEST(ParallelWalks, EachWalkerMovesAlongEdges) {
 TEST(ParallelWalks, ExplicitStartPositions) {
   const Graph g = make_path(6);
   const std::vector<Vertex> starts{0, 5, 2};
-  ParallelWalks walks(g, starts);
-  EXPECT_EQ(walks.walkers(), 3u);
+  RandomWalk walks(g, starts);
+  ASSERT_EQ(walks.active().size(), 3u);
   EXPECT_EQ(walks.active()[0], 0u);
   EXPECT_EQ(walks.active()[1], 5u);
   EXPECT_EQ(walks.active()[2], 2u);
+  EXPECT_EQ(walks.position(), 0u);  // walker 0
 }
 
 TEST(ParallelWalks, InvalidConstruction) {
   const Graph g = make_path(3);
-  EXPECT_THROW(ParallelWalks(g, 0, 0), std::invalid_argument);
-  EXPECT_THROW(ParallelWalks(g, 5, 2), std::out_of_range);
-  EXPECT_THROW(ParallelWalks(g, std::vector<Vertex>{}), std::invalid_argument);
-  EXPECT_THROW(ParallelWalks(g, std::vector<Vertex>{9}), std::out_of_range);
+  EXPECT_THROW(RandomWalk(g, std::vector<Vertex>{}), std::invalid_argument);
+  EXPECT_THROW(RandomWalk(g, std::vector<Vertex>(2, 5)), std::out_of_range);
+  EXPECT_THROW(RandomWalk(g, std::vector<Vertex>{0, 9}), std::out_of_range);
+  EXPECT_THROW(RandomWalk(g, std::vector<Vertex>{0, 1}, 1.0),
+               std::invalid_argument);
 }
 
 TEST(ParallelWalks, WalkersAreIndependent) {
@@ -65,7 +70,7 @@ TEST(ParallelWalks, WalkersAreIndependent) {
   int distinct = 0;
   constexpr int kTrials = 200;
   for (int t = 0; t < kTrials; ++t) {
-    ParallelWalks walks(g, 0, 2);
+    RandomWalk walks(g, std::vector<Vertex>(2, 0));
     for (int s = 0; s < 50; ++s) walks.step(gen);
     if (walks.active()[0] != walks.active()[1]) ++distinct;
   }
@@ -75,11 +80,30 @@ TEST(ParallelWalks, WalkersAreIndependent) {
 TEST(ParallelWalks, ResetRestoresAll) {
   const Graph g = make_grid(2, 4);
   Engine gen(4);
-  ParallelWalks walks(g, 0, 5);
+  RandomWalk walks(g, std::vector<Vertex>(5, 0));
   for (int t = 0; t < 20; ++t) walks.step(gen);
   walks.reset(7);
   EXPECT_EQ(walks.round(), 0u);
+  ASSERT_EQ(walks.active().size(), 5u);
   for (const Vertex v : walks.active()) EXPECT_EQ(v, 7u);
+}
+
+TEST(ParallelWalks, OneWalkerListIsTheSingleStartWalk) {
+  // The start-list constructor with one entry must draw exactly what the
+  // single-start walk draws, laziness coin included, round for round.
+  const Graph g = make_grid(2, 6);
+  Engine gen_list(5);
+  Engine gen_single(5);
+  const std::vector<Vertex> start{14};
+  RandomWalk listed(g, start, 0.5);
+  RandomWalk single(g, 14, 0.5);
+  for (int t = 0; t < 1000; ++t) {
+    listed.step(gen_list);
+    single.step(gen_single);
+    ASSERT_EQ(listed.position(), single.position()) << "round " << t + 1;
+  }
+  EXPECT_EQ(listed.round(), single.round());
+  EXPECT_EQ(gen_list.state(), gen_single.state());
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include "core/cobra_walk.hpp"
 #include "core/gossip.hpp"
-#include "core/parallel_walks.hpp"
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
 #include "gen/families.hpp"
@@ -137,8 +136,10 @@ TEST_P(ProcessProperties, ParallelWalksMoreWalkersNoSlower) {
   double w1 = 0, w8 = 0;
   constexpr int kTrials = 15;
   for (int t = 0; t < kTrials; ++t) {
-    w1 += sim::cover_rounds<core::ParallelWalks>(gen, g, 0u, 1u);
-    w8 += sim::cover_rounds<core::ParallelWalks>(gen, g, 0u, 8u);
+    w1 += sim::cover_rounds<core::RandomWalk>(gen, g,
+                                              std::vector<Vertex>(1, 0));
+    w8 += sim::cover_rounds<core::RandomWalk>(gen, g,
+                                              std::vector<Vertex>(8, 0));
   }
   EXPECT_LT(w8, 1.2 * w1) << GetParam().name;
 }

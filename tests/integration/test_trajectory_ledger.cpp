@@ -36,7 +36,6 @@
 #include "core/greedy_mis.hpp"
 #include "core/biased_walk.hpp"
 #include "core/lll_resampler.hpp"
-#include "core/parallel_walks.hpp"
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
 #include "gen/constraints.hpp"
@@ -263,14 +262,20 @@ struct Measurement {
 /// Hitting target: a vertex far from the start vertex 0 on both graphs.
 Vertex ledger_target(const Graph& g) { return g.num_vertices() / 2 + 25; }
 
-/// Cover run of a fresh `P(g, 0, args...)`; `budget` 0 = default budget.
-template <typename P, typename... Args>
-Measurement cover_run(std::uint64_t budget, const Graph& g, Args... args) {
-  P process(g, Vertex{0}, args...);
+/// Cover run of `process`; `budget` 0 = default budget.
+template <typename P>
+Measurement measure_cover(P& process, std::uint64_t budget) {
   Engine gen(kMeasureSeed);
   sim::CoverStop cover;
   const sim::RunResult r = sim::Runner(budget).run(process, gen, cover);
   return {r.rounds, cover.covered_count(), gen()};
+}
+
+/// Cover run of a fresh `P(g, 0, args...)`; `budget` 0 = default budget.
+template <typename P, typename... Args>
+Measurement cover_run(std::uint64_t budget, const Graph& g, Args... args) {
+  P process(g, Vertex{0}, args...);
+  return measure_cover(process, budget);
 }
 
 /// Hitting run of a fresh `P(g, 0, args...)` to ledger_target(g).
@@ -310,7 +315,10 @@ TEST(TrajectoryLedger, CoverAndHitMeasurements) {
        },
        {{31, 4096, 0x741c729068ba8895ULL}, {89, 2500, 0x4c7c8fe81667457eULL}}},
       {"cover ParallelWalks(8)",
-       [](const Graph& g) { return cover_run<ParallelWalks>(0, g, 8u); },
+       [](const Graph& g) {
+         RandomWalk walks(g, std::vector<Vertex>(8, 0));
+         return measure_cover(walks, 0);
+       },
        {{6034, 4096, 0x44d61dbb85e55a15ULL},
         {5861, 2500, 0x85ae1e5e71ba60a2ULL}}},
       {"cover Walt(10, lazy)",

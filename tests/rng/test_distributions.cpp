@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -148,6 +149,28 @@ TEST(Geometric, MeanMatches) {
 TEST(Geometric, POneIsZero) {
   Xoshiro256 gen(13);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(geometric(gen, 1.0), 0u);
+}
+
+TEST(Geometric, TinyPSaturatesInsteadOfOverflowing) {
+  // For p = 1e-300 every inversion quotient is far above 2^64; the draw
+  // saturates instead of overflowing the float-to-integer cast.
+  Xoshiro256 gen(14);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(geometric(gen, 1e-300), std::numeric_limits<std::uint64_t>::max());
+  }
+}
+
+TEST(Geometric, LargeDrawsBelowTheCapAreExact) {
+  // p = 1e-12 draws ~1e12 failures: past 2^32, well below 2^64, and equal
+  // to the unsaturated inversion of the same uniform.
+  Xoshiro256 gen(15), twin(15);
+  constexpr double p = 1e-12;
+  for (int i = 0; i < 100; ++i) {
+    const double u = uniform_unit(twin);
+    const auto expected =
+        static_cast<std::uint64_t>(std::log1p(-u) / std::log1p(-p));
+    EXPECT_EQ(geometric(gen, p), expected);
+  }
 }
 
 TEST(Exponential, MeanMatches) {

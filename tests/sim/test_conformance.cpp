@@ -20,9 +20,7 @@
 #include "core/lll_resampler.hpp"
 #include "core/metropolis_walk.hpp"
 #include "core/pair_walk.hpp"
-#include "core/parallel_walks.hpp"
 #include "core/random_walk.hpp"
-#include "core/sis_epidemic.hpp"
 #include "core/walt.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/process.hpp"
@@ -37,10 +35,8 @@ static_assert(Process<core::BiasedWalk>);
 static_assert(Process<core::MetropolisWalk>);
 static_assert(Process<core::PairWalk>);
 static_assert(Process<core::CobraWalk>);
-static_assert(Process<core::ParallelWalks>);
 static_assert(Process<core::Walt>);
 static_assert(Process<core::Gossip>);
-static_assert(Process<core::SisEpidemic>);
 static_assert(Process<core::GreedyMIS>);
 static_assert(Process<core::LLLResampler>);
 static_assert(Process<GridDriftProcess>);

@@ -11,7 +11,6 @@
 #include "core/gossip.hpp"
 #include "core/grid_drift.hpp"
 #include "core/random_walk.hpp"
-#include "core/sis_epidemic.hpp"
 #include "core/walt.hpp"
 #include "gen/registry.hpp"
 #include "parallel/thread_pool.hpp"
@@ -28,7 +27,6 @@ using namespace cobra;
 static_assert(sim::Process<core::CobraWalk>);
 static_assert(sim::Process<core::Gossip>);
 static_assert(sim::Process<core::RandomWalk>);
-static_assert(sim::Process<core::SisEpidemic>);
 static_assert(sim::Process<core::Walt>);
 static_assert(sim::Process<sim::GridDriftProcess>);
 
@@ -228,16 +226,26 @@ TEST(Runner, GridDriftAdapterHitsOriginLikeRunToOrigin) {
 }
 
 TEST(Runner, UntilPredicateStopsSis) {
+  // The SIS reading of a cobra walk: stop once prevalence (the infected
+  // set S_t) first reaches half the population.
   const graph::Graph g = gen::build_graph("complete:n=32");
   core::Engine gen(8);
-  core::SisEpidemic epi(g, 0, 2);
+  core::CobraWalk epi(g, 0, 2);
+  sim::GrowthCurve prevalence;
   const auto r = sim::Runner(1u << 16).run(
-      epi, gen, sim::until([](const core::SisEpidemic& e) {
-        return e.everyone_exposed();
-      }));
+      epi, gen,
+      sim::until([](const core::CobraWalk& w) {
+        return 2 * w.active().size() >= w.n();
+      }),
+      prevalence);
   EXPECT_TRUE(r.stopped);
-  EXPECT_TRUE(epi.everyone_exposed());
+  EXPECT_GE(2 * epi.active().size(), g.num_vertices());
   EXPECT_EQ(epi.round(), r.rounds);
+  // The predicate fired at the first such round, not later.
+  ASSERT_EQ(prevalence.sizes().size(), r.rounds + 1);
+  for (std::size_t t = 0; t < r.rounds; ++t) {
+    EXPECT_LT(2 * prevalence.sizes()[t], g.num_vertices()) << "round " << t;
+  }
 }
 
 TEST(Runner, OccupancyCounterCountsPostStepRounds) {

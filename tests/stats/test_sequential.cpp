@@ -87,6 +87,28 @@ TEST(Sequential, DeterministicAcrossBatchSizes) {
   EXPECT_DOUBLE_EQ(a.summary.mean, b.summary.mean);
 }
 
+TEST(Sequential, ReturnsItsSampleInTrialOrder) {
+  // The samples behind the summary come back with it, equal to a serial
+  // Monte-Carlo run of the same trials under the same seeds.
+  par::ThreadPool pool(4);
+  SequentialOptions options;
+  options.base_seed = 77;
+  options.initial_trials = 8;
+  options.batch_size = 8;
+  options.relative_tolerance = 0.1;
+  auto trial = [](rng::Xoshiro256& gen, std::uint32_t) {
+    return rng::uniform_unit(gen) * 100.0;
+  };
+  const auto result = run_until_precise(pool, options, trial);
+  ASSERT_GT(result.trials_used, options.initial_trials);  // several batches
+  ASSERT_EQ(result.samples.size(), result.trials_used);
+  par::MonteCarloOptions serial;
+  serial.base_seed = options.base_seed;
+  serial.trials = result.trials_used;
+  EXPECT_EQ(result.samples, par::run_trials_serial(serial, trial));
+  EXPECT_DOUBLE_EQ(result.summary.mean, summarize(result.samples).mean);
+}
+
 TEST(Sequential, TrialIndexPassedThrough) {
   par::ThreadPool pool(2);
   SequentialOptions options;
