@@ -107,7 +107,7 @@ void epsilon_sweep(bench::Harness& h, std::uint32_t trials) {
     std::cout << c.name << " (target " << target << ")\n";
     io::Table table({"epsilon", "hit time"});
     for (const double eps : {0.0, 0.05, 0.1, 0.2, 0.4, 0.8}) {
-      const auto hit = bench::measure(
+      const auto hit = sim::replicate(
           trials, 0xE8200 + static_cast<std::uint64_t>(eps * 100),
           [&](core::Engine& gen) {
             core::BiasedWalk walk(g, 0, target, core::BiasSchedule::EpsilonBias,
@@ -146,12 +146,12 @@ void lemma14_table(bench::Harness& h, std::uint32_t trials) {
     const graph::Vertex v = g.num_vertices() - 1;
     const auto dist = graph::bfs_distances(g, u);
     const auto cobra =
-        bench::measure(trials, 0xE8300 ^ std::hash<std::string>{}(c.spec),
+        sim::replicate(trials, 0xE8300 ^ std::hash<std::string>{}(c.spec),
                        [&](core::Engine& gen) {
                          return sim::hit_rounds<core::CobraWalk>(gen, v, g, u, 2u);
                        });
     const auto biased =
-        bench::measure(trials, 0xE8400 ^ std::hash<std::string>{}(c.spec),
+        sim::replicate(trials, 0xE8400 ^ std::hash<std::string>{}(c.spec),
                        [&](core::Engine& gen) {
                          return sim::hit_rounds<core::BiasedWalk>(
                              gen, v, g, u, v,

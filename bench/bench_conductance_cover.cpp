@@ -34,7 +34,7 @@ void add_row(bench::Harness& h, io::Table& table, const std::string& family,
   const graph::Graph& g = c.graph;
   const auto est = graph::estimate_conductance(g);
   const double phi = est.point();
-  const auto cover = bench::measure(
+  const auto cover = sim::replicate(
       trials, seed ^ std::hash<std::string>{}(c.spec), [&](core::Engine& gen) {
         return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
       });

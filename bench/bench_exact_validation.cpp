@@ -1,8 +1,8 @@
 /// A10 — calibration certificate: the Monte-Carlo estimators used by every
 /// other experiment, validated against EXACT expectations computed from
-/// the walk's subset Markov chain (core/exact_cobra.hpp) and the dense RW
-/// solver (graph/exact_hitting.hpp). If these tables agree, the
-/// statistical machinery of E1–E10 is trustworthy.
+/// the walk's subset Markov chain (core/exact_cobra.hpp; at k = 1 it is the
+/// simple random walk). If these tables agree, the statistical machinery
+/// of E1–E10 is trustworthy.
 ///
 ///   1. exact vs simulated 2-cobra cover time on all <= 8-vertex families;
 ///   2. exact vs simulated 2-cobra hitting times;
@@ -53,7 +53,7 @@ void cover_table(bench::Harness& h, const std::vector<bench::BuiltCase>& cases,
     const graph::Graph& g = c.graph;
     const core::ExactCobra exact(g, 2);
     const double truth = exact.expected_cover_time(0);
-    const auto sim = bench::measure(
+    const auto sim = sim::replicate(
         trials, 0xA100 ^ std::hash<std::string>{}(c.spec),
         [&](core::Engine& gen) {
           return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
@@ -85,7 +85,7 @@ void hitting_table(bench::Harness& h,
     const core::ExactCobra exact(g, 2);
     const graph::Vertex target = g.num_vertices() - 1;
     const double truth = exact.expected_hitting_time(0, target);
-    const auto sim = bench::measure(
+    const auto sim = sim::replicate(
         trials, 0xA200 ^ std::hash<std::string>{}(c.spec),
         [&](core::Engine& gen) {
           return sim::hit_rounds<core::CobraWalk>(gen, target, g, 0u, 2u);

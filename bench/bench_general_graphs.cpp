@@ -37,14 +37,14 @@ void sweep(bench::Harness& h, const std::string& label,
     const graph::Graph& g = c.graph;
     const std::uint32_t n = g.num_vertices();
     const auto cobra =
-        bench::measure(trials, seed + n, [&](core::Engine& gen) {
+        sim::replicate(trials, seed + n, [&](core::Engine& gen) {
           return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
         });
     ns.push_back(n);
     cobra_means.push_back(cobra.mean);
     stats::Summary rw;
     if (include_rw) {
-      rw = bench::measure(trials, seed + 7777 + n, [&](core::Engine& gen) {
+      rw = sim::replicate(trials, seed + 7777 + n, [&](core::Engine& gen) {
         return sim::cover_rounds<core::RandomWalk>(gen, g, 0u);
       });
       rw_means.push_back(rw.mean);
@@ -95,10 +95,10 @@ int main(int argc, char** argv) {
 
   if (h.has_graph()) {
     for (const auto& c : h.suite({})) {
-      const auto cobra = bench::measure(trials, 0xE51000, [&](core::Engine& gen) {
+      const auto cobra = sim::replicate(trials, 0xE51000, [&](core::Engine& gen) {
         return sim::cover_rounds<core::CobraWalk>(gen, c.graph, 0u, 2u);
       });
-      const auto rw = bench::measure(trials, 0xE52000, [&](core::Engine& gen) {
+      const auto rw = sim::replicate(trials, 0xE52000, [&](core::Engine& gen) {
         return sim::cover_rounds<core::RandomWalk>(gen, c.graph, 0u);
       });
       io::Table table({"n", "cobra cover", "rw cover"});

@@ -74,14 +74,14 @@ int main(int argc, char** argv) {
   for (const auto& [name, spec] : cases) {
     const graph::Graph g = gen::build_graph(spec);
     const std::uint64_t h = std::hash<std::string>{}(name);
-    const auto cobra = bench::measure(trials, 0xEA100 ^ h, [&](core::Engine& gen) {
+    const auto cobra = sim::replicate(trials, 0xEA100 ^ h, [&](core::Engine& gen) {
       return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
     });
-    const auto push = bench::measure(trials, 0xEA200 ^ h, [&](core::Engine& gen) {
+    const auto push = sim::replicate(trials, 0xEA200 ^ h, [&](core::Engine& gen) {
       return sim::cover_rounds<core::Gossip>(gen, g, 0u, core::GossipMode::Push);
     });
     const auto pushpull =
-        bench::measure(trials, 0xEA300 ^ h, [&](core::Engine& gen) {
+        sim::replicate(trials, 0xEA300 ^ h, [&](core::Engine& gen) {
           core::Gossip gossip(g, 0, core::GossipMode::PushPull);
           return static_cast<double>(
               sim::run_cover(gossip, gen, 1u << 26).rounds);

@@ -61,7 +61,7 @@ void sweep_dimension(bench::Harness& h, std::uint32_t d,
     // side recovers exactly from n = side^d for these specs.
     const auto side = static_cast<std::uint32_t>(std::llround(
         std::pow(static_cast<double>(g.num_vertices()), 1.0 / d)));
-    const auto cobra = bench::measure(
+    const auto cobra = sim::replicate(
         trials, 0xE1000 + side + d * 1000,
         [&](core::Engine& gen) { return cobra_cover_rounds(g, gen); });
     ns.push_back(side);
@@ -69,7 +69,7 @@ void sweep_dimension(bench::Harness& h, std::uint32_t d,
 
     stats::Summary rw;
     if (include_rw) {
-      rw = bench::measure(trials, 0xE1500 + side + d * 1000,
+      rw = sim::replicate(trials, 0xE1500 + side + d * 1000,
                           [&](core::Engine& gen) {
                             return rw_cover_rounds(g, gen);
                           });
@@ -124,10 +124,10 @@ int main(int argc, char** argv) {
 
   if (h.has_graph()) {
     for (const auto& c : h.suite({})) {
-      const auto cobra = bench::measure(trials, 0xE1000, [&](core::Engine& gen) {
+      const auto cobra = sim::replicate(trials, 0xE1000, [&](core::Engine& gen) {
         return cobra_cover_rounds(c.graph, gen);
       });
-      const auto rw = bench::measure(trials, 0xE1500, [&](core::Engine& gen) {
+      const auto rw = sim::replicate(trials, 0xE1500, [&](core::Engine& gen) {
         return rw_cover_rounds(c.graph, gen);
       });
       io::Table table({"n", "cobra cover", "rw cover"});

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     core::Engine gen(0xE6100 ^ std::hash<std::string>{}(c.spec));
     const auto hmax =
         sim::estimate_cobra_hmax(g, 2, gen, pair_samples, trials_per_pair);
-    const auto cover = bench::measure(
+    const auto cover = sim::replicate(
         trials, 0xE6200 ^ std::hash<std::string>{}(c.spec),
         [&](core::Engine& e) {
           return sim::cover_rounds<core::CobraWalk>(e, g, 0u, 2u);

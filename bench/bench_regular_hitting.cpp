@@ -61,10 +61,10 @@ void sweep_cycle(const std::vector<std::uint32_t>& sizes, std::uint32_t trials,
   for (const std::uint32_t n : sizes) {
     const graph::Graph g = gen::build_graph("ring:n=" + std::to_string(n));
     const auto cobra =
-        bench::measure(trials, 0xE4100 + n, [&](core::Engine& gen) {
+        sim::replicate(trials, 0xE4100 + n, [&](core::Engine& gen) {
           return cobra_hit_rounds(g, 0, n / 2, gen);
         });
-    const auto rw = bench::measure(trials, 0xE4200 + n, [&](core::Engine& gen) {
+    const auto rw = sim::replicate(trials, 0xE4200 + n, [&](core::Engine& gen) {
       return rw_hit_rounds(g, 0, n / 2, gen);
     });
     const double nd = n;
@@ -103,7 +103,7 @@ void sweep_regular(std::uint32_t delta, const std::vector<std::uint32_t>& sizes,
         ",seed=" + std::to_string(0xE43 + delta + n));
     const auto [a, b] = far_pair(g);
     const auto dist = graph::bfs_distances(g, a);
-    const auto hit = bench::measure(
+    const auto hit = sim::replicate(
         trials, 0xE4400 + n + delta,
         [&, a = a, b = b](core::Engine& gen) {
           return cobra_hit_rounds(g, a, b, gen);
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
     const graph::Graph g = bench::bench_graph(args, spec);
     const auto [a, b] = far_pair(g);
     const auto dist = graph::bfs_distances(g, a);
-    const auto hit = bench::measure(trials > 0 ? trials : 40, 0xE4500,
+    const auto hit = sim::replicate(trials > 0 ? trials : 40, 0xE4500,
                                     [&, a = a, b = b](core::Engine& gen) {
                                       return cobra_hit_rounds(g, a, b, gen);
                                     });

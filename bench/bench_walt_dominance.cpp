@@ -28,15 +28,15 @@ void compare_on(bench::Harness& h, const bench::BuiltCase& c,
                 std::uint32_t trials, std::uint64_t seed) {
   const graph::Graph& g = c.graph;
   const std::uint32_t pebbles = std::max(2u, g.num_vertices() / 2);
-  const auto cobra = bench::measure(trials, seed, [&](core::Engine& gen) {
+  const auto cobra = sim::replicate(trials, seed, [&](core::Engine& gen) {
     return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
   });
   const auto walt_lazy =
-      bench::measure(trials, seed + 1, [&](core::Engine& gen) {
+      sim::replicate(trials, seed + 1, [&](core::Engine& gen) {
         return sim::cover_rounds<core::Walt>(gen, g, 0u, pebbles, true);
       });
   const auto walt_eager =
-      bench::measure(trials, seed + 2, [&](core::Engine& gen) {
+      sim::replicate(trials, seed + 2, [&](core::Engine& gen) {
         return sim::cover_rounds<core::Walt>(gen, g, 0u, pebbles, false);
       });
 

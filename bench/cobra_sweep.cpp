@@ -53,13 +53,17 @@
 ///              quarantined failed_runs account for every promised cell
 ///
 /// Fault-injection levers (resilience tests; cell ids are the 0-based
-/// position in the bench x spec x threads iteration order):
-///   --inject-crash-run I  cell I's child crashes on EVERY attempt
-///                         (exercises quarantine)
+/// position in the bench x spec x threads iteration order). Each arms a
+/// TEST-ONLY fault site in the targeted child through a one-line
+/// --fault-plan file in <out>.runs (a plan arms on top of an inherited
+/// COBRA_FAULT, not instead of it):
+///   --inject-crash-run I  cell I's child crashes (bench.crash) on EVERY
+///                         attempt (exercises quarantine)
 ///   --inject-flaky-run I  cell I's child crashes on the FIRST attempt
 ///                         only (exercises retry + backoff)
-///   --inject-hang-run I   cell I's child hangs on every attempt;
-///                         requires --timeout (exercises the watchdog)
+///   --inject-hang-run I   cell I's child hangs (bench.hang) on every
+///                         attempt; requires --timeout (exercises the
+///                         watchdog)
 ///
 /// Exit codes: 0 = every cell accounted for (even if some quarantined),
 /// 1 = infrastructure failure (missing binary, unwritable output, invalid
@@ -344,6 +348,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The injection levers' plan files, one fault site each.
+  const fs::path crash_plan = workdir / "bench_crash.plan";
+  const fs::path hang_plan = workdir / "bench_hang.plan";
+  if (crash_run != kNoInjection || flaky_run != kNoInjection) {
+    std::ofstream(crash_plan) << "bench.crash\n";
+  }
+  if (hang_run != kNoInjection) std::ofstream(hang_plan) << "bench.hang\n";
+
   // Capability pass: drop benches whose --graph is not the measurement.
   std::vector<std::string> swept;
   for (const auto& name : benches) {
@@ -420,11 +432,12 @@ int main(int argc, char** argv) {
                             shell_quote(run_metrics.string());
           if (args.get_bool("smoke", false)) cmd += " --smoke";
           if (args.has("trials")) cmd += " --trials " + std::to_string(trials);
-          if (cell == crash_run) cmd += " --inject-crash-after 0";
-          if (cell == flaky_run && attempt == 0) {
-            cmd += " --inject-crash-after 0";  // first attempt only: a flake
+          // A flaky cell crashes on its first attempt only.
+          if (cell == crash_run || (cell == flaky_run && attempt == 0)) {
+            cmd += " --fault-plan " + shell_quote(crash_plan.string());
+          } else if (cell == hang_run) {
+            cmd += " --fault-plan " + shell_quote(hang_plan.string());
           }
-          if (cell == hang_run) cmd += " --inject-hang 60";
           if (policy.timeout_s != 0) {
             // coreutils timeout(1): kills the child and exits 124.
             cmd = "timeout " + std::to_string(policy.timeout_s) + " " + cmd;

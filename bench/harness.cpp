@@ -1,6 +1,5 @@
 #include "harness.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -16,7 +15,6 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/runner.hpp"
 #include "util/fault.hpp"
 
 namespace cobra::bench {
@@ -24,37 +22,29 @@ namespace cobra::bench {
 namespace {
 
 /// Flags every bench accepts, appended to each bench's `extra` list.
-/// The two inject-* flags are the sweep watchdog's test levers: any bench
-/// can be told to die or stall on command, so resilience tests drive REAL
-/// benches through REAL failure modes instead of mock children.
 const std::vector<std::string>& shared_flags() {
   static const std::vector<std::string> flags = {
       "graph",   "out",   "smoke",
       "threads", "metrics", "trace",
-      "fault-plan",
-      "inject-crash-after", "inject-hang"};
+      "fault-plan"};
   return flags;
 }
 
-/// Act on the harness-level fault flags, before any measurement runs:
-/// --inject-crash-after <ms>  sleep, then die abruptly (_Exit, no cleanup,
-///                            no --out written) — a segfault stand-in
-/// --inject-hang <s>          stall up to s seconds (capped at 600 so an
-///                            unwatched child still terminates), then exit
-///                            nonzero — what a livelock looks like to the
-///                            sweep's per-child timeout
-void apply_injections(const io::Args& args) {
-  if (args.has("inject-crash-after")) {
-    const auto ms = args.get_uint("inject-crash-after", 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    std::cerr << "[bench] injected crash (--inject-crash-after)\n";
+/// The sweep watchdog's TEST-ONLY fault sites, checked once at startup
+/// after COBRA_FAULT and --fault-plan are armed, so resilience tests drive
+/// REAL benches through REAL failure modes instead of mock children:
+///   bench.crash  die abruptly (_Exit, no cleanup, no --out written) — a
+///                segfault stand-in
+///   bench.hang   stall 60 s, then exit nonzero — what a livelock looks
+///                like to the sweep's per-child timeout
+void check_fault_sites() {
+  if (util::fault::should_fail("bench.crash")) {
+    std::cerr << "[bench] injected crash (bench.crash)\n";
     std::_Exit(86);
   }
-  if (args.has("inject-hang")) {
-    const auto s = std::min<std::uint64_t>(args.get_uint("inject-hang", 0), 600);
-    std::cerr << "[bench] injected hang for " << s
-              << "s (--inject-hang)\n";
-    std::this_thread::sleep_for(std::chrono::seconds(s));
+  if (util::fault::should_fail("bench.hang")) {
+    std::cerr << "[bench] injected hang for 60s (bench.hang)\n";
+    std::this_thread::sleep_for(std::chrono::seconds(60));
     std::exit(87);  // a watchdog timeout should have fired long before this
   }
 }
@@ -147,7 +137,7 @@ io::Args parse_bench_args(int argc, const char* const* argv,
     if (args.has("trace")) {
       obs::open_global_trace(args.get("trace", ""));
     }
-    apply_injections(args);
+    check_fault_sites();
     return args;
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\nflags: ";
@@ -279,13 +269,6 @@ std::string JsonReporter::number(double value) {
   os.precision(15);
   os << value;
   return os.str();
-}
-
-// ----------------------------------------------------------- measuring --
-
-stats::Summary measure(std::uint32_t trials, std::uint64_t seed,
-                       const std::function<double(core::Engine&)>& trial) {
-  return sim::replicate(trials, seed, trial);
 }
 
 std::string mean_ci(const stats::Summary& s, int precision) {

@@ -13,7 +13,7 @@
 ///     cases and the harness resolves them against `--graph`/`--smoke` and
 ///     builds every graph through the gen registry — one construction path
 ///     for benches, examples, and tests,
-///   * the aligned io::Table printer and the Monte-Carlo `measure` helper,
+///   * the aligned io::Table printer and its "mean +- ci" cell,
 ///   * JSON reporting (`JsonReporter`, wired to `--out` by
 ///     `Harness::finish`), which records the `BENCH_*.json` trajectory.
 ///
@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -92,7 +91,9 @@ struct BenchCaps {
 /// CLI twin of parse_bench_args_checked: on error prints the message plus
 /// the GraphSpec grammar and exits 1 (a typo'd sweep script fails with
 /// usage text), on `--caps` prints render_caps(caps, extra) and exits 0,
-/// and on success applies --threads to the global pool.
+/// and on success applies --threads to the global pool, arms COBRA_FAULT
+/// and --fault-plan, and checks the TEST-ONLY bench.crash / bench.hang
+/// fault sites (util/fault.hpp).
 io::Args parse_bench_args(int argc, const char* const* argv,
                           std::vector<std::string> extra = {},
                           const BenchCaps& caps = {});
@@ -164,13 +165,6 @@ class JsonReporter {
   std::vector<std::pair<std::string, std::string>> context_;
   std::deque<Record> records_;  // stable references across record() calls
 };
-
-/// A Monte-Carlo measurement: run `trial` `trials` times on the global pool
-/// with deterministic seeding and summarize. Thin wrapper over
-/// sim::Runner::replicate — the repetition/CI aggregation lives in the sim
-/// layer now; this name remains for the benches' convenience.
-stats::Summary measure(std::uint32_t trials, std::uint64_t seed,
-                       const std::function<double(core::Engine&)>& trial);
 
 /// Pretty "mean +- ci" cell.
 std::string mean_ci(const stats::Summary& s, int precision = 1);

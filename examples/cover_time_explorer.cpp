@@ -19,6 +19,9 @@
 ///               below this fraction of the mean (overrides --trials)
 ///   --seed      base seed                                          [1]
 ///   --curve     also print the coverage curve of one run           [false]
+///
+/// A rejected argument (bad --graph, unreadable --file, --k 0) prints the
+/// library's message and exits 1 before any trial runs.
 
 #include <algorithm>
 #include <iostream>
@@ -50,38 +53,51 @@ using namespace cobra;
 
 constexpr const char* kDefaultGraph = "grid:n=1024";
 
-/// Every process runs to cover through the one shared sim::Runner — adding
-/// a process here is "construct it, hand it to cover_rounds", nothing else.
-double run_process(const std::string& process, const graph::Graph& g,
-                   std::uint32_t k, core::Engine& gen) {
+/// Construct `process` on `g` from vertex 0 and hand it, with its cover
+/// budget (0 = the Runner's default), to `use`. Every process runs to cover
+/// through the one shared sim::Runner — adding a process here is one more
+/// branch. A rejected argument (--k 0, an unknown name) throws the
+/// library's std::invalid_argument.
+template <typename Use>
+double with_process(const std::string& process, const graph::Graph& g,
+                    std::uint32_t k, Use&& use) {
   if (process == "cobra") {
-    return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, k);
+    core::CobraWalk walk(g, 0, k);
+    return use(walk, 0);
   }
   if (process == "rw") {
-    return sim::cover_rounds<core::RandomWalk>(gen, g, 0u);
+    core::RandomWalk walk(g, 0);
+    return use(walk, 0);
   }
   if (process == "gossip") {
-    return sim::cover_rounds<core::Gossip>(gen, g, 0u, core::GossipMode::Push);
+    core::Gossip gossip(g, 0, core::GossipMode::Push);
+    return use(gossip, 0);
   }
   if (process == "pushpull") {
     core::Gossip gossip(g, 0, core::GossipMode::PushPull);
-    return static_cast<double>(sim::run_cover(gossip, gen, 1u << 26).rounds);
+    return use(gossip, std::uint64_t{1} << 26);
   }
   if (process == "parallel") {
-    return sim::cover_rounds<core::RandomWalk>(gen, g,
-                                               std::vector<core::Vertex>(k, 0));
+    const std::vector<core::Vertex> starts(k, 0);
+    core::RandomWalk walks(g, starts);
+    return use(walks, 0);
   }
   if (process == "walt") {
-    return sim::cover_rounds<core::Walt>(gen, g, 0u,
-                                         std::max(1u, g.num_vertices() / 2),
-                                         true);
+    core::Walt walt(g, 0, std::max(1u, g.num_vertices() / 2), true);
+    return use(walt, 0);
   }
   throw std::invalid_argument("unknown process: " + process);
 }
 
-}  // namespace
+double run_process(const std::string& process, const graph::Graph& g,
+                   std::uint32_t k, core::Engine& gen) {
+  return with_process(process, g, k, [&gen](auto& p, std::uint64_t budget) {
+    return static_cast<double>(sim::run_cover(p, gen, budget).rounds);
+  });
+}
 
-int main(int argc, char** argv) {
+/// The explorer proper; main() turns a library exception into exit 1.
+int explore(int argc, char** argv) {
   const io::Args args(argc, argv,
                       {io::kGraphFlag, "process", "k", "trials", "seed",
                        "curve", "file", "precision"});
@@ -90,24 +106,20 @@ int main(int argc, char** argv) {
   const auto trials = static_cast<std::uint32_t>(args.get_uint("trials", 50));
   const std::uint64_t seed = args.get_uint("seed", 1);
   const bool curve = args.get_bool("curve", false);
+  const double precision = args.get_double("precision", 0.02);
 
   const bool from_file = args.has("file") && !args.has(io::kGraphFlag);
   const std::string source = from_file
                                  ? args.get("file", "")
                                  : io::graph_spec_from_args(args, kDefaultGraph);
-  graph::Graph g;
-  if (from_file) {
-    g = graph::largest_component(io::load_edge_list(source)).graph;
-  } else {
-    try {
-      g = io::graph_from_args(args, kDefaultGraph);
-    } catch (const std::invalid_argument& e) {
-      // Same contract as the benches: a typo'd spec prints the grammar
-      // table (graph_from_args appends it) and exits cleanly.
-      std::cerr << e.what() << "\n";
-      return 1;
-    }
-  }
+  // A typo'd spec's message carries the grammar table (graph_from_args
+  // appends it), the same contract as the benches.
+  const graph::Graph g =
+      from_file ? graph::largest_component(io::load_edge_list(source)).graph
+                : io::graph_from_args(args, kDefaultGraph);
+  // Construct the process once, so a rejected argument stops here, before
+  // any trial runs.
+  with_process(process, g, k, [](auto&, std::uint64_t) { return 0.0; });
 
   std::cout << "family = " << source
             << ", n = " << g.num_vertices()
@@ -125,7 +137,7 @@ int main(int argc, char** argv) {
   if (args.has("precision")) {
     stats::SequentialOptions seq;
     seq.base_seed = seed;
-    seq.relative_tolerance = args.get_double("precision", 0.02);
+    seq.relative_tolerance = precision;
     auto adaptive = stats::run_until_precise(
         par::global_pool(), seq, [&](core::Engine& gen, std::uint32_t) {
           return run_process(process, g, k, gen);
@@ -183,4 +195,15 @@ int main(int argc, char** argv) {
     std::cout << tcurve;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return explore(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
 }

@@ -9,9 +9,9 @@
 /// EXACT expected cover and hitting times of the k-cobra walk on small
 /// graphs, by solving the walk's subset Markov chain. This is the
 /// library's ground truth for the cobra process itself (the analogue of
-/// graph/exact_hitting.hpp for the plain walk): Monte-Carlo estimators are
-/// validated against it in tests, and theorem checks at tiny n can be made
-/// exact instead of statistical.
+/// the tests' graph/exact_hitting.hpp for the plain walk): Monte-Carlo
+/// estimators are validated against it in tests, and theorem checks at
+/// tiny n can be made exact instead of statistical.
 ///
 /// Method. The active set S_t is a Markov chain on nonempty vertex
 /// subsets. For hitting times we solve the single linear system

@@ -5,8 +5,8 @@
 
 /// \file dense.hpp
 /// A small dense linear-algebra kernel for the library's *exact* baselines:
-/// solving hitting-time systems (graph/exact_hitting.hpp) and the exact
-/// cobra-walk chain (core/exact_cobra.hpp). Scope is
+/// solving hitting-time systems (the tests' graph/exact_hitting.hpp) and
+/// the exact cobra-walk chain (core/exact_cobra.hpp). Scope is
 /// deliberately minimal — row-major square matrices up to a few thousand —
 /// with numerically standard algorithms: partially-pivoted LU and the
 /// cyclic Jacobi eigenvalue method for symmetric matrices. No BLAS

@@ -8,7 +8,6 @@
 
 #include "core/types.hpp"
 #include "sim/process.hpp"
-#include "stats/histogram.hpp"
 #include "util/checkpoint_io.hpp"
 
 /// \file observers.hpp
@@ -147,33 +146,6 @@ class FirstVisitTimes {
   std::vector<std::uint64_t> first_;
   std::vector<std::uint64_t> seen_;  ///< bit v set iff first_[v] != kNever
   std::uint64_t rounds_ = 0;
-};
-
-/// Per-round active-set sizes collected for a histogram — the "round
-/// histogram" view of a process's size distribution (e.g. the occupancy
-/// profile of a long cobra walk read as an SIS epidemic).
-class SizeHistogram {
- public:
-  template <Process P>
-  void start(const P& p) {
-    samples_.clear();
-    samples_.push_back(static_cast<double>(active_size(p)));
-  }
-
-  template <Process P>
-  void observe(const P& p) {
-    samples_.push_back(static_cast<double>(active_size(p)));
-  }
-
-  [[nodiscard]] const std::vector<double>& samples() const noexcept {
-    return samples_;
-  }
-  [[nodiscard]] stats::Histogram histogram(std::size_t bins) const {
-    return stats::Histogram::of(samples_, bins);
-  }
-
- private:
-  std::vector<double> samples_;
 };
 
 /// Detects rounds where the active set SHRANK — a collision (coalescence

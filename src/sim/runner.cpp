@@ -17,9 +17,8 @@ std::uint64_t default_step_budget(std::uint32_t num_vertices) {
   return cubic < kFloor ? kFloor : cubic;
 }
 
-stats::Summary Runner::replicate(
-    std::uint32_t trials, std::uint64_t seed,
-    const std::function<double(core::Engine&)>& trial) const {
+stats::Summary replicate(std::uint32_t trials, std::uint64_t seed,
+                         const std::function<double(core::Engine&)>& trial) {
   par::MonteCarloOptions opts;
   opts.base_seed = seed;
   opts.trials = trials;
@@ -27,11 +26,6 @@ stats::Summary Runner::replicate(
       par::global_pool(), opts,
       [&](core::Engine& gen, std::uint32_t) { return trial(gen); });
   return stats::summarize(samples);
-}
-
-stats::Summary replicate(std::uint32_t trials, std::uint64_t seed,
-                         const std::function<double(core::Engine&)>& trial) {
-  return Runner().replicate(trials, seed, trial);
 }
 
 HmaxEstimate estimate_cobra_hmax(const core::Graph& g, std::uint32_t branching,

@@ -42,12 +42,11 @@
 /// condition terminates instead of spinning; `stopped == false` means the
 /// budget ran out (for a CoverStop run: not covered).
 ///
-/// Replication: `Runner::replicate` is the repetition + CI aggregation the
-/// benches used to copy around — `trials` independent trials on the global
-/// pool under the par::monte_carlo determinism contract (trial i's engine
-/// is seeded derive_seed(seed, i), bit-identical at any thread count),
-/// summarized to a stats::Summary. `bench::measure` is now a thin wrapper
-/// over it.
+/// Replication: `sim::replicate` is the repetition + CI aggregation every
+/// bench uses — `trials` independent trials on the global pool under the
+/// par::monte_carlo determinism contract (trial i's engine is seeded
+/// derive_seed(seed, i), bit-identical at any thread count), summarized to
+/// a stats::Summary.
 
 namespace cobra::sim {
 
@@ -84,7 +83,7 @@ class Runner {
   /// Drive `p` until `stop` fires or the budget runs out, feeding every
   /// round (including the initial state) to the stop rule and observers.
   /// `run` is const and keeps all mutable state in its arguments, so one
-  /// Runner value is safely shared across replicate's pool workers.
+  /// Runner value is safely shared across pool workers.
   template <Process P, typename Stop, typename... Obs>
   RunResult run(P& p, core::Engine& gen, Stop&& stop, Obs&&... obs) const {
     start_hook(stop, p);
@@ -170,12 +169,6 @@ class Runner {
     (save_hook(obs, w), ...);
     write_snapshot_file(path, w.buffer());
   }
-
-  /// Run `trial` `trials` times on the global pool (deterministic seeding
-  /// per the monte_carlo contract) and summarize mean/CI/quantiles.
-  [[nodiscard]] stats::Summary replicate(
-      std::uint32_t trials, std::uint64_t seed,
-      const std::function<double(core::Engine&)>& trial) const;
 
   [[nodiscard]] std::uint64_t max_rounds() const noexcept {
     return max_rounds_;
@@ -263,8 +256,8 @@ class Runner {
   std::uint64_t max_rounds_ = 0;
 };
 
-/// Free-function twin of Runner::replicate for call sites that don't need
-/// a budget (the common bench pattern).
+/// Run `trial` `trials` times on the global pool (deterministic seeding
+/// per the monte_carlo contract) and summarize mean/CI/quantiles.
 [[nodiscard]] stats::Summary replicate(
     std::uint32_t trials, std::uint64_t seed,
     const std::function<double(core::Engine&)>& trial);

@@ -100,6 +100,15 @@
 ///                              "degradation" in bench/chaos that corrupts
 ///                              the trajectory — exists so cobra_chaos can
 ///                              prove it catches contract violations
+///   bench.crash                TEST-ONLY checked once at bench startup:
+///                              the bench dies at once (exit 86, no --out)
+///                              — cobra_sweep's crash/flaky levers
+///   bench.hang                 TEST-ONLY checked once at bench startup:
+///                              the bench stalls 60 s, then exits 87 —
+///                              cobra_sweep's hang lever
+///
+/// The bench.* sites stay out of cobra_chaos's fuzz catalogs: they end the
+/// process on purpose, which no fuzzed run could survive.
 
 namespace cobra::util::fault {
 

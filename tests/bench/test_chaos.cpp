@@ -54,6 +54,19 @@ TEST_F(ChaosTest, GracefulPlanLeavesTheFingerprintUnchanged) {
   EXPECT_EQ(stormy, baseline);
 }
 
+TEST_F(ChaosTest, BenchSitesStayOutOfTheFuzzCatalogs) {
+  // bench.crash / bench.hang end the process; a fuzzed schedule that drew
+  // them would kill cobra_chaos itself.
+  std::vector<std::string> catalog = bench::chaos_graceful_sites(true);
+  for (const std::string& site : bench::chaos_hard_sites()) {
+    catalog.push_back(site);
+  }
+  for (const char* site : {"bench.crash", "bench.hang"}) {
+    EXPECT_EQ(std::find(catalog.begin(), catalog.end(), site), catalog.end())
+        << site;
+  }
+}
+
 TEST_F(ChaosTest, DegradeBugChangesTheFingerprint) {
   const graph::Graph g = gen::build_graph("rreg:n=256,d=4,seed=7");
   const std::uint64_t baseline = bench::chaos_trajectory(g, 1, 5, 24, 2, true);

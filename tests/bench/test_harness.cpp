@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -46,6 +47,24 @@ TEST(ParseBenchArgs, RejectsPositionalArguments) {
 TEST(ParseBenchArgs, RejectsMalformedThreadsValueEagerly) {
   EXPECT_THROW((void)parse({"--threads", "many"}), std::invalid_argument);
   EXPECT_THROW((void)parse({"--threads=-2"}), std::invalid_argument);
+}
+
+TEST(ParseBenchArgs, InjectionFlagsAreGone) {
+  // Crash and hang injection are the bench.crash / bench.hang fault sites.
+  EXPECT_THROW((void)parse({"--inject-crash-after", "0"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--inject-hang", "1"}), std::invalid_argument);
+}
+
+TEST(ParseBenchArgsDeathTest, BenchCrashSiteFiresFromAFaultPlan) {
+  const std::string plan = ::testing::TempDir() + "bench_crash_test.plan";
+  std::ofstream(plan) << "bench.crash\n";
+  const std::vector<const char*> argv = {"bench", "--fault-plan",
+                                         plan.c_str()};
+  EXPECT_EXIT((void)parse_bench_args(static_cast<int>(argv.size()),
+                                     argv.data()),
+              ::testing::ExitedWithCode(86), "bench\\.crash");
+  std::remove(plan.c_str());
 }
 
 TEST(ResolveSuite, FullModeKeepsTheDeclaredSpecs) {

@@ -7,16 +7,13 @@
 #include <vector>
 
 // Driver-level behavior: annotation suppression (same line, block above,
-// family prefix, mandatory justification), baseline multiset semantics,
-// and the JSON/table renderers the CI lane consumes.
+// family prefix, mandatory justification) and the JSON/table renderers the
+// CI lane consumes.
 
 namespace {
 
-using cobra::lint::apply_baseline;
-using cobra::lint::BaselineSplit;
 using cobra::lint::Finding;
 using cobra::lint::lint_text;
-using cobra::lint::render_baseline;
 using cobra::lint::render_findings_json;
 using cobra::lint::render_findings_table;
 
@@ -100,65 +97,15 @@ TEST(LintDriver, MalformedMarkerIsAFinding) {
   EXPECT_EQ(count_rule(fs, "lint-annotation"), 1u);
 }
 
-// ---------------------------------------------------------- baseline ----
-
-TEST(LintDriver, BaselineRoundTrip) {
-  const auto fs = lint_text("src/core/x.cpp",
-                            "std::unordered_map<int, int> m;\n"
-                            "int v = std::rand();\n");
-  ASSERT_EQ(fs.size(), 2u);
-  const std::string base = render_baseline(fs);
-  const BaselineSplit split = apply_baseline(fs, base);
-  EXPECT_TRUE(split.fresh.empty());
-  EXPECT_EQ(split.known.size(), 2u);
-}
-
-TEST(LintDriver, BaselineSurvivesLineRenumbering) {
-  const std::string base = render_baseline(
-      lint_text("src/core/x.cpp", "std::unordered_map<int, int> m;\n"));
-  // Same finding, pushed down ten lines and re-indented.
-  const auto moved = lint_text(
-      "src/core/x.cpp",
-      std::string(10, '\n') + "    std::unordered_map<int, int>   m;\n");
-  const BaselineSplit split = apply_baseline(moved, base);
-  EXPECT_TRUE(split.fresh.empty());
-  EXPECT_EQ(split.known.size(), 1u);
-}
-
-TEST(LintDriver, BaselineIsMultiset) {
-  // One baseline line covers ONE occurrence; the second identical
-  // violation is fresh.
-  const auto one =
-      lint_text("src/core/x.cpp", "std::unordered_map<int, int> m;\n");
-  const std::string base = render_baseline(one);
-  const auto two = lint_text("src/core/x.cpp",
-                             "std::unordered_map<int, int> m;\n"
-                             "std::unordered_map<int, int> m;\n");
-  const BaselineSplit split = apply_baseline(two, base);
-  EXPECT_EQ(split.known.size(), 1u);
-  EXPECT_EQ(split.fresh.size(), 1u);
-}
-
-TEST(LintDriver, BaselineDoesNotCrossFiles) {
-  const std::string base = render_baseline(
-      lint_text("src/core/x.cpp", "std::unordered_map<int, int> m;\n"));
-  const auto other =
-      lint_text("src/core/y.cpp", "std::unordered_map<int, int> m;\n");
-  const BaselineSplit split = apply_baseline(other, base);
-  EXPECT_EQ(split.fresh.size(), 1u);
-}
-
 // --------------------------------------------------------- rendering ----
 
 TEST(LintDriver, JsonCarriesFindingsAndCounts) {
   const auto fs = lint_text("src/core/x.cpp", "int v = std::rand();\n");
-  BaselineSplit split;
-  split.fresh = fs;
-  const std::string json = render_findings_json(split);
+  const std::string json = render_findings_json(fs);
   EXPECT_NE(json.find("\"rule\": \"D1-rand\""), std::string::npos);
   EXPECT_NE(json.find("\"file\": \"src/core/x.cpp\""), std::string::npos);
-  EXPECT_NE(json.find("\"baselined\": false"), std::string::npos);
   EXPECT_NE(json.find("\"fresh\": 1"), std::string::npos);
+  EXPECT_EQ(json.find("baselined"), std::string::npos);
 }
 
 TEST(LintDriver, JsonEscapesQuotes) {
@@ -168,24 +115,19 @@ TEST(LintDriver, JsonEscapesQuotes) {
   f.rule = "D1-rand";
   f.message = "msg";
   f.snippet = "log(\"hi\\n\");";
-  BaselineSplit split;
-  split.fresh.push_back(f);
-  const std::string json = render_findings_json(split);
+  const std::string json = render_findings_json({f});
   EXPECT_NE(json.find("log(\\\"hi\\\\n\\\");"), std::string::npos);
 }
 
-TEST(LintDriver, TableMarksFreshVsKnown) {
+TEST(LintDriver, TableListsEveryFinding) {
   const auto fs = lint_text("src/core/x.cpp",
                             "std::unordered_map<int, int> m;\n"
                             "int v = std::rand();\n");
   ASSERT_EQ(fs.size(), 2u);
-  BaselineSplit split;
-  split.fresh.push_back(fs[1]);
-  split.known.push_back(fs[0]);
-  const std::string table = render_findings_table(split);
-  EXPECT_NE(table.find("FRESH"), std::string::npos);
-  EXPECT_NE(table.find("known"), std::string::npos);
-  EXPECT_NE(table.find("1 fresh finding(s), 1 baselined"), std::string::npos);
+  const std::string table = render_findings_table(fs);
+  EXPECT_NE(table.find("src/core/x.cpp:1  [D2-unordered]"), std::string::npos);
+  EXPECT_NE(table.find("src/core/x.cpp:2  [D1-rand]"), std::string::npos);
+  EXPECT_NE(table.find("2 finding(s)"), std::string::npos);
 }
 
 TEST(LintDriver, FindingsSortedByLine) {

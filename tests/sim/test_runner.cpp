@@ -13,11 +13,14 @@
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
 #include "gen/registry.hpp"
+#include "parallel/monte_carlo.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/observers.hpp"
 #include "sim/process.hpp"
 #include "sim/runner.hpp"
 #include "sim/stop.hpp"
+#include "stats/histogram.hpp"
+#include "stats/summary.hpp"
 
 namespace {
 
@@ -143,16 +146,20 @@ TEST(Runner, MultipleObserversAndStopRulesCompose) {
   sim::FixedRounds horizon(1u << 14);
   sim::GrowthCurve curve;
   sim::FirstVisitTimes visits;
-  sim::SizeHistogram hist;
+  auto sizes = sim::record_of([](const core::CobraWalk& w) {
+    return static_cast<double>(sim::active_size(w));
+  });
   sim::CollisionDetector collisions;
   const auto r = sim::Runner(1u << 15).run(
-      walk, gen, sim::any_of(cover, horizon), curve, visits, hist, collisions);
+      walk, gen, sim::any_of(cover, horizon), curve, visits, sizes, collisions);
   ASSERT_TRUE(r.stopped);
   ASSERT_TRUE(cover.complete());
   // One entry per round incl. the initial state, everywhere.
   EXPECT_EQ(curve.sizes().size(), r.rounds + 1);
-  EXPECT_EQ(hist.samples().size(), r.rounds + 1);
+  EXPECT_EQ(sizes.values().size(), r.rounds + 1);
   EXPECT_EQ(curve.sizes().front(), 1u);  // the start vertex
+  // The recorded sizes bin into a histogram holding every round.
+  EXPECT_EQ(stats::Histogram::of(sizes.values(), 8).total(), r.rounds + 1);
   // First-visit view agrees with the cover stop: every vertex visited and
   // the last first-visit IS the cover round.
   for (core::Vertex v = 0; v < g.num_vertices(); ++v) {
@@ -265,8 +272,15 @@ TEST(Runner, ReplicateMatchesMonteCarloContract) {
     core::CobraWalk walk(g, 0, 2);
     return static_cast<double>(sim::run_cover(walk, gen).rounds);
   };
+  // sim::replicate summarizes par::run_trials on the global pool (trial i
+  // seeded derive_seed(seed, i)): the same trials drawn serially give the
+  // same summary.
   const auto a = sim::replicate(16, 999, trial);
-  const auto b = sim::Runner().replicate(16, 999, trial);
+  par::MonteCarloOptions opts;
+  opts.base_seed = 999;
+  opts.trials = 16;
+  const auto b = stats::summarize(par::run_trials_serial(
+      opts, [&](core::Engine& gen, std::uint32_t) { return trial(gen); }));
   EXPECT_EQ(a.count, 16u);
   EXPECT_DOUBLE_EQ(a.mean, b.mean);
   EXPECT_DOUBLE_EQ(a.ci95_half, b.ci95_half);

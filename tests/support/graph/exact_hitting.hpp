@@ -11,11 +11,10 @@
 ///
 ///     h(v) = 0,   h(x) = 1 + (1/d(x)) * sum_{y ~ x} h(y)   for x != v
 ///
-/// with dense LU. These are the library's ground-truth baselines: the
-/// Monte-Carlo estimators in core/ are validated against them in tests,
-/// and the Matthews-bound experiment (E6) can quote exact h_max instead of
-/// a sampled lower estimate for small graphs. Cost is O(n^3) per target —
-/// fine for the n <= ~1000 graphs where exactness matters.
+/// with dense LU. These are the tests' ground-truth baselines: the
+/// Monte-Carlo estimators in core/ and sim/ are validated against them.
+/// Cost is O(n^3) per target — fine for the n <= ~1000 graphs where
+/// exactness matters.
 ///
 /// Known closed forms used in tests:
 ///   cycle C_n:     H(0, k) = k (n - k)

@@ -7,9 +7,9 @@
 
 /// \file properties.hpp
 /// Structural analytics for characterizing generated networks — used by
-/// the examples and tests to certify that each generator produces what it
-/// claims (power-law tails, clustering of geometric graphs, etc.), and
-/// exported for downstream users profiling their own edge lists.
+/// the generator tests to certify that each generator produces what it
+/// claims (power-law tails, clustering of geometric graphs, etc.). Test
+/// support: no bench, example or tool runs it.
 
 namespace cobra::graph {
 

@@ -1,32 +1,20 @@
 /// cobra_lint — the determinism & concurrency static-analysis pass: scan
-/// src/, bench/, and tools/ for the rule catalog in src/lint/rules.hpp
+/// src/, bench/, and tools/ for the rule catalog in tools/lint/rules.hpp
 /// (nondeterminism sources, iteration-order hazards, RNG discipline,
-/// atomic memory orders, layering) and fail on any finding that is
-/// neither annotated in-source nor grandfathered in a baseline.
+/// atomic memory orders, layering) and fail on any finding that is not
+/// annotated in-source.
 ///
 /// Usage:
-///   cobra_lint --root REPO [--paths src,bench,tools]
-///              [--baseline FILE] [--write-baseline FILE]
-///              [--json FILE] [--quiet]
+///   cobra_lint --root REPO [--json FILE] [--quiet]
 ///
-///   --root            repo root to scan (the directory holding src/)
-///   --paths           comma-separated roots relative to --root
-///                     (default src,bench,tools)
-///   --baseline        grandfathered-findings file; matched findings are
-///                     reported as "known" and do not fail the run
-///   --write-baseline  write the current findings as a new baseline and
-///                     exit 0 (the escape hatch when adopting the linter
-///                     on a tree with known debt — this repo keeps an
-///                     empty baseline and annotates instead)
-///   --json            also write machine-readable findings here
-///   --quiet           suppress the human table on success
+///   --root   repo root to scan (the directory holding src/)
+///   --json   also write machine-readable findings here
+///   --quiet  suppress the human table on success
 ///
-/// Exit codes: 0 = clean (no unbaselined findings), 1 = fresh findings,
-/// 2 = usage or I/O error.
+/// Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,82 +25,37 @@ namespace {
 
 using namespace cobra;
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string item = csv.substr(start, comma - start);
-    if (!item.empty()) out.push_back(item);
-    start = comma + 1;
-  }
-  return out;
-}
+/// The lint roots, relative to --root.
+const std::vector<std::string> kPaths = {"src", "bench", "tools"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   io::Args args(0, nullptr, {});
   try {
-    args = io::Args(argc, argv, {"root", "paths", "baseline",
-                                 "write-baseline", "json", "quiet"});
+    args = io::Args(argc, argv, {"root", "json", "quiet"});
   } catch (const std::invalid_argument& e) {
     std::cerr << "cobra_lint: " << e.what()
-              << "\nusage: cobra_lint --root REPO [--paths src,bench,tools]"
-                 " [--baseline FILE] [--write-baseline FILE] [--json FILE]"
-                 " [--quiet]\n";
+              << "\nusage: cobra_lint --root REPO [--json FILE] [--quiet]\n";
     return 2;
   }
   if (!args.has("root")) {
     std::cerr << "cobra_lint: --root is required\n";
     return 2;
   }
-  const std::string root = args.get("root", ".");
-  const std::vector<std::string> paths =
-      split_csv(args.get("paths", "src,bench,tools"));
 
   std::vector<lint::Finding> findings;
   try {
-    findings = lint::lint_tree(root, paths);
+    findings = lint::lint_tree(args.get("root", "."), kPaths);
   } catch (const std::exception& e) {
     std::cerr << "cobra_lint: " << e.what() << "\n";
     return 2;
   }
 
-  if (args.has("write-baseline")) {
-    const std::string path = args.get("write-baseline", "");
-    std::ofstream out(path);
-    out << lint::render_baseline(findings);
-    out.flush();
-    if (!out) {
-      std::cerr << "cobra_lint: cannot write " << path << "\n";
-      return 2;
-    }
-    std::cout << "cobra_lint: wrote baseline (" << findings.size()
-              << " findings) to " << path << "\n";
-    return 0;
-  }
-
-  std::string baseline_text;
-  if (args.has("baseline")) {
-    std::ifstream in(args.get("baseline", ""));
-    if (!in) {
-      std::cerr << "cobra_lint: cannot read baseline "
-                << args.get("baseline", "") << "\n";
-      return 2;
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    baseline_text = os.str();
-  }
-  const lint::BaselineSplit split =
-      lint::apply_baseline(findings, baseline_text);
-
   if (args.has("json")) {
     const std::string path = args.get("json", "");
     std::ofstream out(path);
-    out << lint::render_findings_json(split);
+    out << lint::render_findings_json(findings);
     out.flush();
     if (!out) {
       std::cerr << "cobra_lint: cannot write " << path << "\n";
@@ -120,9 +63,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const bool clean = split.fresh.empty();
+  const bool clean = findings.empty();
   if (!clean || !args.get_bool("quiet", false)) {
-    std::cout << lint::render_findings_table(split);
+    std::cout << lint::render_findings_table(findings);
   }
   std::cout << "cobra_lint: " << (clean ? "PASS" : "FAIL") << "\n";
   return clean ? 0 : 1;

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -36,24 +35,6 @@ namespace {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
   return s.substr(b, e - b);
-}
-
-/// Whitespace runs collapsed to one space — the baseline's line-number-
-/// independent snippet normal form.
-[[nodiscard]] std::string normalize_ws(const std::string& s) {
-  std::string out;
-  bool in_space = true;  // also strips leading whitespace
-  for (const char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
-      if (!in_space) out += ' ';
-      in_space = true;
-    } else {
-      out += c;
-      in_space = false;
-    }
-  }
-  if (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
 }
 
 /// One parsed `cobra-lint: allow(...)` annotation.
@@ -132,17 +113,12 @@ struct Annotation {
   return out;
 }
 
-[[nodiscard]] std::string baseline_key(const Finding& f) {
-  return f.rule + "|" + f.file + "|" + normalize_ws(f.snippet);
-}
-
-void render_one(std::ostringstream& os, const Finding& f, bool baselined) {
+void render_one(std::ostringstream& os, const Finding& f) {
   os << "    {\"file\": \"" << json_escape(f.file) << "\", \"line\": "
      << f.line << ", \"rule\": \"" << json_escape(f.rule)
      << "\", \"severity\": \"" << json_escape(f.severity)
      << "\", \"message\": \"" << json_escape(f.message)
-     << "\", \"snippet\": \"" << json_escape(f.snippet)
-     << "\", \"baselined\": " << (baselined ? "true" : "false") << "}";
+     << "\", \"snippet\": \"" << json_escape(f.snippet) << "\"}";
 }
 
 }  // namespace
@@ -243,72 +219,26 @@ std::vector<Finding> lint_tree(const std::string& repo_root,
   return all;
 }
 
-std::string render_baseline(const std::vector<Finding>& all) {
-  std::vector<std::string> keys;
-  keys.reserve(all.size());
-  for (const Finding& f : all) keys.push_back(baseline_key(f));
-  std::sort(keys.begin(), keys.end());
-  std::string out =
-      "# cobra_lint baseline — grandfathered findings, one per line:\n"
-      "# rule|file|normalized snippet. Regenerate with --write-baseline;\n"
-      "# prefer fixing or annotating the site over re-baselining it.\n";
-  for (const std::string& k : keys) {
-    out += k;
-    out += '\n';
-  }
-  return out;
-}
-
-BaselineSplit apply_baseline(const std::vector<Finding>& all,
-                             const std::string& baseline_text) {
-  std::map<std::string, std::size_t> budget;
-  for (const std::string& line : split_lines(baseline_text)) {
-    const std::string t = trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    ++budget[t];
-  }
-  BaselineSplit split;
-  for (const Finding& f : all) {
-    const auto it = budget.find(baseline_key(f));
-    if (it != budget.end() && it->second > 0) {
-      --it->second;
-      split.known.push_back(f);
-    } else {
-      split.fresh.push_back(f);
-    }
-  }
-  return split;
-}
-
-std::string render_findings_json(const BaselineSplit& split) {
+std::string render_findings_json(const std::vector<Finding>& findings) {
   std::ostringstream os;
   os << "{\n  \"findings\": [\n";
   bool first = true;
-  for (const Finding& f : split.fresh) {
+  for (const Finding& f : findings) {
     if (!first) os << ",\n";
     first = false;
-    render_one(os, f, false);
+    render_one(os, f);
   }
-  for (const Finding& f : split.known) {
-    if (!first) os << ",\n";
-    first = false;
-    render_one(os, f, true);
-  }
-  os << "\n  ],\n  \"fresh\": " << split.fresh.size()
-     << ",\n  \"baselined\": " << split.known.size() << "\n}\n";
+  os << "\n  ],\n  \"fresh\": " << findings.size() << "\n}\n";
   return os.str();
 }
 
-std::string render_findings_table(const BaselineSplit& split) {
+std::string render_findings_table(const std::vector<Finding>& findings) {
   std::ostringstream os;
-  auto row = [&](const Finding& f, const char* tag) {
-    os << tag << "  " << f.file << ":" << f.line << "  [" << f.rule << "] "
-       << f.message << "\n        " << f.snippet << "\n";
-  };
-  for (const Finding& f : split.fresh) row(f, "FRESH");
-  for (const Finding& f : split.known) row(f, "known");
-  os << split.fresh.size() << " fresh finding(s), " << split.known.size()
-     << " baselined\n";
+  for (const Finding& f : findings) {
+    os << f.file << ":" << f.line << "  [" << f.rule << "] " << f.message
+       << "\n        " << f.snippet << "\n";
+  }
+  os << findings.size() << " finding(s)\n";
   return os.str();
 }
 
