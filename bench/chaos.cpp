@@ -12,7 +12,6 @@
 #include "parallel/thread_pool.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
-#include "sim/checkpoint.hpp"
 #include "util/checkpoint_io.hpp"
 
 namespace cobra::bench {
@@ -141,8 +140,7 @@ std::vector<std::string> chaos_graceful_sites(bool inject_bug) {
 }
 
 std::vector<std::string> chaos_hard_sites() {
-  return {"gen.alloc", "gen.build_graph", "checkpoint.write",
-          "checkpoint.torn_write", "checkpoint.read"};
+  return {"gen.alloc", "gen.build_graph"};
 }
 
 std::uint64_t csr_fingerprint(const graph::Graph& g) {
@@ -310,51 +308,18 @@ ChaosReport run_chaos(const ChaosConfig& config) {
 
     // Hard sites: each must fail loudly when its operation runs. These are
     // thread-independent, so once per spec.
-    const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6, 7, 8};
-    const auto hard_violation = [&](const std::string& site,
-                                    const std::string& detail) {
+    for (const std::string& site : chaos_hard_sites()) {
+      ++report.hard_checks;
+      std::string detail = expect_loud_failure(
+          site, [&] { (void)gen::build_graph(spec); });
+      if (detail.empty()) continue;
       ChaosViolation v;
       v.spec = spec;
       v.threads = 0;
       v.plan.specs.push_back({site, 0, 1.0, 0});
       v.shrunk = v.plan;
-      v.detail = detail;
+      v.detail = std::move(detail);
       report.violations.push_back(std::move(v));
-    };
-    for (const std::string& site : chaos_hard_sites()) {
-      ++report.hard_checks;
-      std::string detail;
-      if (site == "gen.alloc" || site == "gen.build_graph") {
-        detail = expect_loud_failure(
-            site, [&] { (void)gen::build_graph(spec); });
-      } else if (site == "checkpoint.write" || site == "checkpoint.read") {
-        // checkpoint.read arms BOTH ops' sites only logically: write a good
-        // snapshot first (fault-free), then run the armed operation.
-        fault::disarm_all();
-        sim::write_snapshot_file(config.scratch_path, payload);
-        detail = expect_loud_failure(site, [&] {
-          if (site == "checkpoint.write") {
-            sim::write_snapshot_file(config.scratch_path, payload);
-          } else {
-            (void)sim::read_snapshot_file(config.scratch_path);
-          }
-        });
-      } else {  // checkpoint.torn_write: the WRITE succeeds, the READ rejects
-        fault::disarm_all();
-        {
-          DisarmGuard guard;
-          fault::arm(site);
-          sim::write_snapshot_file(config.scratch_path, payload);
-          if (fault::fired(site) == 0) {
-            detail = "hard site " + site + " was never reached by its operation";
-          }
-        }
-        if (detail.empty() && sim::snapshot_valid(config.scratch_path)) {
-          detail = "torn snapshot (site " + site +
-                   ") was accepted by the read path";
-        }
-      }
-      if (!detail.empty()) hard_violation(site, detail);
     }
   }
   fault::disarm_all();

@@ -67,8 +67,6 @@ struct ChaosConfig {
   /// Which process runs under the fuzz: "cobra" (growing frontier, expand
   /// rounds) or "mis" (shrinking frontier, expand + retain rounds).
   std::string process = "cobra";
-  /// Scratch file for the checkpoint hard-site checks (created/overwritten).
-  std::string scratch_path = "chaos_scratch.snap";
 };
 
 /// One contract violation: the schedule that produced it and its shrunk

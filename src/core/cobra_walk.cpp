@@ -113,28 +113,6 @@ void CobraWalk::reset(std::span<const Vertex> starts) {
   }
 }
 
-void CobraWalk::save_state(util::CheckpointWriter& w) const {
-  w.u64(round_);
-  w.u64(samples_);
-  w.u32_span(frontier_.vertices());
-}
-
-void CobraWalk::restore_state(util::CheckpointReader& r) {
-  const std::uint64_t round = r.u64();
-  const std::uint64_t samples = r.u64();
-  const std::vector<Vertex> verts = r.u32_span();
-  util::require_canonical_vertices(verts, g_->num_vertices(),
-                                   "CobraWalk frontier");
-  if (verts.empty() && !schedule_) {
-    // A fixed-k walk (k >= 1) can never go extinct; an empty frontier in
-    // its snapshot is corruption, not state.
-    throw util::CheckpointError("CobraWalk frontier: empty");
-  }
-  engine_.dedupe(verts, frontier_);
-  round_ = round;
-  samples_ = samples;
-}
-
 void CobraWalk::step(Engine& gen) {
   if (frontier_.empty()) {  // extinct: keep the clock, skip the machinery
     ++round_;

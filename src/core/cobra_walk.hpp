@@ -7,7 +7,6 @@
 
 #include "core/frontier_engine.hpp"
 #include "core/types.hpp"
-#include "util/checkpoint_io.hpp"
 
 /// \file cobra_walk.hpp
 /// The k-cobra walk — the paper's central object (§2). At every round each
@@ -140,19 +139,6 @@ class CobraWalk {
   /// The underlying step engine — benches/tests tune its chunking, pool
   /// and threshold through this.
   [[nodiscard]] FrontierEngine& engine() noexcept { return engine_; }
-
-  /// Checkpointing (sim::Checkpointable): the evolving state is the round
-  /// counter, the sample tally, and the frontier in canonical ascending
-  /// order — deliberately representation-free, so a snapshot taken from a
-  /// dense round restores through the sparse entry point and re-earns its
-  /// representation; by the engine contract that cannot change results.
-  /// An empty frontier is legal state only for a schedule walk (a snapshot
-  /// of an extinct walk restores to an extinct walk). The schedule itself
-  /// is a construction argument (possibly a closure) and is NOT serialized;
-  /// resuming with a different schedule is the caller's bug, same as a
-  /// different graph.
-  void save_state(util::CheckpointWriter& w) const;
-  void restore_state(util::CheckpointReader& r);
 
  private:
   /// The schedule body of a round. Out of line, so the fixed-k round stays

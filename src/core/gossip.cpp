@@ -52,39 +52,6 @@ void Gossip::compact_uninformed() const {
   uninformed_stale_ = false;
 }
 
-void Gossip::save_state(util::CheckpointWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(mode_));
-  w.u64(round_);
-  w.u32_span(informed_list_);
-}
-
-void Gossip::restore_state(util::CheckpointReader& r) {
-  const std::uint8_t mode = r.u8();
-  if (mode != static_cast<std::uint8_t>(mode_)) {
-    throw util::CheckpointError(
-        "Gossip: snapshot mode does not match this process's mode");
-  }
-  const std::uint64_t round = r.u64();
-  std::vector<Vertex> informed = r.u32_span();
-  util::require_canonical_vertices(informed, g_->num_vertices(),
-                                   "Gossip informed list");
-  if (informed.empty()) {
-    throw util::CheckpointError("Gossip informed list: empty");
-  }
-  informed_.assign(g_->num_vertices(), 0);
-  for (const Vertex v : informed) informed_[v] = 1;
-  informed_list_ = std::move(informed);
-  // Rebuild the complement eagerly: restore is a cold path, and a fresh
-  // exact list keeps pull-mode's first resumed round identical to the
-  // uninterrupted run's compacted state.
-  uninformed_list_.clear();
-  for (Vertex v = 0; v < g_->num_vertices(); ++v) {
-    if (informed_[v] == 0) uninformed_list_.push_back(v);
-  }
-  uninformed_stale_ = false;
-  round_ = round;
-}
-
 void Gossip::step(Engine& gen) {
   ++round_;
   newly_.clear();

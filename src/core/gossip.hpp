@@ -6,7 +6,6 @@
 
 #include "core/frontier_engine.hpp"
 #include "core/types.hpp"
-#include "util/checkpoint_io.hpp"
 
 /// \file gossip.hpp
 /// Push / pull / push-pull rumor spreading (Feige–Peleg–Raghavan–Upfal) —
@@ -82,14 +81,6 @@ class Gossip {
 
   /// The underlying step engine (chunking / pool / threshold knobs).
   [[nodiscard]] FrontierEngine& engine() noexcept { return engine_; }
-
-  /// Checkpointing (sim::Checkpointable): mode tag (cross-checked against
-  /// the constructed mode on restore — resuming a Push snapshot into a
-  /// PushPull process would silently change the trajectory), round, and
-  /// the informed list; the flag array and uninformed complement are
-  /// derived state and rebuilt.
-  void save_state(util::CheckpointWriter& w) const;
-  void restore_state(util::CheckpointReader& r);
 
  private:
   /// Flag and merge the round's newly informed set (sorted, disjoint from

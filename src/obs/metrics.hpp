@@ -9,9 +9,9 @@
 
 /// \file metrics.hpp
 /// The process-global metrics registry — named counters, gauges, and phase
-/// timers that any layer (engine, runner, generators, checkpoint I/O,
-/// fault registry) bumps and that `--metrics <path>` snapshots into a JSON
-/// file next to every bench's records.
+/// timers that any layer (engine, runner, generators, fault registry)
+/// bumps and that `--metrics <path>` snapshots into a JSON file next to
+/// every bench's records.
 ///
 /// Design constraints, in priority order:
 ///

@@ -109,7 +109,7 @@ void trace_round(const RoundTrace& t);
 
 /// Append one fault-event JSONL line:
 ///
-///   {"fault": "checkpoint.write", "hit": 3, "fire": 1, "round": 12}
+///   {"fault": "frontier.dense_alloc", "hit": 3, "fire": 1, "round": 12}
 ///
 /// Emitted by util::fault on every firing when the sink is armed, so a
 /// chaotic run's schedule is replayable from its trace artifact. This

@@ -59,7 +59,7 @@ class SplitMix64 {
 
   constexpr result_type operator()() noexcept { return splitmix64_next(state_); }
 
-  /// Current internal state (for checkpointing in tests).
+  /// Current internal state (tests read it).
   [[nodiscard]] constexpr std::uint64_t state() const noexcept { return state_; }
 
  private:

@@ -63,21 +63,10 @@ class Xoshiro256 {
     state_ = acc;
   }
 
-  /// Internal state snapshot, exposed for tests and checkpointing.
+  /// Internal state, exposed for tests and the build-time checks in
+  /// xoshiro256.cpp.
   [[nodiscard]] constexpr const std::array<std::uint64_t, 4>& state() const noexcept {
     return state_;
-  }
-
-  /// Restore a snapshotted state verbatim (checkpoint resume). The only
-  /// legitimate source of `state` is a prior `state()` call — an arbitrary
-  /// value risks the all-zero fixed point, which this rejects by falling
-  /// back to reseeding from the first word.
-  constexpr void set_state(const std::array<std::uint64_t, 4>& state) noexcept {
-    if (state[0] == 0 && state[1] == 0 && state[2] == 0 && state[3] == 0) {
-      *this = Xoshiro256(0);
-      return;
-    }
-    state_ = state;
   }
 
   friend constexpr bool operator==(const Xoshiro256&, const Xoshiro256&) = default;

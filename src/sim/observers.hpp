@@ -8,7 +8,6 @@
 
 #include "core/types.hpp"
 #include "sim/process.hpp"
-#include "util/checkpoint_io.hpp"
 
 /// \file observers.hpp
 /// Observers for sim::Runner — the "recording" half of every experiment.
@@ -22,11 +21,6 @@
 /// the bare step loop (the hooks fold away), so measurement never taxes a
 /// run that doesn't want it.
 ///
-/// History-accumulating observers (GrowthCurve, FirstVisitTimes) also
-/// provide save_state/restore_state so their records survive the Runner's
-/// checkpoint/resume — a resumed run's curve/visit table equals the
-/// uninterrupted run's.
-///
 /// Like the stop rules, observers read the active set through
 /// sim/process.hpp's frontier-native helpers (active_size, is_active,
 /// absorb_active), never a frontier process's materialized `active()`.
@@ -35,8 +29,8 @@ namespace cobra::sim {
 
 /// |S_t| for every round of the run: sizes()[t] is the active-set size
 /// after t rounds (index 0 = the initial state). The growth-curve figure
-/// (bench_active_growth) reads checkpoints out of this. O(1) per round via
-/// active_size — no dense-frontier materialization.
+/// (bench_active_growth) reads its sample rounds out of this. O(1) per
+/// round via active_size — no dense-frontier materialization.
 class GrowthCurve {
  public:
   template <Process P>
@@ -61,19 +55,6 @@ class GrowthCurve {
   [[nodiscard]] std::size_t peak() const {
     return sizes_.empty() ? 0
                           : *std::max_element(sizes_.begin(), sizes_.end());
-  }
-
-  void save_state(util::CheckpointWriter& w) const {
-    w.u64(sizes_.size());
-    for (const std::size_t s : sizes_) w.u64(s);
-  }
-  void restore_state(util::CheckpointReader& r) {
-    const std::uint64_t count = r.u64();
-    sizes_.clear();
-    sizes_.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      sizes_.push_back(static_cast<std::size_t>(r.u64()));
-    }
   }
 
  private:
@@ -122,19 +103,6 @@ class FirstVisitTimes {
       if (t != kNever) last = std::max(last, t);
     }
     return last;
-  }
-
-  void save_state(util::CheckpointWriter& w) const {
-    w.u64(rounds_);
-    w.u64_span(first_);
-  }
-  void restore_state(util::CheckpointReader& r) {
-    rounds_ = r.u64();
-    first_ = r.u64_span();
-    seen_.assign((first_.size() + 63) / 64, 0);
-    for (std::size_t v = 0; v < first_.size(); ++v) {
-      if (first_[v] != kNever) seen_[v >> 6] |= std::uint64_t{1} << (v & 63);
-    }
   }
 
  private:

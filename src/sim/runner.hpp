@@ -1,16 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
-#include <iostream>
-#include <string>
 #include <utility>
 
 #include "core/types.hpp"
-#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/observers.hpp"
 #include "sim/process.hpp"
 #include "sim/stop.hpp"
@@ -63,14 +58,6 @@ struct RunResult {
   bool stopped = false;      ///< stop rule fired (false = budget exhausted)
 };
 
-/// Where and how often `Runner::run_snapshotting` persists progress.
-/// `every = k` snapshots after rounds k, 2k, 3k, ...; 0 never snapshots
-/// periodically (useful with `Runner::save_snapshot` for explicit saves).
-struct SnapshotPolicy {
-  std::string path;
-  std::uint64_t every = 0;
-};
-
 class Runner {
  public:
   /// `max_rounds` = 0 derives the budget per run from the process size
@@ -88,86 +75,26 @@ class Runner {
   RunResult run(P& p, core::Engine& gen, Stop&& stop, Obs&&... obs) const {
     start_hook(stop, p);
     (start_hook(obs, p), ...);
-    return loop(p, gen, 0, SnapshotPolicy{}, stop, obs...);
-  }
-
-  /// `run` with periodic durable snapshots: after rounds `every`,
-  /// 2*`every`, ... the full run state (process, engine, round count,
-  /// stop/observer state) is written atomically to `policy.path`. A failed
-  /// periodic snapshot warns on stderr and the run continues — losing a
-  /// checkpoint must not kill the computation it protects; the previous
-  /// snapshot on disk stays valid.
-  template <typename P, typename Stop, typename... Obs>
-    requires Checkpointable<P>
-  RunResult run_snapshotting(P& p, core::Engine& gen,
-                             const SnapshotPolicy& policy, Stop&& stop,
-                             Obs&&... obs) const {
-    start_hook(stop, p);
-    (start_hook(obs, p), ...);
-    return loop(p, gen, 0, policy, stop, obs...);
-  }
-
-  /// Continue a run from the snapshot at `policy.path`: restores `p`,
-  /// `gen`, the round count, and stop/observer state, then resumes the
-  /// step loop (still snapshotting per `policy`). `p` must be constructed
-  /// with the same arguments as the snapshotted process, and the
-  /// stop/observer pack must match the one that wrote the snapshot —
-  /// leftover or missing payload bytes throw util::CheckpointError.
-  /// The resumed trajectory is bit-identical to the uninterrupted run at
-  /// any thread count (pinned by tests); the returned `rounds` counts the
-  /// whole run, pre- and post-resume, and the budget applies to that
-  /// total, so interrupting never extends a run's allowance.
-  template <typename P, typename Stop, typename... Obs>
-    requires Checkpointable<P>
-  RunResult resume_from(P& p, core::Engine& gen, const SnapshotPolicy& policy,
-                        Stop&& stop, Obs&&... obs) const {
-    SnapshotInfo snap_info;
-    const std::vector<std::uint8_t> payload =
-        read_snapshot_file(policy.path, &snap_info);
-    // A snapshot resumed under a different binary is legitimate (crash
-    // recovery after a redeploy) but must never be silent: trajectory
-    // equivalence is only guaranteed when the code is the same.
-    const obs::Manifest& manifest = obs::current_manifest();
-    if (snap_info.git_sha != manifest.git_sha ||
-        snap_info.build_type != manifest.build_type) {
-      std::fprintf(stderr,
-                   "[runner] WARNING: snapshot '%s' was written by build "
-                   "%s/%s but this binary is %s/%s — resumed trajectories "
-                   "may diverge from the uninterrupted run\n",
-                   policy.path.c_str(), snap_info.git_sha.c_str(),
-                   snap_info.build_type.c_str(), manifest.git_sha.c_str(),
-                   manifest.build_type.c_str());
+    const std::uint64_t budget =
+        max_rounds_ != 0
+            ? max_rounds_
+            : default_step_budget(static_cast<std::uint32_t>(p.n()));
+    RunResult result;
+    while (!stop.done(p)) {
+      if (result.rounds >= budget) {  // stopped stays false
+        record_run(result);
+        return result;
+      }
+      p.step(gen);
+      ++result.rounds;
+      observe_hook(stop, p);
+      (observe_hook(obs, p), ...);
     }
-    util::CheckpointReader r(payload);
-    p.restore_state(r);
-    detail::restore_engine(r, gen);
-    const std::uint64_t rounds_done = r.u64();
-    restore_hook(stop, r, p);
-    (restore_hook(obs, r, p), ...);
-    if (!r.exhausted()) {
-      throw util::CheckpointError(
-          "snapshot has trailing bytes (stop/observer pack mismatch?)");
-    }
-    obs::count("sim.snapshots_restored");
-    return loop(p, gen, rounds_done, policy, stop, obs...);
-  }
-
-  /// Explicitly snapshot a run's state to `path` (what the periodic hook
-  /// calls; public so callers can save at their own boundaries). Throws
-  /// util::CheckpointError on I/O failure or an armed checkpoint.write
-  /// fault.
-  template <typename P, typename Stop, typename... Obs>
-    requires Checkpointable<P>
-  static void save_snapshot(const P& p, const core::Engine& gen,
-                            std::uint64_t rounds, const std::string& path,
-                            const Stop& stop, const Obs&... obs) {
-    util::CheckpointWriter w;
-    p.save_state(w);
-    detail::save_engine(w, gen);
-    w.u64(rounds);
-    save_hook(stop, w);
-    (save_hook(obs, w), ...);
-    write_snapshot_file(path, w.buffer());
+    result.stopped = true;
+    // Metrics land AFTER the loop (per run, not per round) so the loop
+    // body stays the bare step loop the zero-observer contract promises.
+    record_run(result);
+    return result;
   }
 
   [[nodiscard]] std::uint64_t max_rounds() const noexcept {
@@ -182,67 +109,6 @@ class Runner {
   template <typename Hook, Process P>
   static void observe_hook(Hook& h, const P& p) {
     if constexpr (requires { h.observe(p); }) h.observe(p);
-  }
-  /// Stop/observer serialization hooks, structural like start/observe.
-  /// A hook without save/restore contributes zero bytes; on restore it
-  /// falls back to `start(p)` so stateless hooks (Extinction, FixedRounds
-  /// re-anchored below) come up initialized. save/restore must be paired
-  /// per type or the payload misaligns — caught by the exhausted() check.
-  template <typename Hook>
-  static void save_hook(const Hook& h, util::CheckpointWriter& w) {
-    if constexpr (requires { h.save_state(w); }) h.save_state(w);
-  }
-  template <typename Hook, Process P>
-  static void restore_hook(Hook& h, util::CheckpointReader& r, const P& p) {
-    if constexpr (requires { h.restore_state(r); }) {
-      h.restore_state(r);
-    } else {
-      start_hook(h, p);
-    }
-  }
-
-  /// THE step loop, shared by run/run_snapshotting/resume_from:
-  /// `rounds_done` already on the clock, and periodic snapshotting when
-  /// `policy.every` is set (only Checkpointable processes can snapshot;
-  /// for the rest the block compiles away).
-  template <Process P, typename Stop, typename... Obs>
-  RunResult loop(P& p, core::Engine& gen, std::uint64_t rounds_done,
-                 const SnapshotPolicy& policy, Stop& stop,
-                 Obs&... obs) const {
-    const std::uint64_t budget =
-        max_rounds_ != 0
-            ? max_rounds_
-            : default_step_budget(static_cast<std::uint32_t>(p.n()));
-    RunResult result;
-    result.rounds = rounds_done;
-    while (!stop.done(p)) {
-      if (result.rounds >= budget) {  // stopped stays false
-        record_run(result);
-        return result;
-      }
-      p.step(gen);
-      ++result.rounds;
-      observe_hook(stop, p);
-      (observe_hook(obs, p), ...);
-      if constexpr (Checkpointable<P>) {
-        if (policy.every != 0 && result.rounds % policy.every == 0) {
-          try {
-            save_snapshot(p, gen, result.rounds, policy.path, stop, obs...);
-            obs::count("sim.snapshots_saved");
-          } catch (const util::CheckpointError& e) {
-            obs::count("sim.snapshot_failures");
-            std::cerr << "[sim] WARNING: snapshot failed at round "
-                      << result.rounds << ": " << e.what()
-                      << " (run continues)\n";
-          }
-        }
-      }
-    }
-    result.stopped = true;
-    // Metrics land AFTER the loop (per run, not per round) so the loop
-    // body stays the bare step loop the zero-observer contract promises.
-    record_run(result);
-    return result;
   }
 
   /// Per-run registry bumps — rounds driven, runs finished, stop-rule

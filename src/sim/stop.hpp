@@ -7,7 +7,6 @@
 
 #include "core/types.hpp"
 #include "sim/process.hpp"
-#include "util/checkpoint_io.hpp"
 
 /// \file stop.hpp
 /// Stop rules for sim::Runner — the "until" half of every experiment
@@ -22,12 +21,6 @@
 /// for hooks a rule doesn't declare). Rules are plain values the caller
 /// owns, so a bench can interrogate them after the run (covered count, hit
 /// round, ...). Compose with `any_of(a, b, ...)`.
-///
-/// Rules whose verdict depends on run HISTORY (not just the current
-/// process state) additionally provide save_state/restore_state for the
-/// Runner's checkpointing: CoverStop's coverage set, HitTarget's latch,
-/// FixedRounds' anchor round. Stateless rules (Extinction, Until) need
-/// nothing — the Runner's restore falls back to start().
 ///
 /// Rules read the active set through sim/process.hpp's frontier-native
 /// helpers (active_size, is_active, absorb_active), so none of them makes
@@ -68,38 +61,6 @@ class CoverStop {
   [[nodiscard]] std::uint32_t covered_count() const { return count_; }
   [[nodiscard]] bool complete() const { return started_ && count_ == n_; }
 
-  /// Coverage is history, not derivable from the frontier — it must ride
-  /// in every snapshot. The payload is a u8 started flag, then one byte
-  /// per vertex (the bits expanded on save, packed on restore); the byte
-  /// count doubles as the vertex count on restore, so no process handle
-  /// is needed.
-  void save_state(util::CheckpointWriter& w) const {
-    w.u8(started_ ? 1 : 0);
-    if (!started_) return;
-    std::vector<std::uint8_t> flags(n_);
-    for (std::size_t v = 0; v < flags.size(); ++v) {
-      flags[v] = static_cast<std::uint8_t>((covered_[v >> 6] >> (v & 63)) & 1);
-    }
-    w.bytes(flags);
-  }
-  void restore_state(util::CheckpointReader& r) {
-    if (r.u8() == 0) {
-      *this = CoverStop();
-      return;
-    }
-    // A short payload throws here, before anything changes.
-    const std::vector<std::uint8_t> flags = r.bytes();
-    n_ = static_cast<std::uint32_t>(flags.size());
-    covered_.assign((flags.size() + 63) / 64, 0);
-    count_ = 0;
-    for (std::size_t v = 0; v < flags.size(); ++v) {
-      if (flags[v] == 0) continue;
-      covered_[v >> 6] |= std::uint64_t{1} << (v & 63);
-      ++count_;
-    }
-    started_ = true;
-  }
-
  private:
   std::vector<std::uint64_t> covered_;  ///< bit v set once v was active
   std::uint32_t n_ = 0;
@@ -131,10 +92,6 @@ class HitTarget {
   [[nodiscard]] core::Vertex target() const noexcept { return target_; }
   [[nodiscard]] bool hit() const noexcept { return hit_; }
 
-  /// The latch is history (the target may have left the active set since).
-  void save_state(util::CheckpointWriter& w) const { w.u8(hit_ ? 1 : 0); }
-  void restore_state(util::CheckpointReader& r) { hit_ = r.u8() != 0; }
-
  private:
   core::Vertex target_;
   bool hit_ = false;
@@ -156,11 +113,6 @@ class FixedRounds {
   [[nodiscard]] bool done(const P& p) const noexcept {
     return p.round() - start_round_ >= rounds_;
   }
-
-  /// Without the anchor, a resumed run would re-anchor at the snapshot
-  /// round and run `rounds_` MORE steps instead of finishing the horizon.
-  void save_state(util::CheckpointWriter& w) const { w.u64(start_round_); }
-  void restore_state(util::CheckpointReader& r) { start_round_ = r.u64(); }
 
  private:
   std::uint64_t rounds_;
@@ -198,10 +150,6 @@ class ExcursionStop {
   [[nodiscard]] core::Vertex home() const noexcept { return home_; }
   [[nodiscard]] std::uint64_t target() const noexcept { return target_; }
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
-
-  /// The tally is history (home may have left the active set since).
-  void save_state(util::CheckpointWriter& w) const { w.u64(completed_); }
-  void restore_state(util::CheckpointReader& r) { completed_ = r.u64(); }
 
  private:
   core::Vertex home_;
@@ -267,15 +215,6 @@ class AnyOf {
                       rules_);
   }
 
-  /// Checkpoint pass-through: members serialize in pack order, stateless
-  /// members contribute zero bytes (mirroring the Runner's own hooks).
-  void save_state(util::CheckpointWriter& w) const {
-    std::apply([&](const Rules&... r) { (detail_save(r, w), ...); }, rules_);
-  }
-  void restore_state(util::CheckpointReader& rd) {
-    std::apply([&](Rules&... r) { (detail_restore(r, rd), ...); }, rules_);
-  }
-
  private:
   template <typename R, Process P>
   static void detail_start(R& rule, const P& p) {
@@ -284,14 +223,6 @@ class AnyOf {
   template <typename R, Process P>
   static void detail_observe(R& rule, const P& p) {
     if constexpr (requires { rule.observe(p); }) rule.observe(p);
-  }
-  template <typename R>
-  static void detail_save(const R& rule, util::CheckpointWriter& w) {
-    if constexpr (requires { rule.save_state(w); }) rule.save_state(w);
-  }
-  template <typename R>
-  static void detail_restore(R& rule, util::CheckpointReader& rd) {
-    if constexpr (requires { rule.restore_state(rd); }) rule.restore_state(rd);
   }
 
   std::tuple<Rules&...> rules_;

@@ -1,44 +1,21 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <stdexcept>
-#include <string>
-#include <string_view>
-#include <vector>
 
 /// \file checkpoint_io.hpp
-/// The byte-stream layer of the checkpoint format: a little-endian,
-/// bounds-checked writer/reader pair over a flat byte buffer, plus the
-/// payload checksum. It lives in util (not sim) so core processes can
-/// implement `save_state` / `restore_state` without the core -> sim
-/// dependency inversion; sim/checkpoint.{hpp,cpp} owns the snapshot
-/// *file* format (header, versioning, atomic write) on top of this.
-///
-/// Robustness contract: CheckpointReader never reads past the buffer —
-/// every primitive read checks remaining bytes and throws CheckpointError
-/// on underrun, so a truncated or corrupted payload surfaces as one typed
-/// exception, not UB. Writers are append-only; the encoding is the
-/// field order the save_state implementations choose (no tags), which the
-/// matching restore_state must mirror exactly — the cross-check tests pin
-/// each pair by round-tripping real process state.
+/// util::fnv1a64, the byte fingerprint the trajectory and graph ledgers
+/// and perfbench's run checks pin. The file keeps its name because
+/// perfbench/src/checks.cpp includes it: a rename to a fingerprint name
+/// has to change the benchmark in the same step.
 
 namespace cobra::util {
 
-/// Typed failure of checkpoint serialization or deserialization.
-class CheckpointError : public std::runtime_error {
- public:
-  explicit CheckpointError(const std::string& what)
-      : std::runtime_error("checkpoint: " + what) {}
-};
-
-/// FNV-1a 64-bit over `bytes` — the payload checksum. Not cryptographic;
-/// it exists to reject torn/truncated snapshot files, and 64 bits of
-/// mixing is plenty for that. Passing a previous result as `hash` chains
-/// the digest across buffers (hash of A then B == hash of A ++ B), which
-/// is how the snapshot checksum covers header bytes and payload without
-/// concatenating them.
+/// FNV-1a 64-bit over `bytes`. Not cryptographic: it exists to tell
+/// trajectories and graphs apart, and 64 bits of mixing is plenty for
+/// that. Passing a previous result as `hash` chains the digest across
+/// buffers (hash of A then B == hash of A ++ B), so a fingerprint can
+/// cover many buffers without concatenating them.
 [[nodiscard]] constexpr std::uint64_t fnv1a64(
     std::span<const std::uint8_t> bytes,
     std::uint64_t hash = 0xcbf29ce484222325ULL) noexcept {
@@ -47,168 +24,6 @@ class CheckpointError : public std::runtime_error {
     hash *= 0x100000001b3ULL;
   }
   return hash;
-}
-
-/// Append-only little-endian encoder.
-class CheckpointWriter {
- public:
-  void u8(std::uint8_t value) { bytes_.push_back(value); }
-
-  void u32(std::uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-    }
-  }
-
-  void u64(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-    }
-  }
-
-  /// Length-prefixed u32 span (the frontier/vertex-list encoding).
-  void u32_span(std::span<const std::uint32_t> values) {
-    u64(values.size());
-    for (const std::uint32_t v : values) u32(v);
-  }
-
-  /// Length-prefixed u64 span.
-  void u64_span(std::span<const std::uint64_t> values) {
-    u64(values.size());
-    for (const std::uint64_t v : values) u64(v);
-  }
-
-  /// Length-prefixed raw bytes (opaque per-process blobs).
-  void bytes(std::span<const std::uint8_t> data) {
-    u64(data.size());
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
-  }
-
-  /// Length-prefixed UTF-8/ASCII string (manifest stamps, labels).
-  void str(std::string_view value) {
-    u64(value.size());
-    bytes_.insert(bytes_.end(), value.begin(), value.end());
-  }
-
-  [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept {
-    return bytes_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-/// Bounds-checked little-endian decoder over a borrowed buffer.
-class CheckpointReader {
- public:
-  explicit CheckpointReader(std::span<const std::uint8_t> bytes)
-      : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint8_t u8() {
-    need(1, "u8");
-    return bytes_[pos_++];
-  }
-
-  [[nodiscard]] std::uint32_t u32() {
-    need(4, "u32");
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<std::uint32_t>(bytes_[pos_++]) << (8 * i);
-    }
-    return value;
-  }
-
-  [[nodiscard]] std::uint64_t u64() {
-    need(8, "u64");
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * i);
-    }
-    return value;
-  }
-
-  [[nodiscard]] std::vector<std::uint32_t> u32_span() {
-    const std::uint64_t count = u64();
-    need(checked_mul(count, 4), "u32 span body");
-    std::vector<std::uint32_t> values;
-    values.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) values.push_back(u32());
-    return values;
-  }
-
-  [[nodiscard]] std::vector<std::uint64_t> u64_span() {
-    const std::uint64_t count = u64();
-    need(checked_mul(count, 8), "u64 span body");
-    std::vector<std::uint64_t> values;
-    values.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) values.push_back(u64());
-    return values;
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> bytes() {
-    const std::uint64_t count = u64();
-    need(count, "byte span body");
-    std::vector<std::uint8_t> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                  bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + count));
-    pos_ += static_cast<std::size_t>(count);
-    return out;
-  }
-
-  [[nodiscard]] std::string str() {
-    const std::uint64_t count = u64();
-    need(count, "string body");
-    std::string out(reinterpret_cast<const char*>(bytes_.data()) + pos_,
-                    static_cast<std::size_t>(count));
-    pos_ += static_cast<std::size_t>(count);
-    return out;
-  }
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - pos_;
-  }
-  [[nodiscard]] bool exhausted() const noexcept { return remaining() == 0; }
-
- private:
-  /// A length prefix read from the payload is attacker/corruption
-  /// controlled; multiply with an overflow check before comparing
-  /// against remaining().
-  [[nodiscard]] static std::uint64_t checked_mul(std::uint64_t count,
-                                                 std::uint64_t width) {
-    if (width != 0 && count > UINT64_MAX / width) {
-      throw CheckpointError("length prefix overflows");
-    }
-    return count * width;
-  }
-
-  void need(std::uint64_t n, const char* what) const {
-    if (n > remaining()) {
-      throw CheckpointError(std::string("truncated payload reading ") + what);
-    }
-  }
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-/// Validate a deserialized vertex list against the canonical frontier
-/// form: strictly ascending (sorted, duplicate-free) with every id < `n`.
-/// Every process restore_state runs its lists through this, so a corrupt
-/// payload that survives the file checksum still cannot smuggle an
-/// out-of-range vertex into a CSR-indexed hot loop.
-inline void require_canonical_vertices(std::span<const std::uint32_t> verts,
-                                       std::uint32_t n, const char* what) {
-  for (std::size_t i = 0; i < verts.size(); ++i) {
-    if (verts[i] >= n) {
-      throw CheckpointError(std::string(what) + ": vertex " +
-                            std::to_string(verts[i]) + " out of range (n=" +
-                            std::to_string(n) + ")");
-    }
-    if (i > 0 && verts[i] <= verts[i - 1]) {
-      throw CheckpointError(std::string(what) +
-                            ": vertex list not strictly ascending");
-    }
-  }
 }
 
 }  // namespace cobra::util

@@ -9,11 +9,11 @@
 /// \file fault.hpp
 /// Fault-injection registry — the failure-testing backbone of the
 /// resilience layer, grown into a seedable chaos subsystem. Code that can
-/// fail in production (allocation on the dense-frontier switch, snapshot
-/// I/O, bench child startup) declares a named *site*; tests, the sweep
-/// driver, and the cobra_chaos fuzzer *arm* sites to fail, and the site's
-/// `should_fail()` query tells the code to take its degradation path
-/// exactly as a real failure would.
+/// fail in production (allocation on the dense-frontier switch, graph
+/// generation, bench child startup) declares a named *site*; tests, the
+/// sweep driver, and the cobra_chaos fuzzer *arm* sites to fail, and the
+/// site's `should_fail()` query tells the code to take its degradation
+/// path exactly as a real failure would.
 ///
 /// Design constraints, in priority order:
 ///
@@ -44,9 +44,9 @@
 ///   #limit   maximum number of firings, after which the site goes
 ///            dormant (default 0 = unlimited)
 ///
-/// e.g. "checkpoint.write@3,trace.write%0.25#2" — the 4th and later
-/// snapshot writes fail; each trace line is dropped with probability 1/4,
-/// at most twice.
+/// e.g. "gen.alloc@3,trace.write%0.25#2" — the 4th and later graph
+/// allocations fail; each trace line is dropped with probability 1/4, at
+/// most twice.
 ///
 /// Arming paths:
 ///   * programmatic: `arm("frontier.dense_alloc", 2)` or
@@ -82,14 +82,6 @@
 ///   trace.write                GRACEFUL  trace-sink line write (line
 ///                              dropped + counted; telemetry never
 ///                              affects results)
-///   checkpoint.write           HARD      snapshot serialization (periodic
-///                              snapshots warn and continue; explicit
-///                              saves throw)
-///   checkpoint.read            HARD      snapshot deserialization (resume
-///                              fails loudly)
-///   checkpoint.torn_write      HARD      snapshot write truncates
-///                              mid-payload and still lands on the target
-///                              path — the next read must reject it
 ///   gen.alloc                  HARD      graph-family allocation in
 ///                              build_graph (throws std::bad_alloc)
 ///   gen.build_graph            HARD      build_graph mid-build, after the

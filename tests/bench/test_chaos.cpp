@@ -110,7 +110,6 @@ TEST_F(ChaosTest, GeneratorCellCatchesNothingOnAnLccSpec) {
   config.threads = {3};
   config.schedules = 0;
   config.rounds = 4;
-  config.scratch_path = ::testing::TempDir() + "chaos_gen.snap";
   const bench::ChaosReport report = bench::run_chaos(config);
   EXPECT_EQ(report.gen_checks, 1u);
   EXPECT_TRUE(report.violations.empty());
@@ -130,7 +129,6 @@ TEST_F(ChaosTest, CleanFuzzReportsNoViolationsWithFullAccounting) {
   config.schedules = 8;
   config.seed = 1;
   config.rounds = 12;
-  config.scratch_path = ::testing::TempDir() + "chaos_clean.snap";
   const bench::ChaosReport report = bench::run_chaos(config);
   EXPECT_EQ(report.cells, 2u);
   EXPECT_EQ(report.fuzz_runs, 16u);
@@ -187,7 +185,6 @@ TEST_F(ChaosTest, MisCleanFuzzReportsNoViolations) {
   config.schedules = 8;
   config.seed = 1;
   config.rounds = 12;
-  config.scratch_path = ::testing::TempDir() + "chaos_mis_clean.snap";
   const bench::ChaosReport report = bench::run_chaos(config);
   EXPECT_EQ(report.cells, 2u);
   EXPECT_EQ(report.fuzz_runs, 16u);
@@ -206,7 +203,6 @@ TEST_F(ChaosTest, MisInjectedBugIsCaughtAndShrunk) {
   config.seed = 1;
   config.rounds = 12;
   config.inject_bug = true;
-  config.scratch_path = ::testing::TempDir() + "chaos_mis_bug.snap";
   const bench::ChaosReport report = bench::run_chaos(config);
   ASSERT_FALSE(report.violations.empty())
       << "16 schedules over the bug catalog never tripped the MIS bug";
@@ -235,7 +231,6 @@ TEST_F(ChaosTest, InjectedBugIsCaughtAndShrunkToAMinimalReproducer) {
   config.seed = 1;
   config.rounds = 12;
   config.inject_bug = true;
-  config.scratch_path = ::testing::TempDir() + "chaos_bug.snap";
   const bench::ChaosReport report = bench::run_chaos(config);
   ASSERT_FALSE(report.violations.empty())
       << "16 schedules over the bug catalog never drew the planted bug";

@@ -131,6 +131,26 @@ TEST(CobraWalk, SamplesDrawnAccounting) {
   EXPECT_EQ(walk.samples_drawn(), after_one + active_now * 3);
 }
 
+TEST(CobraWalk, SamplesDrawnAfterAMultiStartWalkIsTheSummedActiveSizes) {
+  // Coalescing walks: a 1-cobra walk from a start set with a duplicate
+  // draws one sample per walker per round, so the tally is the sum of the
+  // walker counts over the rounds taken, merges included.
+  const Graph g = make_complete(32);
+  Engine gen(77);
+  CobraWalk walk(g, 0, 1);
+  const std::vector<Vertex> starts = {3, 17, 17, 20, 24, 29, 30};
+  walk.reset(starts);
+  ASSERT_EQ(walk.active().size(), 6u);
+  std::uint64_t summed = 0;
+  for (int t = 0; t < 20; ++t) {
+    summed += walk.active().size();
+    walk.step(gen);
+    EXPECT_EQ(walk.samples_drawn(), summed) << "after round " << t + 1;
+  }
+  EXPECT_EQ(walk.round(), 20u);
+  EXPECT_LT(walk.active().size(), 6u);  // some walkers merged
+}
+
 TEST(CobraWalk, StarAlternatesHubAndLeaves) {
   // From the hub, all samples land on leaves; from leaves, all land on hub.
   const Graph g = make_star(20);

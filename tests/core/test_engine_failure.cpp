@@ -1,5 +1,5 @@
-// Failure-edge tests for the frontier engine: a run resumed from a
-// checkpoint into a fresh engine, a forced-dense step on an extinct
+// Failure-edge tests for the frontier engine: a run continued from its
+// active set on a fresh pooled engine, a forced-dense step on an extinct
 // process, and allocation failures (dense bitmap, private worker bitmaps,
 // materialize scratch) degrading without changing results.
 
@@ -13,7 +13,6 @@
 #include "gen/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/runner.hpp"
-#include "util/checkpoint_io.hpp"
 #include "util/fault.hpp"
 
 namespace {
@@ -29,11 +28,11 @@ struct EngineFailureTest : ::testing::Test {
   void TearDown() override { util::fault::disarm_all(); }
 };
 
-TEST_F(EngineFailureTest, EpochWrapDuringResumedRunKeepsTheTrajectory) {
-  // A run resumed from a checkpoint into a fresh engine — here on a pool,
-  // the source in-line — continues the source's trajectory exactly, across
-  // both representations. Rounds carry no dedup state from call to call,
-  // so a fresh engine needs nothing restored.
+TEST_F(EngineFailureTest, FreshPooledEngineContinuesTheTrajectory) {
+  // A walk rebuilt from another walk's active set on a fresh engine — here
+  // on a pool, the source in-line — continues the source's trajectory
+  // exactly, across both representations. Rounds carry no dedup state
+  // from call to call, so a fresh engine needs nothing but the set.
   const graph::Graph g = gen::build_graph("rreg:n=256,d=4,seed=13");
   core::Engine gen(7);
   core::CobraWalk src(g, 0, 2);
@@ -41,14 +40,12 @@ TEST_F(EngineFailureTest, EpochWrapDuringResumedRunKeepsTheTrajectory) {
   src.engine().options().mode = core::FrontierMode::ForceSparse;
   for (int i = 0; i < 10; ++i) src.step(gen);
 
-  util::CheckpointWriter w;
-  src.save_state(w);
   par::ThreadPool pool(2);
   core::CobraWalk dst(g, 0, 2);
   dst.engine().options() = {64, 1, &pool};
   dst.engine().options().mode = core::FrontierMode::ForceSparse;
-  util::CheckpointReader r(w.buffer());
-  dst.restore_state(r);
+  dst.reset(active_of(src));
+  ASSERT_EQ(active_of(dst), active_of(src));
 
   core::Engine ga = gen, gb = gen;
   for (int i = 0; i < 40; ++i) {
@@ -60,7 +57,7 @@ TEST_F(EngineFailureTest, EpochWrapDuringResumedRunKeepsTheTrajectory) {
     src.step(ga);
     dst.step(gb);
     ASSERT_EQ(active_of(dst), active_of(src))
-        << "trajectories diverged " << i << " rounds after the resume";
+        << "trajectories diverged " << i << " rounds after the rebuild";
   }
   EXPECT_GT(dst.engine().parallel_rounds(), 0u);
 }

@@ -87,6 +87,14 @@ TEST(GeneralizedCobra, FaultySheduleCanGoExtinct) {
   walk.step(gen);
   EXPECT_TRUE(walk.extinct());
   EXPECT_EQ(walk.active().size(), 0u);
+  // Extinct is a state, not an end: the clock keeps advancing and the
+  // active set stays empty.
+  for (std::uint64_t t = 2; t <= 6; ++t) {
+    walk.step(gen);
+    EXPECT_EQ(walk.round(), t);
+    EXPECT_TRUE(walk.extinct());
+    EXPECT_TRUE(walk.active().empty());
+  }
 }
 
 TEST(GeneralizedCobra, FaultyScheduleSurvivesLowFailureOnExpander) {

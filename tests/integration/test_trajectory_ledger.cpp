@@ -191,6 +191,16 @@ void expect_pinned(const char* client, const Trajectory& trajectory,
   }
 }
 
+// The fingerprint every literal below is made of: distinct payloads hash
+// apart, and the empty input is the FNV offset basis (pins the
+// parameterization).
+TEST(TrajectoryLedger, Fnv1a64DistinguishesPayloads) {
+  const std::vector<std::uint8_t> a = {1, 2, 3};
+  const std::vector<std::uint8_t> b = {1, 2, 4};
+  EXPECT_NE(util::fnv1a64(a), util::fnv1a64(b));
+  EXPECT_EQ(util::fnv1a64(std::vector<std::uint8_t>{}), 0xcbf29ce484222325ULL);
+}
+
 TEST(TrajectoryLedger, CobraWalk) {
   expect_pinned("CobraWalk", cobra_fp,
                 {0x8bd76daa4ad2e10aULL, 0xe7ac21b349e82d48ULL});

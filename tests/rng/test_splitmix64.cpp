@@ -48,8 +48,8 @@ TEST(SplitMix64, MixAvalanche) {
 
 TEST(DeriveSeed, GoldenValuesAreStable) {
   // derive_seed is load-bearing for every recorded artifact in this repo:
-  // checkpoints, fault-plan schedules, and chunked round streams all
-  // assume (seed, stream) -> value never changes across releases. These
+  // the trajectory ledger, fault-plan schedules, and chunked round streams
+  // all assume (seed, stream) -> value never changes across releases. These
   // pins turn an accidental algorithm change into a test failure instead
   // of silently invalidated baselines.
   EXPECT_EQ(derive_seed(0, 0), 7861790605204899667ULL);

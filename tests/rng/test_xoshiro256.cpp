@@ -12,21 +12,6 @@ TEST(Xoshiro256, Deterministic) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
 }
 
-TEST(Xoshiro256, SetStateRoundTripsMidStream) {
-  // Checkpoint/resume leans on this: capturing state() mid-stream and
-  // set_state()-ing it into a fresh engine must reproduce the remaining
-  // stream exactly, from any position.
-  Xoshiro256 source(2026);
-  for (int i = 0; i < 137; ++i) (void)source();
-  const auto snap = source.state();
-  Xoshiro256 resumed(0);
-  resumed.set_state(snap);
-  EXPECT_EQ(resumed.state(), snap);
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_EQ(resumed(), source()) << "diverged at post-restore draw " << i;
-  }
-}
-
 TEST(Xoshiro256, SeedsSeparate) {
   Xoshiro256 a(1), b(2);
   int collisions = 0;

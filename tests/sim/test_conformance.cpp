@@ -7,9 +7,7 @@
 // far from the edit. The static_asserts below turn that drift into an
 // immediate, named compile error: building this test is the test.
 //
-// When you add a process: add its static_assert here (and one in the
-// Checkpointable block if it implements save_state/restore_state). See
-// CONTRIBUTING.md.
+// When you add a process: add its static_assert here. See CONTRIBUTING.md.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +20,6 @@
 #include "core/pair_walk.hpp"
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/process.hpp"
 
 namespace cobra::sim {
@@ -55,18 +52,6 @@ static_assert(!Process<core::GridDriftWalk>);
 static_assert(detail::BitmapFrontier<core::CobraWalk>);
 static_assert(detail::BitmapFrontier<core::GreedyMIS>);
 
-// ---------------------------------------------- sim::Checkpointable -----
-// Process + save_state/restore_state round-tripping through the durable
-// snapshot layer. Only the long-horizon paper processes implement it.
-
-static_assert(Checkpointable<core::CobraWalk>);
-static_assert(Checkpointable<core::Gossip>);
-
-// Processes that are Process-only today; flip to Checkpointable<> when
-// they grow snapshot support so the ledger stays exhaustive.
-static_assert(!Checkpointable<core::RandomWalk>);
-static_assert(!Checkpointable<core::Walt>);
-
 }  // namespace cobra::sim
 
 // The runtime checks below pin the concept's behavior on shapes that are
@@ -75,7 +60,6 @@ static_assert(!Checkpointable<core::Walt>);
 
 namespace {
 
-using cobra::sim::Checkpointable;
 using cobra::sim::Process;
 
 struct NotAProcess {};
@@ -110,7 +94,6 @@ TEST(Conformance, ConceptShape) {
   static_assert(!Process<NoStep>);
   static_assert(!Process<NonConstActive>);
   static_assert(Process<Minimal>);
-  static_assert(!Checkpointable<Minimal>);
   SUCCEED();
 }
 

@@ -2,8 +2,8 @@
 // FirstVisitTimes, HitTarget, ExcursionStop and OccupancyCounter read a
 // CobraWalk's frontier (bitmap words when dense, the sorted list when
 // sparse) and must agree round by round with the same walk seen only
-// through active(); CoverStop's snapshot payload keeps its one byte per
-// vertex; and a cover run never materializes the sorted vertex list.
+// through active(); FirstVisitTimes and CoverStop count the same covered
+// set; and a cover run never materializes the sorted vertex list.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "sim/process.hpp"
 #include "sim/runner.hpp"
 #include "sim/stop.hpp"
-#include "util/checkpoint_io.hpp"
 
 namespace {
 
@@ -72,10 +71,12 @@ struct Readers {
   sim::OccupancyCounter occupancy;
 };
 
-std::vector<std::uint8_t> saved(const sim::CoverStop& cover) {
-  util::CheckpointWriter w;
-  cover.save_state(w);
-  return w.buffer();
+std::uint32_t visited_count(const sim::FirstVisitTimes& visits) {
+  std::uint32_t count = 0;
+  for (const std::uint64_t t : visits.times()) {
+    if (t != sim::FirstVisitTimes::kNever) ++count;
+  }
+  return count;
 }
 
 TEST(FrontierObservers, AgreeWithTheActiveListInEveryMode) {
@@ -106,6 +107,8 @@ TEST(FrontierObservers, AgreeWithTheActiveListInEveryMode) {
       (native.frontier().dense() ? saw_dense : saw_sparse) = true;
 
       ASSERT_EQ(a.cover.covered_count(), b.cover.covered_count());
+      ASSERT_EQ(visited_count(a.visits), a.cover.covered_count());
+      ASSERT_EQ(visited_count(b.visits), b.cover.covered_count());
       ASSERT_EQ(a.hit.hit(), b.hit.hit());
       ASSERT_EQ(a.excursions.completed(), b.excursions.completed());
       ASSERT_EQ(a.occupancy.hits(), b.occupancy.hits());
@@ -119,7 +122,6 @@ TEST(FrontierObservers, AgreeWithTheActiveListInEveryMode) {
     EXPECT_TRUE(a.cover.complete());
     EXPECT_TRUE(b.cover.complete());
     EXPECT_EQ(a.visits.times(), b.visits.times());
-    EXPECT_EQ(saved(a.cover), saved(b.cover));
     EXPECT_GT(a.occupancy.hits(), 0u);
     EXPECT_GT(a.excursions.completed(), 0u);
     EXPECT_EQ(saw_dense, mode != core::FrontierMode::ForceSparse);
@@ -127,71 +129,31 @@ TEST(FrontierObservers, AgreeWithTheActiveListInEveryMode) {
   }
 }
 
-TEST(FrontierObservers, CoverStopSnapshotBytesMatchTheRecordedFormat) {
-  // Recorded before the coverage set became a bitmap: a u8 started flag,
-  // a u64 byte count, then one 0/1 byte per vertex. Six rounds of a
-  // 2-cobra walk from 62 on C_70 cover 58..66, across the word boundary.
-  const std::vector<std::uint8_t> header = {1, 70, 0, 0, 0, 0, 0, 0, 0};
-  const std::vector<std::uint8_t> flags = {
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  //
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  //
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  //
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  //
-      0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  //
-      0, 0, 0, 0, 0, 0, 0, 0, 1, 1,  //
-      1, 1, 1, 1, 1, 1, 1, 0, 0, 0,  //
-  };
-  std::vector<std::uint8_t> expected = header;
-  expected.insert(expected.end(), flags.begin(), flags.end());
-
+TEST(FrontierObservers, CoverAcrossAWordBoundaryIsTheSameInBothModes) {
+  // Six rounds of a 2-cobra walk from 62 on C_70 cover exactly 58..66,
+  // across the first bitmap word boundary, in either representation.
   const graph::Graph g = gen::build_graph("ring:n=70");
   for (const core::FrontierMode mode :
        {core::FrontierMode::ForceSparse, core::FrontierMode::ForceDense}) {
+    SCOPED_TRACE(static_cast<int>(mode));
     core::CobraWalk walk(g, 62, 2);
     walk.engine().options().mode = mode;
     core::Engine gen(11);
     sim::CoverStop cover;
+    sim::FirstVisitTimes visits;
     cover.start(walk);
+    visits.start(walk);
     for (int i = 0; i < 6; ++i) {
       walk.step(gen);
       cover.observe(walk);
+      visits.observe(walk);
     }
     EXPECT_EQ(cover.covered_count(), 9u);
-    EXPECT_EQ(saved(cover), expected);
+    EXPECT_FALSE(cover.complete());
+    for (core::Vertex v = 0; v < 70; ++v) {
+      EXPECT_EQ(visits.visited(v), v >= 58 && v <= 66) << "vertex " << v;
+    }
   }
-
-  // Restore packs the bytes back: same count, same bytes on the next save.
-  util::CheckpointReader r(expected);
-  sim::CoverStop restored;
-  restored.restore_state(r);
-  EXPECT_EQ(restored.covered_count(), 9u);
-  EXPECT_FALSE(restored.complete());
-  EXPECT_EQ(saved(restored), expected);
-  EXPECT_EQ(saved(sim::CoverStop()), std::vector<std::uint8_t>{0});
-}
-
-TEST(FrontierObservers, FirstVisitTimesResumesFromItsSnapshot) {
-  const graph::Graph g = gen::build_graph("rreg:n=1000,d=4,seed=5");
-  core::CobraWalk walk(g, 0, 2);
-  walk.engine().options().mode = core::FrontierMode::ForceDense;
-  core::Engine gen(23);
-  sim::FirstVisitTimes whole, resumed;
-  whole.start(walk);
-  for (int i = 0; i < 3; ++i) {
-    walk.step(gen);
-    whole.observe(walk);
-  }
-  util::CheckpointWriter w;
-  whole.save_state(w);
-  util::CheckpointReader r(w.buffer());
-  resumed.restore_state(r);  // rebuilds its seen bitmap from the times
-  for (int i = 0; i < 40; ++i) {
-    walk.step(gen);
-    whole.observe(walk);
-    resumed.observe(walk);
-  }
-  EXPECT_EQ(whole.times(), resumed.times());
-  EXPECT_EQ(whole.last_first_visit(), resumed.last_first_visit());
 }
 
 TEST(FrontierObservers, AutoCoverRunNeverMaterializesTheFrontier) {

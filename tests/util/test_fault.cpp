@@ -34,18 +34,18 @@ struct FaultTest : ::testing::Test {
 
 TEST_F(FaultTest, DisabledByDefault) {
   EXPECT_FALSE(fault::enabled());
-  EXPECT_FALSE(fault::should_fail("checkpoint.write"));
+  EXPECT_FALSE(fault::should_fail("trace.write"));
   EXPECT_FALSE(fault::should_fail("no.such.site"));
-  EXPECT_EQ(fault::hits("checkpoint.write"), 0u);
+  EXPECT_EQ(fault::hits("trace.write"), 0u);
   EXPECT_TRUE(fault::armed_sites().empty());
 }
 
 TEST_F(FaultTest, ArmedSiteFailsImmediatelyOthersDoNot) {
-  fault::arm("checkpoint.write");
+  fault::arm("trace.write");
   EXPECT_TRUE(fault::enabled());
-  EXPECT_TRUE(fault::should_fail("checkpoint.write"));
-  EXPECT_FALSE(fault::should_fail("checkpoint.read"));
-  EXPECT_EQ(fault::hits("checkpoint.write"), 1u);
+  EXPECT_TRUE(fault::should_fail("trace.write"));
+  EXPECT_FALSE(fault::should_fail("gen.alloc"));
+  EXPECT_EQ(fault::hits("trace.write"), 1u);
 }
 
 TEST_F(FaultTest, AfterKFailsFromKthHitOnward) {
@@ -78,18 +78,18 @@ TEST_F(FaultTest, DisarmAllRestoresTheCheapPath) {
 }
 
 TEST_F(FaultTest, ArmFromEnvParsesSitesAndAfterCounts) {
-  ::setenv("COBRA_FAULT", "checkpoint.write@3,frontier.dense_alloc", 1);
+  ::setenv("COBRA_FAULT", "gen.alloc@3,frontier.dense_alloc", 1);
   EXPECT_EQ(fault::arm_from_env(), 2u);
   const auto armed = fault::armed_sites();
-  EXPECT_NE(std::find(armed.begin(), armed.end(), "checkpoint.write@3"),
+  EXPECT_NE(std::find(armed.begin(), armed.end(), "gen.alloc@3"),
             armed.end());
   EXPECT_NE(std::find(armed.begin(), armed.end(), "frontier.dense_alloc@0"),
             armed.end());
   // @3 semantics survive the env round trip.
-  EXPECT_FALSE(fault::should_fail("checkpoint.write"));
-  EXPECT_FALSE(fault::should_fail("checkpoint.write"));
-  EXPECT_FALSE(fault::should_fail("checkpoint.write"));
-  EXPECT_TRUE(fault::should_fail("checkpoint.write"));
+  EXPECT_FALSE(fault::should_fail("gen.alloc"));
+  EXPECT_FALSE(fault::should_fail("gen.alloc"));
+  EXPECT_FALSE(fault::should_fail("gen.alloc"));
+  EXPECT_TRUE(fault::should_fail("gen.alloc"));
   EXPECT_TRUE(fault::should_fail("frontier.dense_alloc"));
 }
 

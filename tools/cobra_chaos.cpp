@@ -27,9 +27,6 @@
 ///                {"fault": ...} JSONL lines — the chaos run's event-log
 ///                artifact
 ///   --out        also write the report text here
-///   --scratch    scratch snapshot path for the checkpoint hard-site
-///                checks (default chaos_scratch.snap in the cwd; give
-///                each concurrent run its own)
 ///   --inject-bug add the TEST-ONLY chaos.degrade_bug site to the fuzz
 ///                catalog (a deliberately broken degradation)
 ///   --expect-violation  self-test mode: exit 0 IFF at least one violation
@@ -58,8 +55,8 @@ int main(int argc, char** argv) {
   try {
     args = io::Args(argc, argv,
                     {"process", "graph", "threads", "schedules", "seed",
-                     "rounds", "branching", "trace", "out", "scratch",
-                     "inject-bug", "expect-violation"});
+                     "rounds", "branching", "trace", "out", "inject-bug",
+                     "expect-violation"});
   } catch (const std::invalid_argument& e) {
     std::cerr << "cobra_chaos: " << e.what()
               << "\nusage: cobra_chaos [--process cobra|mis] [--graph SPECS]"
@@ -85,7 +82,6 @@ int main(int argc, char** argv) {
     config.rounds = args.get_uint("rounds", 24);
     config.branching = static_cast<std::uint32_t>(args.get_uint("branching", 2));
     config.inject_bug = args.get_bool("inject-bug", false);
-    config.scratch_path = args.get("scratch", config.scratch_path);
   } catch (const std::invalid_argument& e) {
     std::cerr << "cobra_chaos: " << e.what() << "\n";
     return 2;
