@@ -9,13 +9,14 @@
 /// loop before. The child's --out JSON is embedded verbatim in the merged
 /// file (see sweep.hpp for the schema).
 ///
-/// A per-cell WATCHDOG supervises every child: a failed attempt (non-zero
-/// exit, wall-clock timeout, or truncated --out JSON) is retried with
-/// exponential backoff, and a cell that exhausts its attempts is
-/// QUARANTINED into the merged file's "failed_runs" section instead of
-/// aborting the sweep — one poisoned cell cannot cost a night of results.
-/// The sweep exits 0 when every cell is accounted for (completed or
-/// explicitly quarantined) and `--validate` re-checks that accounting.
+/// A failed attempt (non-zero exit or truncated --out JSON) is retried
+/// once after 200 ms, and a cell that fails both attempts is QUARANTINED
+/// into the merged file's "failed_runs" section instead of aborting the
+/// sweep — one poisoned cell cannot cost a night of results. The sweep
+/// exits 0 when every cell is accounted for (completed or explicitly
+/// quarantined) and `--validate` re-checks that accounting. The merged
+/// file is written once, after the last cell; a cell that failed is
+/// re-run from its bench's own command line, which its seed makes exact.
 ///
 /// Benches are queried for capability metadata first (`<bench> --caps`):
 /// a bench whose --graph does not drive its measurement (grid_drift's Z^d
@@ -25,8 +26,6 @@
 /// Usage:
 ///   cobra_sweep --graph <spec[,spec...]> [--bench b1,b2] [--threads 1,2]
 ///               --out sweep.json [--bindir DIR] [--trials T] [--smoke]
-///               [--retries R] [--backoff-ms MS] [--timeout S]
-///               [--resume prev.json]
 ///   cobra_sweep --validate sweep.json [--expect-runs N]
 ///
 ///   --graph    spec list; ';' separates always, ',' smartly (a segment
@@ -38,36 +37,21 @@
 ///   --bindir   directory holding the bench binaries (default: the
 ///              directory cobra_sweep itself was launched from)
 ///   --trials / --smoke   forwarded to every child verbatim
-///   --retries  extra attempts per cell after the first (default 1)
-///   --backoff-ms  delay before the first retry, doubling per retry
-///              (default 200, capped at 60 s)
-///   --timeout  per-attempt wall clock in seconds, enforced with
-///              coreutils `timeout` (default 0 = none)
-///   --resume   a previous merged file: cells it already completed are
-///              embedded as-is and skipped; its quarantined cells rerun
-///   --keep-runs keep the per-run scratch directory (<out>.runs: child
-///              JSON + logs) after a fully successful sweep; it is always
-///              kept when any cell was quarantined, since it holds the
-///              only diagnostics
 ///   --validate re-check a merged file: exit 0 iff completed runs plus
 ///              quarantined failed_runs account for every promised cell
 ///
-/// Fault-injection levers (resilience tests; cell ids are the 0-based
-/// position in the bench x spec x threads iteration order). Each arms a
-/// TEST-ONLY fault site in the targeted child through a one-line
-/// --fault-plan file in <out>.runs (a plan arms on top of an inherited
-/// COBRA_FAULT, not instead of it):
-///   --inject-crash-run I  cell I's child crashes (bench.crash) on EVERY
-///                         attempt (exercises quarantine)
-///   --inject-flaky-run I  cell I's child crashes on the FIRST attempt
-///                         only (exercises retry + backoff)
-///   --inject-hang-run I   cell I's child hangs (bench.hang) on every
-///                         attempt; requires --timeout (exercises the
-///                         watchdog)
+/// The per-run scratch directory (<out>.runs: child JSON + logs) is removed
+/// after a fully successful sweep and kept when any cell was quarantined,
+/// since it holds the only diagnostics.
+///
+/// Fault injection goes through COBRA_FAULT (util/fault.hpp), which this
+/// driver arms for itself and every child inherits: `sweep.child_spawn`
+/// fails a launch here without running it (exit 127), and `bench.crash`
+/// makes each child exit 86 at startup.
 ///
 /// Exit codes: 0 = every cell accounted for (even if some quarantined),
 /// 1 = infrastructure failure (missing binary, unwritable output, invalid
-/// --resume/--validate file), 2 = command-line parse error.
+/// --validate file), 2 = command-line parse error.
 
 #include <algorithm>
 #include <chrono>
@@ -78,24 +62,22 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
-
-#ifdef __unix__
-#include <sys/wait.h>
-#endif
 
 #include "gen/registry.hpp"
 #include "gen/spec.hpp"
 #include "harness.hpp"
 #include "obs/manifest.hpp"
 #include "sweep.hpp"
+#include "util/fault.hpp"
 
 namespace {
 
 using namespace cobra;
 
-constexpr std::size_t kNoInjection = static_cast<std::size_t>(-1);
+/// Every cell gets one retry, after a fixed delay.
+constexpr std::size_t kAttempts = 2;
+constexpr std::chrono::milliseconds kRetryDelay{200};
 
 std::string shell_quote(const std::string& s) {
   std::string out = "'";
@@ -158,13 +140,6 @@ void require_valid_spec(const std::string& spec_text) {
   }
 }
 
-/// Cell identity for --resume matching; \x1f cannot appear in any of the
-/// three fields, so the key is unambiguous.
-std::string cell_key(const std::string& bench, const std::string& spec,
-                     std::size_t threads) {
-  return bench + '\x1f' + spec + '\x1f' + std::to_string(threads);
-}
-
 std::size_t uint_flag_or_die(const io::Args& args, const std::string& name,
                              std::uint64_t fallback) {
   try {
@@ -177,12 +152,10 @@ std::size_t uint_flag_or_die(const io::Args& args, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> allowed = {
-      "graph",      "bench",      "threads",          "bindir",
-      "out",        "trials",     "smoke",            "validate",
-      "expect-runs", "keep-runs", "retries",          "backoff-ms",
-      "timeout",    "resume",     "inject-crash-run", "inject-flaky-run",
-      "inject-hang-run"};
+  util::fault::arm_from_env();  // COBRA_FAULT="site[@after][%p][#k],..."
+  std::vector<std::string> allowed = {"graph",  "bench", "threads",
+                                      "bindir", "out",   "trials",
+                                      "smoke",  "validate", "expect-runs"};
   io::Args args(0, nullptr, {});
   try {
     args = io::Args(argc, argv, allowed);
@@ -269,71 +242,6 @@ int main(int argc, char** argv) {
   }
   for (const auto& spec : specs) require_valid_spec(spec);
 
-  bench::RetryPolicy policy;
-  policy.retries = uint_flag_or_die(args, "retries", 1);
-  policy.backoff_ms = uint_flag_or_die(args, "backoff-ms", 200);
-  policy.timeout_s = uint_flag_or_die(args, "timeout", 0);
-
-  const std::size_t crash_run =
-      args.has("inject-crash-run")
-          ? uint_flag_or_die(args, "inject-crash-run", 0)
-          : kNoInjection;
-  const std::size_t flaky_run =
-      args.has("inject-flaky-run")
-          ? uint_flag_or_die(args, "inject-flaky-run", 0)
-          : kNoInjection;
-  const std::size_t hang_run =
-      args.has("inject-hang-run") ? uint_flag_or_die(args, "inject-hang-run", 0)
-                                  : kNoInjection;
-  if (hang_run != kNoInjection && policy.timeout_s == 0) {
-    parse_error("--inject-hang-run requires --timeout (otherwise the hanging "
-                "child parks the sweep for the injected 60 s)",
-                false);
-  }
-
-  // Watchdog portability probe: --timeout shells out to coreutils
-  // timeout(1), which minimal containers and BSDs may not have. Probe ONCE
-  // up front and fall back to unbounded children with a loud warning —
-  // the alternative is every cell dying on shell exec error 127, which
-  // reads as 40 broken benches instead of one missing binary.
-  if (policy.timeout_s != 0 && !bench::timeout_binary_available()) {
-    std::cerr << "cobra_sweep: WARNING: coreutils 'timeout' binary not "
-                 "found; running children WITHOUT the " +
-                     std::to_string(policy.timeout_s) +
-                     "s watchdog (a hung child will park its cell)\n";
-    policy.timeout_s = 0;
-    if (hang_run != kNoInjection) {
-      parse_error("--inject-hang-run needs an enforceable --timeout, but "
-                  "the 'timeout' binary is unavailable on this system",
-                  false);
-    }
-  }
-
-  // Runs a previous (interrupted/partial) sweep already completed, keyed by
-  // cell; its quarantined cells are deliberately NOT here, so they rerun.
-  std::unordered_map<std::string, std::string> resumed;
-  if (args.has("resume")) {
-    const std::string resume_path = args.get("resume", "");
-    const std::string text = read_file(resume_path);
-    if (text.empty()) {
-      std::cerr << "cobra_sweep: cannot read --resume file " << resume_path
-                << "\n";
-      return 1;
-    }
-    try {
-      for (auto& run : bench::extract_merged_runs(text)) {
-        resumed[cell_key(run.bench, run.spec, run.threads)] =
-            std::move(run.json_text);
-      }
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "cobra_sweep: --resume file " << resume_path
-                << " is not a merged sweep file: " << e.what() << "\n";
-      return 1;
-    }
-    std::cout << "cobra_sweep: resuming from " << resume_path << " ("
-              << resumed.size() << " completed runs to reuse)\n";
-  }
-
   namespace fs = std::filesystem;
   const fs::path bindir =
       args.has("bindir") ? fs::path(args.get("bindir", ""))
@@ -347,14 +255,6 @@ int main(int argc, char** argv) {
               << ec.message() << "\n";
     return 1;
   }
-
-  // The injection levers' plan files, one fault site each.
-  const fs::path crash_plan = workdir / "bench_crash.plan";
-  const fs::path hang_plan = workdir / "bench_hang.plan";
-  if (crash_run != kNoInjection || flaky_run != kNoInjection) {
-    std::ofstream(crash_plan) << "bench.crash\n";
-  }
-  if (hang_run != kNoInjection) std::ofstream(hang_plan) << "bench.hang\n";
 
   // Capability pass: drop benches whose --graph is not the measurement.
   std::vector<std::string> swept;
@@ -380,10 +280,8 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t expected = swept.size() * specs.size() * thread_counts.size();
-  const std::size_t attempts_max = policy.retries + 1;
   std::vector<bench::SweepRun> runs;
   std::vector<bench::FailedRun> failed;
-  std::size_t reused = 0;
   std::size_t index = 0;
   for (const auto& name : swept) {
     for (const auto& spec : specs) {
@@ -392,14 +290,6 @@ int main(int argc, char** argv) {
         std::cout << "cobra_sweep: [" << index << "/" << expected << "] "
                   << name << "  graph=" << spec << "  threads=" << threads
                   << std::endl;
-        if (const auto it = resumed.find(cell_key(name, spec, threads));
-            it != resumed.end()) {
-          std::cout << "cobra_sweep:   already completed in the --resume "
-                       "file; reusing its result\n";
-          runs.push_back({name, spec, threads, it->second, {}});
-          ++reused;
-          continue;
-        }
 
         const fs::path run_json =
             workdir / ("run_" + std::to_string(cell) + ".json");
@@ -411,14 +301,11 @@ int main(int argc, char** argv) {
 
         bool ok = false;
         std::string reason;
-        for (std::size_t attempt = 0; attempt < attempts_max; ++attempt) {
+        for (std::size_t attempt = 0; attempt < kAttempts; ++attempt) {
           if (attempt > 0) {
-            const std::uint64_t delay =
-                bench::backoff_delay_ms(policy, attempt - 1);
-            std::cout << "cobra_sweep:   retry " << attempt << "/"
-                      << policy.retries << " after " << delay << " ms backoff"
-                      << std::endl;
-            std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+            std::cout << "cobra_sweep:   retry after " << kRetryDelay.count()
+                      << " ms" << std::endl;
+            std::this_thread::sleep_for(kRetryDelay);
           }
           // A stale or partial file from a previous attempt must not be
           // mistaken for this attempt's output.
@@ -432,16 +319,6 @@ int main(int argc, char** argv) {
                             shell_quote(run_metrics.string());
           if (args.get_bool("smoke", false)) cmd += " --smoke";
           if (args.has("trials")) cmd += " --trials " + std::to_string(trials);
-          // A flaky cell crashes on its first attempt only.
-          if (cell == crash_run || (cell == flaky_run && attempt == 0)) {
-            cmd += " --fault-plan " + shell_quote(crash_plan.string());
-          } else if (cell == hang_run) {
-            cmd += " --fault-plan " + shell_quote(hang_plan.string());
-          }
-          if (policy.timeout_s != 0) {
-            // coreutils timeout(1): kills the child and exits 124.
-            cmd = "timeout " + std::to_string(policy.timeout_s) + " " + cmd;
-          }
           cmd += " >> " + shell_quote(run_log.string()) + " 2>&1";
 
           const int code = bench::spawn_child(cmd);
@@ -457,20 +334,17 @@ int main(int argc, char** argv) {
               break;
             }
             reason = "invalid or truncated --out JSON";
-          } else if (code == 124 && policy.timeout_s != 0) {
-            reason = "timeout after " + std::to_string(policy.timeout_s) +
-                     "s (exit 124)";
           } else {
             reason = "exit " + std::to_string(code);
           }
           std::cerr << "cobra_sweep:   attempt " << (attempt + 1) << "/"
-                    << attempts_max << " FAILED: " << reason << " (log "
+                    << kAttempts << " FAILED: " << reason << " (log "
                     << run_log << ")\n";
         }
         if (!ok) {
-          std::cerr << "cobra_sweep:   QUARANTINED after " << attempts_max
+          std::cerr << "cobra_sweep:   QUARANTINED after " << kAttempts
                     << " attempt(s): " << reason << "\n";
-          failed.push_back({name, spec, threads, attempts_max, reason});
+          failed.push_back({name, spec, threads, kAttempts, reason});
         }
       }
     }
@@ -486,7 +360,6 @@ int main(int argc, char** argv) {
        std::to_string(manifest.hardware_concurrency)},
   };
   if (args.get_bool("smoke", false)) context.emplace_back("smoke", "1");
-  if (reused != 0) context.emplace_back("resumed_runs", std::to_string(reused));
   const std::string merged =
       bench::merge_sweep_json(runs, failed, expected, context);
   std::ofstream out(out_path);
@@ -498,7 +371,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "cobra_sweep: wrote " << out_path << " (" << runs.size() << "/"
             << expected << " runs";
-  if (reused != 0) std::cout << ", " << reused << " reused";
   if (!failed.empty()) std::cout << ", " << failed.size() << " quarantined";
   std::cout << ")\n";
   if (!failed.empty()) {
@@ -512,11 +384,9 @@ int main(int argc, char** argv) {
     }
     std::cerr << "cobra_sweep: " << failed.size()
               << " cell(s) quarantined into \"failed_runs\" (logs kept in "
-              << workdir << "); rerun them with --resume " << out_path << "\n";
+              << workdir << ")\n";
     return 0;
   }
-  if (!args.get_bool("keep-runs", false)) {
-    fs::remove_all(workdir, ec);  // best-effort cleanup of per-run files
-  }
+  fs::remove_all(workdir, ec);  // best-effort cleanup of per-run files
   return 0;
 }

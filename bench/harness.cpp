@@ -1,7 +1,6 @@
 #include "harness.hpp"
 
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -9,7 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
 
 #include "core/audit.hpp"
 #include "obs/manifest.hpp"
@@ -30,22 +28,15 @@ const std::vector<std::string>& shared_flags() {
   return flags;
 }
 
-/// The sweep watchdog's TEST-ONLY fault sites, checked once at startup
-/// after COBRA_FAULT and --fault-plan are armed, so resilience tests drive
-/// REAL benches through REAL failure modes instead of mock children:
-///   bench.crash  die abruptly (_Exit, no cleanup, no --out written) — a
-///                segfault stand-in
-///   bench.hang   stall 60 s, then exit nonzero — what a livelock looks
-///                like to the sweep's per-child timeout
-void check_fault_sites() {
+/// The TEST-ONLY bench.crash fault site, checked once at startup after
+/// COBRA_FAULT and --fault-plan are armed, so sweep resilience tests drive
+/// a REAL bench through a real crash instead of a mock child: the bench
+/// dies abruptly (_Exit, no cleanup, no --out written) — a segfault
+/// stand-in.
+void check_crash_site() {
   if (util::fault::should_fail("bench.crash")) {
     std::cerr << "[bench] injected crash (bench.crash)\n";
     std::_Exit(86);
-  }
-  if (util::fault::should_fail("bench.hang")) {
-    std::cerr << "[bench] injected hang for 60s (bench.hang)\n";
-    std::this_thread::sleep_for(std::chrono::seconds(60));
-    std::exit(87);  // a watchdog timeout should have fired long before this
   }
 }
 
@@ -137,7 +128,7 @@ io::Args parse_bench_args(int argc, const char* const* argv,
     if (args.has("trace")) {
       obs::open_global_trace(args.get("trace", ""));
     }
-    check_fault_sites();
+    check_crash_site();
     return args;
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\nflags: ";

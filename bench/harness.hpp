@@ -92,8 +92,8 @@ struct BenchCaps {
 /// the GraphSpec grammar and exits 1 (a typo'd sweep script fails with
 /// usage text), on `--caps` prints render_caps(caps, extra) and exits 0,
 /// and on success applies --threads to the global pool, arms COBRA_FAULT
-/// and --fault-plan, and checks the TEST-ONLY bench.crash / bench.hang
-/// fault sites (util/fault.hpp).
+/// and --fault-plan, and checks the TEST-ONLY bench.crash fault site
+/// (util/fault.hpp).
 io::Args parse_bench_args(int argc, const char* const* argv,
                           std::vector<std::string> extra = {},
                           const BenchCaps& caps = {});

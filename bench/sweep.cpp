@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -121,15 +120,6 @@ std::vector<std::size_t> split_uint_list(const std::string& text) {
   return values;
 }
 
-std::uint64_t backoff_delay_ms(const RetryPolicy& policy, std::size_t attempt) {
-  constexpr std::uint64_t kCapMs = 60'000;
-  const double factor = policy.factor < 1.0 ? 1.0 : policy.factor;
-  double delay = static_cast<double>(policy.backoff_ms) *
-                 std::pow(factor, static_cast<double>(attempt));
-  if (!(delay < static_cast<double>(kCapMs))) delay = static_cast<double>(kCapMs);
-  return static_cast<std::uint64_t>(delay);
-}
-
 namespace {
 
 /// std::system returns a wait(2) status on POSIX, not the exit code;
@@ -146,11 +136,6 @@ int decode_wait_status(int rc) {
 }
 
 }  // namespace
-
-bool timeout_binary_available() {
-  return decode_wait_status(
-             std::system("timeout --version >/dev/null 2>&1")) == 0;
-}
 
 int spawn_child(const std::string& cmd) {
   if (util::fault::should_fail("sweep.child_spawn")) return 127;
@@ -195,12 +180,6 @@ bool looks_like_bench_json(const std::string& text) {
 }
 
 std::string merge_sweep_json(
-    const std::vector<SweepRun>& runs, std::size_t expected_runs,
-    const std::vector<std::pair<std::string, std::string>>& context) {
-  return merge_sweep_json(runs, {}, expected_runs, context);
-}
-
-std::string merge_sweep_json(
     const std::vector<SweepRun>& runs, const std::vector<FailedRun>& failed,
     std::size_t expected_runs,
     const std::vector<std::pair<std::string, std::string>>& context) {
@@ -217,9 +196,8 @@ std::string merge_sweep_json(
        << ", \"bench\": " << quote(run.bench)
        << ", \"spec\": " << quote(run.spec) << ", \"threads\": " << run.threads
        << ",\n      \"result\": " << indent_json(run.json_text, "      ");
-    // Metrics ride AFTER "result": extract_merged_runs brace-matches the
-    // result object and then scans forward for the next sweep_run_id, so a
-    // trailing sibling key is invisible to the resume/validate machinery.
+    // Metrics ride after "result" as a sibling key; counting and
+    // validation look only at the id keys, so it changes neither.
     if (!run.metrics_json.empty()) {
       os << ",\n      \"metrics\": " << indent_json(run.metrics_json, "      ");
     }
@@ -253,15 +231,13 @@ std::size_t count_key(const std::string& text, const std::string& key) {
   return count;
 }
 
-[[noreturn]] void extract_fail(const std::string& why) {
-  throw std::invalid_argument("extract_merged_runs: " + why);
-}
-
 /// Decode the JSON string starting at the opening quote `pos`; advances
 /// `pos` past the closing quote. Understands JsonReporter's escapes
 /// (\" \\ and \u00XX control characters).
 std::string json_unquote(const std::string& text, std::size_t& pos) {
-  if (pos >= text.size() || text[pos] != '"') extract_fail("expected '\"'");
+  if (pos >= text.size() || text[pos] != '"') {
+    throw std::invalid_argument("sweep: expected '\"' in JSON");
+  }
   std::string out;
   ++pos;
   while (pos < text.size()) {
@@ -287,19 +263,7 @@ std::string json_unquote(const std::string& text, std::size_t& pos) {
     out += c;
     ++pos;
   }
-  extract_fail("unterminated string");
-}
-
-/// Value of `"key": ` scanning forward from `from` within `text`,
-/// stopping the search at `limit`. Returns npos when absent.
-std::size_t find_key(const std::string& text, const std::string& key,
-                     std::size_t from, std::size_t limit) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = text.find(needle, from);
-  if (pos == std::string::npos || pos >= limit) return std::string::npos;
-  std::size_t value = pos + needle.size();
-  while (value < text.size() && text[value] == ' ') ++value;
-  return value;
+  throw std::invalid_argument("sweep: unterminated JSON string");
 }
 
 }  // namespace
@@ -310,85 +274,6 @@ std::size_t count_merged_runs(const std::string& merged_text) {
 
 std::size_t count_failed_runs(const std::string& merged_text) {
   return count_key(merged_text, "\"failed_run_id\"");
-}
-
-std::vector<SweepRun> extract_merged_runs(const std::string& merged_text) {
-  std::vector<SweepRun> runs;
-  std::size_t pos = 0;
-  const std::string marker = "\"sweep_run_id\":";
-  while ((pos = merged_text.find(marker, pos)) != std::string::npos) {
-    const std::size_t entry = pos;
-    pos += marker.size();
-    SweepRun run;
-    std::size_t at = find_key(merged_text, "bench", entry, merged_text.size());
-    if (at == std::string::npos) extract_fail("run without \"bench\"");
-    run.bench = json_unquote(merged_text, at);
-    at = find_key(merged_text, "spec", at, merged_text.size());
-    if (at == std::string::npos) extract_fail("run without \"spec\"");
-    run.spec = json_unquote(merged_text, at);
-    at = find_key(merged_text, "threads", at, merged_text.size());
-    if (at == std::string::npos) extract_fail("run without \"threads\"");
-    try {
-      run.threads = static_cast<std::size_t>(
-          std::stoull(merged_text.substr(at)));
-    } catch (const std::exception&) {
-      extract_fail("bad \"threads\" value");
-    }
-    at = find_key(merged_text, "result", at, merged_text.size());
-    if (at == std::string::npos) extract_fail("run without \"result\"");
-    if (at >= merged_text.size() || merged_text[at] != '{') {
-      extract_fail("\"result\" is not an object");
-    }
-    // Brace-match the embedded child document (strings tracked, so a '}'
-    // inside a spec string cannot close it early).
-    int depth = 0;
-    bool in_string = false;
-    bool escaped = false;
-    std::size_t end = at;
-    for (; end < merged_text.size(); ++end) {
-      const char c = merged_text[end];
-      if (in_string) {
-        if (escaped) {
-          escaped = false;
-        } else if (c == '\\') {
-          escaped = true;
-        } else if (c == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (c == '"') {
-        in_string = true;
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        if (--depth == 0) {
-          ++end;
-          break;
-        }
-      }
-    }
-    if (depth != 0) extract_fail("unbalanced \"result\" object");
-    // Undo the merge's 6-space re-indent to recover the child's own text.
-    std::string body = merged_text.substr(at, end - at);
-    std::string dedented;
-    dedented.reserve(body.size());
-    std::size_t line_start = 0;
-    while (line_start <= body.size()) {
-      std::size_t line_end = body.find('\n', line_start);
-      if (line_end == std::string::npos) line_end = body.size();
-      std::string line = body.substr(line_start, line_end - line_start);
-      if (line_start > 0 && line.rfind("      ", 0) == 0) line = line.substr(6);
-      dedented += line;
-      if (line_end == body.size()) break;
-      dedented += '\n';
-      line_start = line_end + 1;
-    }
-    run.json_text = dedented + "\n";
-    runs.push_back(std::move(run));
-    pos = end;
-  }
-  return runs;
 }
 
 std::vector<std::string> distinct_context_values(const std::string& merged_text,

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,8 +34,8 @@
 /// wrote it, so it needs re-indenting, not re-parsing); `sweep_run_id` is
 /// the distinctive token validation counts, chosen because no bench JSON
 /// field uses that name. `failed_runs` (omitted when empty) quarantines
-/// cells whose child kept failing after the watchdog's retries: the sweep
-/// completes AROUND a poisoned cell and the file says so explicitly —
+/// cells whose child failed again on its one retry: the sweep completes
+/// AROUND a poisoned cell and the file says so explicitly —
 /// validation accepts a file exactly when runs + failed_runs account for
 /// every expected cell, so a silently dropped run still fails it.
 
@@ -62,45 +62,19 @@ struct SweepRun {
   std::string json_text;     ///< the child's --out file, verbatim
   /// The child's --metrics snapshot, verbatim; empty = no metrics were
   /// collected for this cell (the "metrics" key is then omitted from the
-  /// merged run object). Resumed cells reuse the prior file's result and
-  /// carry no metrics.
+  /// merged run object).
   std::string metrics_json;
 };
 
 /// One quarantined cell: a (bench, spec, threads) point whose child failed
-/// every watchdog attempt.
+/// both attempts.
 struct FailedRun {
   std::string bench;
   std::string spec;
   std::size_t threads = 0;
-  std::size_t attempts = 0;  ///< attempts consumed (1 + retries)
-  std::string reason;        ///< "exit 134", "timeout (exit 124)", ...
+  std::size_t attempts = 0;  ///< attempts consumed
+  std::string reason;        ///< "exit 86", "exit 127", ...
 };
-
-/// The watchdog's retry schedule for one sweep cell. A failed attempt
-/// (non-zero exit, timeout, or unusable --out JSON) is retried up to
-/// `retries` more times, sleeping backoff_ms * factor^k between attempts;
-/// a cell that exhausts its attempts is quarantined into "failed_runs"
-/// instead of aborting the sweep.
-struct RetryPolicy {
-  std::size_t retries = 1;       ///< extra attempts after the first
-  std::uint64_t backoff_ms = 200;  ///< delay before the first retry
-  double factor = 2.0;           ///< exponential growth per retry
-  std::uint64_t timeout_s = 0;   ///< per-attempt wall clock; 0 = none
-};
-
-/// Delay before retry `attempt` (0-based: the sleep after the attempt-th
-/// failure) — backoff_ms * factor^attempt, capped at 60 s so a typo'd
-/// factor cannot park the sweep.
-[[nodiscard]] std::uint64_t backoff_delay_ms(const RetryPolicy& policy,
-                                             std::size_t attempt);
-
-/// True when the coreutils `timeout` binary is runnable from a shell.
-/// cobra_sweep probes this ONCE at startup when --timeout was requested:
-/// on a system without coreutils (minimal containers, BSDs) the watchdog
-/// falls back to running children with no wall-clock bound (with a loud
-/// warning) instead of turning every cell into an exec failure.
-[[nodiscard]] bool timeout_binary_available();
 
 /// Launch one child command line through the shell and return its DECODED
 /// exit code (std::system's wait(2) status folded to the child's real exit
@@ -108,7 +82,7 @@ struct RetryPolicy {
 /// `sweep.child_spawn` fault site (GRACEFUL at the sweep level): an armed
 /// firing fails the attempt with exit 127 — "command not found", the shell
 /// convention for a spawn that never ran — without executing anything, and
-/// the cell rides the normal retry/backoff/quarantine machinery.
+/// the cell rides the normal retry/quarantine path.
 [[nodiscard]] int spawn_child(const std::string& cmd);
 
 /// Structural check that `text` is a bench JSON record (JsonReporter
@@ -121,14 +95,8 @@ struct RetryPolicy {
 
 /// Render the merged longitudinal JSON. `context` entries are emitted as
 /// raw key -> quoted-string pairs next to the "expected_runs" count, which
-/// is what validate_merged_sweep later re-checks.
-[[nodiscard]] std::string merge_sweep_json(
-    const std::vector<SweepRun>& runs, std::size_t expected_runs,
-    const std::vector<std::pair<std::string, std::string>>& context);
-
-/// Merge with quarantined cells: emits the "failed_runs" section after
-/// "runs" (omitted when `failed` is empty — byte-identical to the overload
-/// above in that case).
+/// is what validate_merged_sweep later re-checks. The "failed_runs"
+/// section follows "runs" and is omitted when `failed` is empty.
 [[nodiscard]] std::string merge_sweep_json(
     const std::vector<SweepRun>& runs, const std::vector<FailedRun>& failed,
     std::size_t expected_runs,
@@ -143,15 +111,6 @@ struct RetryPolicy {
 
 /// Extract the recorded "expected_runs" count (0 when absent/unparsable).
 [[nodiscard]] std::size_t expected_runs_of(const std::string& merged_text);
-
-/// Re-extract the completed runs from a merged file — the inverse of
-/// merge_sweep_json, used by `cobra_sweep --resume` to skip cells a
-/// previous (interrupted or partially failed) sweep already finished.
-/// Structural parse: brace-matched "result" bodies are de-indented back to
-/// the child's original text; quarantined cells are NOT returned (resume
-/// retries them). Throws std::invalid_argument on a malformed file.
-[[nodiscard]] std::vector<SweepRun> extract_merged_runs(
-    const std::string& merged_text);
 
 /// Distinct raw values of `"key": <value>` occurrences inside the embedded
 /// run results (sorted, deduplicated; string values keep their quotes

@@ -93,13 +93,11 @@
 ///                              the trajectory — exists so cobra_chaos can
 ///                              prove it catches contract violations
 ///   bench.crash                TEST-ONLY checked once at bench startup:
-///                              the bench dies at once (exit 86, no --out)
-///                              — cobra_sweep's crash/flaky levers
-///   bench.hang                 TEST-ONLY checked once at bench startup:
-///                              the bench stalls 60 s, then exits 87 —
-///                              cobra_sweep's hang lever
+///                              the bench dies at once (exit 86, no --out);
+///                              armed through COBRA_FAULT, which every
+///                              cobra_sweep child inherits
 ///
-/// The bench.* sites stay out of cobra_chaos's fuzz catalogs: they end the
+/// bench.crash stays out of cobra_chaos's fuzz catalogs: it ends the
 /// process on purpose, which no fuzzed run could survive.
 
 namespace cobra::util::fault {

@@ -50,7 +50,7 @@ TEST(ParseBenchArgs, RejectsMalformedThreadsValueEagerly) {
 }
 
 TEST(ParseBenchArgs, InjectionFlagsAreGone) {
-  // Crash and hang injection are the bench.crash / bench.hang fault sites.
+  // Crash injection is the bench.crash fault site, not a flag.
   EXPECT_THROW((void)parse({"--inject-crash-after", "0"}),
                std::invalid_argument);
   EXPECT_THROW((void)parse({"--inject-hang", "1"}), std::invalid_argument);

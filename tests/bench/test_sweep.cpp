@@ -71,8 +71,8 @@ TEST(SweepMerge, RoundTripCountsAndValidates) {
       {"bench_demo", "rreg:n=128,d=4", 1, child, {}},
       {"bench_demo", "rreg:n=128,d=4", 2, child, {}},
   };
-  const std::string merged =
-      bench::merge_sweep_json(runs, 4, {{"graph", "ring:n=64,rreg:n=128,d=4"}});
+  const std::string merged = bench::merge_sweep_json(
+      runs, {}, 4, {{"graph", "ring:n=64,rreg:n=128,d=4"}});
   EXPECT_EQ(bench::count_merged_runs(merged), 4u);
   EXPECT_EQ(bench::expected_runs_of(merged), 4u);
   std::string error;
@@ -87,7 +87,7 @@ TEST(SweepMerge, DroppedRunFailsValidation) {
       "{ \"benchmark\": \"demo\", \"records\": [] }";
   std::vector<bench::SweepRun> runs = {{"bench_demo", "ring:n=64", 1, child, {}}};
   // Promised 2, delivered 1 — the failure mode the CI step must catch.
-  const std::string merged = bench::merge_sweep_json(runs, 2, {});
+  const std::string merged = bench::merge_sweep_json(runs, {}, 2, {});
   std::string error;
   EXPECT_FALSE(bench::validate_merged_sweep(merged, 0, &error));
   EXPECT_NE(error.find("dropped"), std::string::npos);
@@ -156,67 +156,6 @@ TEST(SweepMerge, FailedRunsAreCountedAndKeepValidationHonest) {
   EXPECT_FALSE(bench::validate_merged_sweep(merged, 3, &error));
   EXPECT_NE(merged.find("\"reason\": \"exit 86\""), std::string::npos);
   EXPECT_NE(merged.find("\"attempts\": 3"), std::string::npos);
-
-  // Empty quarantine emits byte-identical output to the 3-arg overload —
-  // the schema only grows when something actually failed.
-  EXPECT_EQ(bench::merge_sweep_json(runs, {}, 1, {}),
-            bench::merge_sweep_json(runs, 1, {}));
-}
-
-TEST(SweepRetry, BackoffGrowsExponentiallyAndCaps) {
-  bench::RetryPolicy policy;  // 200 ms doubling
-  EXPECT_EQ(bench::backoff_delay_ms(policy, 0), 200u);
-  EXPECT_EQ(bench::backoff_delay_ms(policy, 1), 400u);
-  EXPECT_EQ(bench::backoff_delay_ms(policy, 2), 800u);
-  // The cap defuses typo'd factors: never parks the sweep past 60 s.
-  EXPECT_EQ(bench::backoff_delay_ms(policy, 40), 60000u);
-  policy.factor = 0.1;  // shrinking backoff makes no sense; floored at 1.0
-  EXPECT_EQ(bench::backoff_delay_ms(policy, 5), 200u);
-}
-
-TEST(SweepResume, ExtractInvertsTheMergeExactly) {
-  bench::JsonReporter reporter("bench_demo");
-  reporter.context("note", "quoted \"text\" and a\\path");
-  reporter.record("cover").field("rounds", 17.0);
-  const std::string child = reporter.render();
-  ASSERT_TRUE(bench::looks_like_bench_json(child));
-  const std::vector<bench::SweepRun> runs = {
-      {"bench_demo", "rreg:n=128,d=4,seed=1", 1, child, {}},
-      {"bench_demo", "rreg:n=128,d=4,seed=1", 8, child, {}},
-  };
-  const std::vector<bench::FailedRun> failed = {
-      {"bench_demo", "ring:n=64", 1, 2, "timeout after 1s (exit 124)"}};
-  const std::string merged = bench::merge_sweep_json(runs, failed, 3, {});
-  const auto extracted = bench::extract_merged_runs(merged);
-  // Quarantined cells are NOT extracted — resume must retry them.
-  ASSERT_EQ(extracted.size(), 2u);
-  for (std::size_t i = 0; i < extracted.size(); ++i) {
-    EXPECT_EQ(extracted[i].bench, runs[i].bench);
-    EXPECT_EQ(extracted[i].spec, runs[i].spec);
-    EXPECT_EQ(extracted[i].threads, runs[i].threads);
-    EXPECT_EQ(extracted[i].json_text, runs[i].json_text)
-        << "embedded JSON did not round-trip for run " << i;
-  }
-  // Re-merging the extraction reproduces a valid file.
-  std::string error;
-  EXPECT_TRUE(bench::validate_merged_sweep(
-      bench::merge_sweep_json(extracted, 2, {}), 2, &error))
-      << error;
-}
-
-TEST(SweepResume, ExtractRejectsMalformedFiles) {
-  // A marker with none of the required fields after it.
-  EXPECT_THROW((void)bench::extract_merged_runs("{ \"sweep_run_id\": 0 }"),
-               std::invalid_argument);
-  // A run entry whose result object never closes (a torn merged file).
-  const std::string broken =
-      "{ \"sweep\": \"cobra_sweep\",\n"
-      "  \"runs\": [ { \"sweep_run_id\": 0, \"bench\": \"b\", "
-      "\"spec\": \"s\", \"threads\": 1, \"result\": { \"x\": 1 ";
-  EXPECT_THROW((void)bench::extract_merged_runs(broken),
-               std::invalid_argument);
-  // A file with no runs at all extracts to empty, not an error.
-  EXPECT_TRUE(bench::extract_merged_runs("{}").empty());
 }
 
 TEST(Caps, MissingTokenDefaultsToEffective) {
@@ -233,8 +172,6 @@ TEST(Caps, GraphTokenTerminatedByNewlineOrEndOfLine) {
 }
 
 TEST(SweepMerge, MetricsSnapshotsEmbedWithoutBreakingTheFormat) {
-  // Trailing newline: extraction re-appends one (the on-disk child files
-  // always end with it), so round-trip comparison needs it present.
   const std::string child =
       "{ \"benchmark\": \"demo\", \"records\": [ { \"name\": \"r\" } ] }\n";
   const std::string metrics =
@@ -245,18 +182,13 @@ TEST(SweepMerge, MetricsSnapshotsEmbedWithoutBreakingTheFormat) {
       {"bench_demo", "ring:n=64", 1, child, metrics},
       {"bench_demo", "ring:n=64", 2, child, {}},  // no metrics: key omitted
   };
-  const std::string merged = bench::merge_sweep_json(runs, 2, {});
+  const std::string merged = bench::merge_sweep_json(runs, {}, 2, {});
   EXPECT_NE(merged.find("\"metrics\""), std::string::npos);
   EXPECT_NE(merged.find("\"sim.runs\""), std::string::npos);
-  // Counting, validation, and resume extraction all still work with the
-  // metrics object present.
+  // Counting and validation still work with the metrics object present.
   EXPECT_EQ(bench::count_merged_runs(merged), 2u);
   std::string error;
   EXPECT_TRUE(bench::validate_merged_sweep(merged, 2, &error)) << error;
-  const auto extracted = bench::extract_merged_runs(merged);
-  ASSERT_EQ(extracted.size(), 2u);
-  EXPECT_EQ(extracted[0].json_text, child);
-  EXPECT_EQ(extracted[1].json_text, child);
 }
 
 TEST(SweepSpawn, ChildSpawnFaultFailsTheAttemptWithoutExecuting) {
@@ -275,17 +207,9 @@ TEST(SweepSpawn, ChildSpawnFaultFailsTheAttemptWithoutExecuting) {
   EXPECT_EQ(bench::spawn_child("touch " + marker), 0);
   EXPECT_TRUE(std::ifstream(marker).good());
   EXPECT_EQ(bench::spawn_child("exit 3"), 3);
+  // A child killed by a signal (an OOM kill, say) reads as 128+sig.
+  EXPECT_EQ(bench::spawn_child("kill -9 $$"), 137);
   std::remove(marker.c_str());
-}
-
-TEST(SweepSpawn, TimeoutProbeAgreesWithTheShell) {
-  // The probe must agree with what spawn_child would see: if it reports
-  // the coreutils binary, `timeout 5 true` must actually work.
-  if (bench::timeout_binary_available()) {
-    EXPECT_EQ(bench::spawn_child("timeout 5 true >/dev/null 2>&1"), 0);
-  } else {
-    EXPECT_NE(bench::spawn_child("timeout --version >/dev/null 2>&1"), 0);
-  }
 }
 
 TEST(SweepMerge, DistinctContextValuesFindsFingerprintDrift) {
@@ -299,7 +223,7 @@ TEST(SweepMerge, DistinctContextValuesFindsFingerprintDrift) {
       {"bench_demo", "ring:n=64", 1, child_a, {}},
       {"bench_demo", "ring:n=64", 2, child_b, {}},
   };
-  const std::string merged = bench::merge_sweep_json(runs, 2, {});
+  const std::string merged = bench::merge_sweep_json(runs, {}, 2, {});
   const auto shas = bench::distinct_context_values(merged, "git_sha");
   ASSERT_EQ(shas.size(), 2u);  // mixed-host file: the --validate warning case
   EXPECT_EQ(shas[0], "aaa1111");
