@@ -4,9 +4,11 @@
 /// equal MEAN branching (2), plus failure injection:
 ///
 ///   * fixed k=2 (the paper's process)
-///   * Bernoulli mixture 1/3 (mean 2)
+///   * Bernoulli mixtures 1+Ber(1) and 2+Ber(0) (mean 2)
 ///   * shifted geometric (mean 2)
-///   * degree-proportional (alpha tuned to mean ~2)
+///   * phased: k=1 for 10 rounds, then k=3 (time-varying)
+///   * degree-proportional, alpha = 2 / average degree (vertex-varying;
+///     exactly k=2 on a regular graph, mean just under 2 on the grid)
 ///   * faulty k=2 with 10% / 25% message-drop
 ///
 /// The interesting finding: at equal mean, variance in the branching has
@@ -48,12 +50,16 @@ void sweep(bench::Harness& h, const bench::BuiltCase& c, std::uint32_t trials,
     std::string label;
     core::BranchingSchedule schedule;
   };
+  const double alpha =
+      2.0 * g.num_vertices() / static_cast<double>(g.volume());
   const std::vector<Row> rows = {
       {"fixed k=2", core::schedules::fixed(2)},
       {"bernoulli 1+Ber(1) mean 2", core::schedules::bernoulli_mixture(1, 1.0)},
       {"bernoulli 2+Ber(0) mean 2", core::schedules::bernoulli_mixture(2, 0.0)},
       {"shifted geometric mean 2", core::schedules::shifted_geometric(0.5)},
       {"phased k=1 then k=3 @10", core::schedules::phased(1, 3, 10)},
+      {"degree-proportional a=2/avg deg",
+       core::schedules::degree_proportional(g, alpha)},
       {"faulty k=2, 10% drop", core::schedules::faulty(2, 0.10)},
       {"faulty k=2, 25% drop", core::schedules::faulty(2, 0.25)},
   };

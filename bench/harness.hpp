@@ -52,7 +52,7 @@ namespace cobra::bench {
 ///   --smoke           tiny sizes / few trials — the CI bit-rot guard; must
 ///                     finish in seconds and exercise the full code path
 ///   --threads <N>     worker count of the global pool (0 = hardware)
-///   --metrics <path>  write a metrics-registry snapshot (counters/gauges/
+///   --metrics <path>  write a metrics-registry snapshot (counters and
 ///                     timers + the run manifest) as JSON on finish()
 ///   --trace <path>    stream one JSONL line per FrontierEngine round
 ///                     (see src/obs/trace.hpp for the schema)

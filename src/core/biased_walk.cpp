@@ -43,22 +43,6 @@ BiasedWalk::BiasedWalk(const Graph& g, Vertex start, Vertex target,
   }
 }
 
-void BiasedWalk::reset(Vertex start) {
-  if (start >= g_->num_vertices()) {
-    throw std::out_of_range("BiasedWalk::reset: start out of range");
-  }
-  if (dist_to_target_[start] == graph::kUnreachable) {
-    throw std::invalid_argument("BiasedWalk::reset: target unreachable");
-  }
-  position_ = start;
-  round_ = 0;
-  controlled_ = 0;
-}
-
-Vertex BiasedWalk::controller_choice(Vertex v) const {
-  return toward_target_.at(v);
-}
-
 void BiasedWalk::step(Engine& gen) {
   ++round_;
   // §5.1: at the target itself the walk is always uniform (the bias exists

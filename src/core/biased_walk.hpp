@@ -38,8 +38,6 @@ class BiasedWalk {
   BiasedWalk(const Graph& g, Vertex start, Vertex target, BiasSchedule schedule,
              double epsilon = 0.0);
 
-  void reset(Vertex start);
-
   void step(Engine& gen);
 
   [[nodiscard]] Vertex position() const noexcept { return position_; }
@@ -62,11 +60,6 @@ class BiasedWalk {
   [[nodiscard]] std::uint64_t controlled_moves() const noexcept {
     return controlled_;
   }
-
-  /// The controller's choice at `v`: a neighbor strictly closer to the
-  /// target (the first such in the adjacency list), or v's first neighbor
-  /// if none is closer (unreachable case; cannot happen when connected).
-  [[nodiscard]] Vertex controller_choice(Vertex v) const;
 
  private:
   const Graph* g_;

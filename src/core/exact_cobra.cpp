@@ -94,13 +94,6 @@ ExactCobra::ExactCobra(const Graph& g, std::uint32_t branching)
   }
 }
 
-const std::vector<double>& ExactCobra::transition_row(std::uint32_t mask_a) const {
-  if (mask_a == 0 || mask_a >= (1u << n_)) {
-    throw std::out_of_range("ExactCobra::transition_row: bad mask");
-  }
-  return trans_[mask_a];
-}
-
 double ExactCobra::expected_hitting_time(Vertex start, Vertex target) const {
   if (start >= n_ || target >= n_) {
     throw std::out_of_range("ExactCobra::expected_hitting_time");

@@ -38,10 +38,6 @@ class ExactCobra {
   /// Requires connected g, min degree >= 1, n <= 10, branching in {1, 2}.
   ExactCobra(const Graph& g, std::uint32_t branching);
 
-  /// P(next active = B | current active = A), as a dense row over subset
-  /// masks. A must be a nonempty vertex mask.
-  [[nodiscard]] const std::vector<double>& transition_row(std::uint32_t mask_a) const;
-
   /// Exact E[hitting time of `target`] for the walk started at `start`.
   [[nodiscard]] double expected_hitting_time(Vertex start, Vertex target) const;
 

@@ -21,19 +21,6 @@ GridDriftWalk::GridDriftWalk(std::uint32_t dimensions, std::uint32_t distance,
                              std::uint32_t extent)
     : GridDriftWalk(std::vector<std::uint32_t>(dimensions, distance), extent) {}
 
-void GridDriftWalk::reset(std::span<const std::uint32_t> initial) {
-  if (initial.size() != z_.size()) {
-    throw std::invalid_argument("GridDriftWalk::reset: dimension mismatch");
-  }
-  for (const std::uint32_t zi : initial) {
-    if (zi > extent_) {
-      throw std::invalid_argument("GridDriftWalk::reset: distance > extent");
-    }
-  }
-  z_.assign(initial.begin(), initial.end());
-  round_ = 0;
-}
-
 std::uint64_t GridDriftWalk::total_distance() const noexcept {
   return std::accumulate(z_.begin(), z_.end(), std::uint64_t{0});
 }

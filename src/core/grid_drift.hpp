@@ -50,8 +50,6 @@ class GridDriftWalk {
   GridDriftWalk(std::uint32_t dimensions, std::uint32_t distance,
                 std::uint32_t extent);
 
-  void reset(std::span<const std::uint32_t> initial);
-
   /// One round of the coupling; returns what changed.
   StepEvent step(Engine& gen);
 

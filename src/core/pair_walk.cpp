@@ -16,17 +16,6 @@ PairWalk::PairWalk(const Graph& g, Vertex start_i, Vertex start_j, bool lazy)
   refresh_product();
 }
 
-void PairWalk::reset(Vertex start_i, Vertex start_j) {
-  if (start_i >= g_->num_vertices() || start_j >= g_->num_vertices()) {
-    throw std::out_of_range("PairWalk::reset: start out of range");
-  }
-  pos_i_ = start_i;
-  pos_j_ = start_j;
-  round_ = 0;
-  copies_ = 0;
-  refresh_product();
-}
-
 void PairWalk::step(Engine& gen) {
   ++round_;
   if (lazy_ && rng::coin_flip(gen)) return;

@@ -29,8 +29,6 @@ class PairWalk {
   /// Pebbles start at (start_i, start_j); `lazy` matches the paper's §4.
   PairWalk(const Graph& g, Vertex start_i, Vertex start_j, bool lazy = true);
 
-  void reset(Vertex start_i, Vertex start_j);
-
   void step(Engine& gen);
 
   [[nodiscard]] Vertex position_i() const noexcept { return pos_i_; }

@@ -25,14 +25,6 @@ RandomWalk::RandomWalk(const Graph& g, std::span<const Vertex> starts,
   }
 }
 
-void RandomWalk::reset(Vertex start) {
-  if (start >= g_->num_vertices()) {
-    throw std::out_of_range("RandomWalk::reset: start out of range");
-  }
-  positions_.assign(positions_.size(), start);
-  round_ = 0;
-}
-
 void RandomWalk::step(Engine& gen) {
   ++round_;
   for (Vertex& p : positions_) {

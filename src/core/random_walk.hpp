@@ -29,9 +29,6 @@ class RandomWalk {
   RandomWalk(const Graph& g, std::span<const Vertex> starts,
              double laziness = 0.0);
 
-  /// Moves every walker to `start`.
-  void reset(Vertex start);
-
   /// Moves each walker in list order; a single walker draws exactly what
   /// the one-walker walk draws.
   void step(Engine& gen);

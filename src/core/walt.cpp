@@ -27,28 +27,6 @@ Walt::Walt(const Graph& g, std::span<const Vertex> starts, bool lazy)
   rebuild_occupied();
 }
 
-void Walt::reset(Vertex start) {
-  positions_.assign(positions_.size(), start);
-  round_ = 0;
-  lazy_skips_ = 0;
-  rebuild_occupied();
-}
-
-void Walt::reset(std::span<const Vertex> starts) {
-  if (starts.size() != positions_.size()) {
-    throw std::invalid_argument("Walt::reset: pebble count is fixed");
-  }
-  for (const Vertex v : starts) {
-    if (v >= g_->num_vertices()) {
-      throw std::out_of_range("Walt::reset: start out of range");
-    }
-  }
-  positions_.assign(starts.begin(), starts.end());
-  round_ = 0;
-  lazy_skips_ = 0;
-  rebuild_occupied();
-}
-
 // Epoch-stamp wrap audit: Walt advances the epoch twice per step (the move
 // pass and rebuild_occupied), so a 32-bit wrap arrives after 2^31 steps;
 // both advances wipe the stamp array on wrap, which keeps stale stamps from

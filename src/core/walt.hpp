@@ -38,9 +38,6 @@ class Walt {
   /// and has order rank i.
   Walt(const Graph& g, std::span<const Vertex> starts, bool lazy = true);
 
-  void reset(Vertex start);
-  void reset(std::span<const Vertex> starts);
-
   void step(Engine& gen);
 
   /// Distinct occupied vertices this round (unordered).
@@ -63,7 +60,7 @@ class Walt {
   /// State-space size (the sim::Process contract).
   [[nodiscard]] std::uint32_t n() const noexcept { return g_->num_vertices(); }
 
-  /// Number of rounds skipped by laziness since the last reset.
+  /// Number of rounds skipped by laziness since construction.
   [[nodiscard]] std::uint64_t lazy_skips() const noexcept { return lazy_skips_; }
 
  private:

@@ -63,17 +63,6 @@ GraphSpec GraphSpec::parse(std::string_view text) {
   return spec;
 }
 
-std::string GraphSpec::to_string() const {
-  std::string out = family_;
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    out += i == 0 ? ':' : ',';
-    out += params_[i].first;
-    out += '=';
-    out += params_[i].second;
-  }
-  return out;
-}
-
 const std::string* GraphSpec::find(std::string_view key) const noexcept {
   for (const auto& [k, v] : params_) {
     if (k == key) return &v;

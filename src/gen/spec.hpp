@@ -23,8 +23,8 @@
 ///   "gnp:n=1e6,avg_deg=8"
 ///   "ws:n=4096,k=6,beta=0.1"
 ///
-/// GraphSpec is the *syntax* layer only: it parses, round-trips, and offers
-/// typed getters. Which families exist and which keys each accepts is the
+/// GraphSpec is the *syntax* layer only: it parses and offers typed
+/// getters. Which families exist and which keys each accepts is the
 /// registry's job (registry.hpp) — that split keeps "is this a well-formed
 /// spec" testable without dragging in every generator.
 
@@ -35,10 +35,6 @@ class GraphSpec {
   /// Parse `text`. Throws std::invalid_argument on an empty family, a pair
   /// without "=", an empty key/value, a bad identifier, or a duplicate key.
   [[nodiscard]] static GraphSpec parse(std::string_view text);
-
-  /// Canonical text form; parse(to_string()) reproduces this spec exactly
-  /// (keys keep their original order and raw value spelling).
-  [[nodiscard]] std::string to_string() const;
 
   [[nodiscard]] const std::string& family() const noexcept { return family_; }
 

@@ -14,37 +14,6 @@ namespace cobra::graph {
 
 namespace {
 
-/// Shared BFS core filling distances and optionally parents.
-void bfs_core(const Graph& g, Vertex source, std::vector<std::uint32_t>& dist,
-              std::vector<Vertex>* parents) {
-  if (source >= g.num_vertices()) {
-    throw std::out_of_range("bfs: source out of range");
-  }
-  dist.assign(g.num_vertices(), kUnreachable);
-  if (parents != nullptr) parents->assign(g.num_vertices(), kUnreachable);
-
-  std::vector<Vertex> frontier{source};
-  std::vector<Vertex> next;
-  dist[source] = 0;
-  if (parents != nullptr) (*parents)[source] = source;
-
-  std::uint32_t level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    next.clear();
-    for (const Vertex v : frontier) {
-      for (const Vertex u : g.neighbors(v)) {
-        if (dist[u] == kUnreachable) {
-          dist[u] = level;
-          if (parents != nullptr) (*parents)[u] = v;
-          next.push_back(u);
-        }
-      }
-    }
-    frontier.swap(next);
-  }
-}
-
 /// Vertices per work range of the component passes. Only the work split
 /// depends on it, never a label or an extracted graph.
 constexpr std::size_t kRangeVertices = std::size_t{1} << 14;
@@ -85,8 +54,11 @@ Vertex find_root(std::vector<Vertex>& parent, Vertex x) {
 /// union-find over every arc (v, u) with u < v, where a link hangs the
 /// larger root under the smaller one by CAS, so each tree's root is its
 /// smallest member under every schedule and the labels do not depend on
-/// the pool (nullptr runs in-line).
-std::vector<Vertex> min_vertex_labels(const Graph& g, par::ThreadPool* pool) {
+/// the pool (nullptr runs in-line). Kept out of line: largest_component,
+/// its one caller, sits on the generators' lcc=1 path, and inlining the
+/// pass there would change that path's code for no gain.
+[[gnu::noinline]] std::vector<Vertex> min_vertex_labels(const Graph& g,
+                                                        par::ThreadPool* pool) {
   const std::uint32_t n = g.num_vertices();
   std::vector<Vertex> parent(n);
   std::iota(parent.begin(), parent.end(), Vertex{0});
@@ -129,29 +101,29 @@ std::vector<Vertex> min_vertex_labels(const Graph& g, par::ThreadPool* pool) {
 }  // namespace
 
 std::vector<std::uint32_t> bfs_distances(const Graph& g, Vertex source) {
-  std::vector<std::uint32_t> dist;
-  bfs_core(g, source, dist, nullptr);
-  return dist;
-}
-
-std::vector<Vertex> bfs_parents(const Graph& g, Vertex source) {
-  std::vector<std::uint32_t> dist;
-  std::vector<Vertex> parents;
-  bfs_core(g, source, dist, &parents);
-  return parents;
-}
-
-std::vector<Vertex> shortest_path(const Graph& g, Vertex source, Vertex target) {
-  const auto parents = bfs_parents(g, source);
-  if (target >= g.num_vertices() || parents[target] == kUnreachable) return {};
-  std::vector<Vertex> path{target};
-  Vertex cur = target;
-  while (cur != source) {
-    cur = parents[cur];
-    path.push_back(cur);
+  if (source >= g.num_vertices()) {
+    throw std::out_of_range("bfs: source out of range");
   }
-  std::reverse(path.begin(), path.end());
-  return path;
+  std::vector<std::uint32_t> dist(g.num_vertices(), kUnreachable);
+  std::vector<Vertex> frontier{source};
+  std::vector<Vertex> next;
+  dist[source] = 0;
+
+  std::uint32_t level = 0;
+  while (!frontier.empty()) {
+    ++level;
+    next.clear();
+    for (const Vertex v : frontier) {
+      for (const Vertex u : g.neighbors(v)) {
+        if (dist[u] == kUnreachable) {
+          dist[u] = level;
+          next.push_back(u);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  return dist;
 }
 
 bool is_connected(const Graph& g) {
@@ -159,26 +131,6 @@ bool is_connected(const Graph& g) {
   const auto dist = bfs_distances(g, 0);
   return std::none_of(dist.begin(), dist.end(),
                       [](std::uint32_t d) { return d == kUnreachable; });
-}
-
-std::vector<std::uint32_t> connected_components(const Graph& g) {
-  // A vertex's label is its component's minimum vertex, so label[v] <= v:
-  // by the time the scan reaches v, its root already holds the root's id.
-  std::vector<std::uint32_t> component = min_vertex_labels(g, nullptr);
-  std::uint32_t next_id = 0;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    component[v] = component[v] == v ? next_id++ : component[component[v]];
-  }
-  return component;
-}
-
-std::uint32_t num_components(const Graph& g) {
-  const auto label = min_vertex_labels(g, nullptr);
-  std::uint32_t count = 0;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (label[v] == v) ++count;
-  }
-  return count;
 }
 
 ComponentExtraction largest_component(const Graph& g, par::ThreadPool* pool) {
@@ -241,53 +193,6 @@ ComponentExtraction largest_component(const Graph& g, par::ThreadPool* pool) {
   });
   out.graph = Graph(kept, std::move(offsets), std::move(targets));
   return out;
-}
-
-std::uint32_t eccentricity(const Graph& g, Vertex v) {
-  const auto dist = bfs_distances(g, v);
-  std::uint32_t ecc = 0;
-  for (const std::uint32_t d : dist) {
-    if (d == kUnreachable) return kUnreachable;
-    ecc = std::max(ecc, d);
-  }
-  return ecc;
-}
-
-std::uint32_t exact_diameter(const Graph& g) {
-  std::uint32_t diameter = 0;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const std::uint32_t ecc = eccentricity(g, v);
-    if (ecc == kUnreachable) return kUnreachable;
-    diameter = std::max(diameter, ecc);
-  }
-  return diameter;
-}
-
-std::uint32_t double_sweep_diameter_lb(const Graph& g) {
-  if (g.num_vertices() == 0) return 0;
-  const auto dist0 = bfs_distances(g, 0);
-  Vertex far = 0;
-  std::uint32_t best = 0;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (dist0[v] != kUnreachable && dist0[v] > best) {
-      best = dist0[v];
-      far = v;
-    }
-  }
-  // Second sweep from the farthest vertex; ignore unreachable vertices so
-  // the heuristic still returns the component-local diameter bound.
-  const auto dist1 = bfs_distances(g, far);
-  std::uint32_t lb = 0;
-  for (const std::uint32_t d : dist1) {
-    if (d != kUnreachable) lb = std::max(lb, d);
-  }
-  return lb;
-}
-
-std::uint64_t path_degree_sum(const Graph& g, const std::vector<Vertex>& path) {
-  std::uint64_t total = 0;
-  for (const Vertex v : path) total += g.degree(v);
-  return total;
 }
 
 }  // namespace cobra::graph

@@ -22,23 +22,7 @@ inline constexpr std::uint32_t kUnreachable = 0xFFFFFFFFu;
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const Graph& g,
                                                        Vertex source);
 
-/// BFS parent pointers from `source`; parent[source] = source, parent of an
-/// unreached vertex = kUnreachable. Follows the lowest-id shortest path.
-[[nodiscard]] std::vector<Vertex> bfs_parents(const Graph& g, Vertex source);
-
-/// One shortest path from `source` to `target` (inclusive); empty when
-/// unreachable.
-[[nodiscard]] std::vector<Vertex> shortest_path(const Graph& g, Vertex source,
-                                                Vertex target);
-
 [[nodiscard]] bool is_connected(const Graph& g);
-
-/// Component id per vertex. Ids are dense and 0-based, in order of each
-/// component's minimum vertex (so vertex 0's component is id 0).
-[[nodiscard]] std::vector<std::uint32_t> connected_components(const Graph& g);
-
-/// Number of connected components.
-[[nodiscard]] std::uint32_t num_components(const Graph& g);
 
 /// The subgraph induced by the largest connected component, along with the
 /// mapping old-vertex -> new-vertex (kUnreachable for dropped vertices).
@@ -63,20 +47,5 @@ struct ComponentExtraction {
 };
 [[nodiscard]] ComponentExtraction largest_component(
     const Graph& g, par::ThreadPool* pool = nullptr);
-
-/// Eccentricity of `v` (max BFS distance; kUnreachable if g disconnected).
-[[nodiscard]] std::uint32_t eccentricity(const Graph& g, Vertex v);
-
-/// Exact diameter via BFS from every vertex — O(n m), for n up to ~10^4.
-[[nodiscard]] std::uint32_t exact_diameter(const Graph& g);
-
-/// Lower bound on the diameter by the double-sweep heuristic (two BFS
-/// passes); exact on trees, usually tight in practice, O(m).
-[[nodiscard]] std::uint32_t double_sweep_diameter_lb(const Graph& g);
-
-/// Sum of degrees along a path of vertices (the quantity bounded by 3n in
-/// Lemma 19's shortest-path argument).
-[[nodiscard]] std::uint64_t path_degree_sum(const Graph& g,
-                                            const std::vector<Vertex>& path);
 
 }  // namespace cobra::graph

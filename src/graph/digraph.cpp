@@ -68,10 +68,6 @@ bool Digraph::is_weight_balanced(double tolerance) const {
   return true;
 }
 
-std::vector<double> Digraph::transition_probabilities() const {
-  return normalized_;
-}
-
 void Digraph::push_distribution(std::span<const double> in,
                                 std::span<double> out) const {
   if (in.size() != n_ || out.size() != n_) {
@@ -85,19 +81,6 @@ void Digraph::push_distribution(std::span<const double> in,
       out[targets_[i]] += mass * normalized_[i];
     }
   }
-}
-
-std::vector<double> Digraph::stationary_distribution(
-    std::uint32_t max_iterations, double tolerance) const {
-  std::vector<double> current(n_, n_ > 0 ? 1.0 / n_ : 0.0);
-  std::vector<double> next(n_, 0.0);
-  for (std::uint32_t it = 0; it < max_iterations; ++it) {
-    push_distribution(current, next);
-    const double tv = total_variation(current, next);
-    current.swap(next);
-    if (tv < tolerance) break;
-  }
-  return current;
 }
 
 double total_variation(std::span<const double> a, std::span<const double> b) {

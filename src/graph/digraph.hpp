@@ -16,7 +16,7 @@
 ///   * a CSR weighted digraph with per-arc transition weights,
 ///   * row-stochastic normalization (a transition matrix view),
 ///   * the weighted in/out balance check behind "D(G x G) is Eulerian",
-///   * stationary distribution via power iteration on P^T, and
+///   * one distribution step along the normalized arcs, and
 ///   * total-variation distance between distributions.
 
 namespace cobra::graph {
@@ -60,19 +60,6 @@ class Digraph {
   /// Eulerian condition; for such chains the stationary distribution is
   /// out_weight(v) / total_weight, the fact §4 exploits).
   [[nodiscard]] bool is_weight_balanced(double tolerance = 1e-9) const;
-
-  /// Row-normalized transition probability view: P(v, i-th arc) =
-  /// weight_i / out_weight_total(v). Returned as a copy of the weights
-  /// normalized per row.
-  [[nodiscard]] std::vector<double> transition_probabilities() const;
-
-  /// Stationary distribution of the (row-stochastic-normalized) chain by
-  /// power iteration on P^T, with uniform start. The chain should be
-  /// irreducible (and aperiodic or lazy) for convergence; `iterations`
-  /// bounds work. Returns the distribution after convergence or the last
-  /// iterate.
-  [[nodiscard]] std::vector<double> stationary_distribution(
-      std::uint32_t max_iterations = 100000, double tolerance = 1e-12) const;
 
   /// One distribution step: out = in * P (push each vertex's mass along
   /// its normalized arcs). Caller provides buffers of size n.

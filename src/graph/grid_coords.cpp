@@ -29,39 +29,4 @@ GridCoords::GridCoords(std::vector<std::uint32_t> extents)
 GridCoords::GridCoords(std::uint32_t dimensions, std::uint32_t side)
     : GridCoords(std::vector<std::uint32_t>(dimensions, side)) {}
 
-std::vector<std::uint32_t> GridCoords::coords(Vertex id) const {
-  if (id >= total_) throw std::out_of_range("GridCoords::coords: id out of range");
-  std::vector<std::uint32_t> out(extents_.size());
-  std::uint64_t rest = id;
-  for (std::size_t i = 0; i < extents_.size(); ++i) {
-    out[i] = static_cast<std::uint32_t>(rest / strides_[i]);
-    rest %= strides_[i];
-  }
-  return out;
-}
-
-Vertex GridCoords::id(std::span<const std::uint32_t> coordinates) const {
-  if (coordinates.size() != extents_.size()) {
-    throw std::out_of_range("GridCoords::id: dimension mismatch");
-  }
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < coordinates.size(); ++i) {
-    if (coordinates[i] >= extents_[i]) {
-      throw std::out_of_range("GridCoords::id: coordinate out of extent");
-    }
-    acc += static_cast<std::uint64_t>(coordinates[i]) * strides_[i];
-  }
-  return static_cast<Vertex>(acc);
-}
-
-std::uint64_t GridCoords::manhattan(Vertex a, Vertex b) const {
-  const auto ca = coords(a);
-  const auto cb = coords(b);
-  std::uint64_t dist = 0;
-  for (std::size_t i = 0; i < ca.size(); ++i) {
-    dist += ca[i] > cb[i] ? ca[i] - cb[i] : cb[i] - ca[i];
-  }
-  return dist;
-}
-
 }  // namespace cobra::graph

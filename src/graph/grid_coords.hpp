@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -9,9 +8,9 @@
 /// \file grid_coords.hpp
 /// Coordinate arithmetic for the d-dimensional grid [0, side-1]^d (the
 /// paper's [0, n]^d with side = n + 1 points per axis). Vertices are stored
-/// in row-major mixed-radix order; this header provides the bijection
-/// between linear ids and coordinate vectors plus Manhattan distance, which
-/// the grid experiments use to track the drift argument of Theorem 3.
+/// in row-major mixed-radix order; this header provides the per-axis
+/// extents and strides of that layout, which graph::make_grid wires its
+/// edges by.
 
 namespace cobra::graph {
 
@@ -31,16 +30,6 @@ class GridCoords {
     return extents_.at(axis);
   }
   [[nodiscard]] std::uint32_t num_points() const noexcept { return total_; }
-
-  /// Linear id -> coordinates.
-  [[nodiscard]] std::vector<std::uint32_t> coords(Vertex id) const;
-
-  /// Coordinates -> linear id. Size must match dimensions; each coordinate
-  /// must be within its extent (throws std::out_of_range otherwise).
-  [[nodiscard]] Vertex id(std::span<const std::uint32_t> coordinates) const;
-
-  /// Manhattan (L1) distance between two vertices.
-  [[nodiscard]] std::uint64_t manhattan(Vertex a, Vertex b) const;
 
   /// Per-axis stride of the row-major layout (tests and generators use it).
   [[nodiscard]] std::uint64_t stride(std::uint32_t axis) const {

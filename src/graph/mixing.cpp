@@ -49,12 +49,6 @@ std::vector<double> lazy_walk_distribution(const Graph& g, Vertex source,
   return current;
 }
 
-double tv_to_stationarity(const Graph& g, Vertex source, std::uint64_t steps) {
-  const auto p = lazy_walk_distribution(g, source, steps);
-  const auto pi = stationary_of(g);
-  return total_variation(p, pi);
-}
-
 std::uint64_t lazy_mixing_time(const Graph& g, Vertex source, double epsilon,
                                std::uint64_t max_steps) {
   if (source >= g.num_vertices()) {

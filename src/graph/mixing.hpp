@@ -29,11 +29,6 @@ void lazy_walk_step(const Graph& g, const std::vector<double>& in,
                                                          Vertex source,
                                                          std::uint64_t steps);
 
-/// Total-variation distance to stationarity after `steps` lazy steps from
-/// `source`.
-[[nodiscard]] double tv_to_stationarity(const Graph& g, Vertex source,
-                                        std::uint64_t steps);
-
 /// First t with TV(P^t(source, .), pi) <= epsilon, capped at `max_steps`.
 /// Returns max_steps if not reached.
 [[nodiscard]] std::uint64_t lazy_mixing_time(const Graph& g, Vertex source,

@@ -12,46 +12,6 @@
 
 namespace cobra::graph {
 
-double cut_conductance(const Graph& g, const std::vector<bool>& in_set) {
-  if (in_set.size() != g.num_vertices()) {
-    throw std::invalid_argument("cut_conductance: mask size mismatch");
-  }
-  std::uint64_t vol_s = 0;
-  std::uint64_t boundary = 0;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (!in_set[v]) continue;
-    vol_s += g.degree(v);
-    for (const Vertex u : g.neighbors(v)) {
-      if (!in_set[u]) ++boundary;
-    }
-  }
-  const std::uint64_t vol_rest = g.volume() - vol_s;
-  const std::uint64_t vol_min = std::min(vol_s, vol_rest);
-  if (vol_min == 0) return std::numeric_limits<double>::infinity();
-  return static_cast<double>(boundary) / static_cast<double>(vol_min);
-}
-
-double exact_conductance_small(const Graph& g) {
-  const std::uint32_t n = g.num_vertices();
-  if (n < 2 || n > 24) {
-    throw std::invalid_argument("exact_conductance_small: 2 <= n <= 24");
-  }
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<bool> mask(n);
-  // Enumerate subsets containing vertex 0 only (complement symmetry halves
-  // the work); cut_conductance takes the min-volume side anyway.
-  const std::uint32_t subsets = 1u << (n - 1);
-  for (std::uint32_t bits = 1; bits < subsets; ++bits) {
-    mask.assign(n, false);
-    mask[0] = true;
-    for (std::uint32_t i = 0; i + 1 < n; ++i) {
-      if ((bits >> i) & 1u) mask[i + 1] = true;
-    }
-    best = std::min(best, cut_conductance(g, mask));
-  }
-  return best;
-}
-
 namespace {
 
 /// y = W_s x where W_s = (I + D^{-1/2} A D^{-1/2}) / 2 is the symmetrized
@@ -189,21 +149,6 @@ ConductanceEstimate estimate_conductance(const Graph& g) {
   est.cheeger_upper = std::sqrt(2.0 * lambda);
   est.sweep_cut_upper = sweep_cut_conductance(g, spec.fiedler);
   return est;
-}
-
-double cycle_lazy_gap(std::uint32_t n) {
-  if (n < 3) throw std::invalid_argument("cycle_lazy_gap: n >= 3");
-  return (1.0 - std::cos(2.0 * std::numbers::pi / n)) / 2.0;
-}
-
-double hypercube_lazy_gap(std::uint32_t dimensions) {
-  if (dimensions < 1) throw std::invalid_argument("hypercube_lazy_gap: d >= 1");
-  return 1.0 / dimensions;
-}
-
-double complete_lazy_gap(std::uint32_t n) {
-  if (n < 2) throw std::invalid_argument("complete_lazy_gap: n >= 2");
-  return static_cast<double>(n) / (2.0 * (n - 1));
 }
 
 }  // namespace cobra::graph

@@ -18,22 +18,13 @@
 ///   * `sweep_cut_conductance` — the conductance of the best sweep cut of
 ///     the approximate Fiedler vector (a genuine cut, hence a true upper
 ///     bound on Φ_G);
-///   * `exact_conductance_small` — brute force over all subsets for n <= 24
-///     (tests calibrate the estimators against it).
+///   * brute force over all subsets for n <= 24 calibrates the estimators
+///     in the tests (tests/support's exact_conductance_small).
 ///
 /// Conventions: conductance of S is |∂S| / vol(S) with vol(S) ≤ vol(V)/2,
 /// exactly as the paper's §2 defines it.
 
 namespace cobra::graph {
-
-/// Conductance of the cut defined by `in_set` (true = inside S). Computes
-/// |∂S| / min(vol(S), vol(V\S)). Degenerate cuts (empty/full) return +inf.
-[[nodiscard]] double cut_conductance(const Graph& g,
-                                     const std::vector<bool>& in_set);
-
-/// Exact conductance by subset enumeration. Requires 2 <= n <= 24 (cost
-/// 2^n); intended for calibrating the estimators in tests.
-[[nodiscard]] double exact_conductance_small(const Graph& g);
 
 /// Result of the power-iteration eigensolve on the lazy walk matrix
 /// W = (I + D^{-1} A) / 2.
@@ -71,13 +62,5 @@ struct ConductanceEstimate {
 /// prefixes tried). Requires a connected graph with >= 2 vertices.
 [[nodiscard]] double sweep_cut_conductance(const Graph& g,
                                            const std::vector<double>& vector);
-
-/// Closed-form reference gaps used by tests:
-/// cycle C_n lazy gap = (1 - cos(2 pi / n)) / 2.
-[[nodiscard]] double cycle_lazy_gap(std::uint32_t n);
-/// hypercube Q_d lazy gap = 1 / d... (non-lazy gap 2/d, halved by laziness).
-[[nodiscard]] double hypercube_lazy_gap(std::uint32_t dimensions);
-/// complete K_n lazy gap = n / (2 (n-1)).
-[[nodiscard]] double complete_lazy_gap(std::uint32_t n);
 
 }  // namespace cobra::graph

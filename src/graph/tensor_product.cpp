@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "graph/builder.hpp"
 
 namespace cobra::graph {
 
@@ -19,29 +18,6 @@ void check_product_size(const Graph& g) {
 }
 
 }  // namespace
-
-Graph tensor_product(const Graph& g) {
-  check_product_size(g);
-  const std::uint32_t n = g.num_vertices();
-  std::vector<Edge> edges;
-  // Each product edge {(u,u'), (v,v')} corresponds to the *ordered* pair of
-  // G-edges; to emit each undirected product edge once, iterate arcs of G
-  // for the first coordinate (u < v via arc dedup below) and all arcs for
-  // the second. Simplest correct form: emit when the product ids are
-  // ordered.
-  for (Vertex u = 0; u < n; ++u) {
-    for (const Vertex v : g.neighbors(u)) {
-      for (Vertex up = 0; up < n; ++up) {
-        for (const Vertex vp : g.neighbors(up)) {
-          const Vertex a = tensor_id(u, up, n);
-          const Vertex c = tensor_id(v, vp, n);
-          if (a < c) edges.emplace_back(a, c);
-        }
-      }
-    }
-  }
-  return from_edges(n * n, {&edges, 1}, false);
-}
 
 Digraph walt_pair_digraph(const Graph& g) {
   check_product_size(g);

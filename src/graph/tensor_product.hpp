@@ -43,13 +43,6 @@ namespace cobra::graph {
   return id / n == id % n;
 }
 
-/// The plain (undirected, unweighted) tensor product G x G: (u,u')~(v,v')
-/// iff u~v and u'~v'. Self-loops arise from... they do not: u~v excludes
-/// u==v in simple G, so the product of a simple graph is simple except for
-/// possible parallel-free loops — none here. Requires n^2 <= 2^32 and a
-/// simple G.
-[[nodiscard]] Graph tensor_product(const Graph& g);
-
 /// The paper's weighted directed D(G x G) for a d-regular simple G (the
 /// coupled two-pebble Walt walk). Requires regularity (checked).
 [[nodiscard]] Digraph walt_pair_digraph(const Graph& g);

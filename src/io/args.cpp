@@ -50,26 +50,23 @@ std::string Args::get(const std::string& name, const std::string& fallback) cons
   return it == flags_.end() ? fallback : it->second;
 }
 
-std::int64_t Args::get_int(const std::string& name, std::int64_t fallback) const {
+std::uint64_t Args::get_uint(const std::string& name, std::uint64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
+  // stoull would wrap "-1" to 2^64 - 1: reject a sign before parsing.
+  const std::size_t first = it->second.find_first_not_of(" \t");
+  if (first != std::string::npos && it->second[first] == '-') {
+    throw std::invalid_argument("Args: --" + name + " must be non-negative");
+  }
   try {
     std::size_t used = 0;
-    const std::int64_t value = std::stoll(it->second, &used);
+    const std::uint64_t value = std::stoull(it->second, &used);
     if (used != it->second.size()) throw std::invalid_argument("trailing junk");
     return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("Args: --" + name + " is not an integer: " +
                                 it->second);
   }
-}
-
-std::uint64_t Args::get_uint(const std::string& name, std::uint64_t fallback) const {
-  const std::int64_t value = get_int(name, static_cast<std::int64_t>(fallback));
-  if (value < 0) {
-    throw std::invalid_argument("Args: --" + name + " must be non-negative");
-  }
-  return static_cast<std::uint64_t>(value);
 }
 
 double Args::get_double(const std::string& name, double fallback) const {

@@ -27,8 +27,6 @@ class Args {
   /// value cannot be parsed as the requested type.
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
   [[nodiscard]] std::uint64_t get_uint(const std::string& name,
                                        std::uint64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;

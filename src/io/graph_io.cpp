@@ -64,28 +64,4 @@ graph::Graph load_edge_list(const std::string& path) {
   return read_edge_list(in);
 }
 
-void write_edge_list(std::ostream& out, const graph::Graph& g) {
-  out << "# cobra edge list: <n> header, then one undirected edge per line\n";
-  out << g.num_vertices() << "\n";
-  for (graph::Vertex v = 0; v < g.num_vertices(); ++v) {
-    std::uint32_t self_arcs = 0;
-    for (const graph::Vertex u : g.neighbors(v)) {
-      if (u == v) {
-        ++self_arcs;  // stored as two arcs per loop
-      } else if (v < u) {
-        out << v << " " << u << "\n";
-      }
-    }
-    for (std::uint32_t loop = 0; loop < self_arcs / 2; ++loop) {
-      out << v << " " << v << "\n";
-    }
-  }
-}
-
-void save_edge_list(const std::string& path, const graph::Graph& g) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("save_edge_list: cannot open " + path);
-  write_edge_list(out, g);
-}
-
 }  // namespace cobra::io

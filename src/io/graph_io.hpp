@@ -6,7 +6,7 @@
 #include "graph/graph.hpp"
 
 /// \file graph_io.hpp
-/// Plain-text edge-list persistence so downstream users can run the
+/// Plain-text edge-list reader so downstream users can run the
 /// simulators on their own networks. Format, one record per line:
 ///
 ///     # comment (also: empty lines are skipped)
@@ -14,7 +14,7 @@
 ///     <u> <v>                   (one undirected edge per line)
 ///
 /// Vertices are 0-based integers below num_vertices, and num_vertices is at
-/// most 2^32 - 1. Parallel edges and self-loops round-trip verbatim (the
+/// most 2^32 - 1. Parallel edges and self-loops are kept verbatim (the
 /// reader does not simplify; callers wanting simple graphs compile the
 /// edges with graph::from_edges' simplify).
 
@@ -26,12 +26,5 @@ namespace cobra::io {
 
 /// Read from a file path; std::runtime_error if it cannot be opened.
 [[nodiscard]] graph::Graph load_edge_list(const std::string& path);
-
-/// Serialize in the same format (each undirected edge emitted once, from
-/// the lower endpoint; self-loops once).
-void write_edge_list(std::ostream& out, const graph::Graph& g);
-
-/// Write to a file path; std::runtime_error if it cannot be opened.
-void save_edge_list(const std::string& path, const graph::Graph& g);
 
 }  // namespace cobra::io

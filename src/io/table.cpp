@@ -24,10 +24,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-const std::string& Table::cell(std::size_t row, std::size_t col) const {
-  return rows_.at(row).at(col);
-}
-
 std::string Table::fmt(double value, int precision) {
   std::ostringstream out;
   out.setf(std::ios::fixed);
@@ -79,23 +75,6 @@ std::string Table::render() const {
       if (c > 0) out << "   ";
       out << pad(row[c], widths[c], aligns_[c]);
     }
-    out << "\n";
-  }
-  return out.str();
-}
-
-std::string Table::render_markdown() const {
-  std::ostringstream out;
-  out << "|";
-  for (const auto& h : headers_) out << " " << h << " |";
-  out << "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    out << (aligns_[c] == Align::Right ? " ---: |" : " :--- |");
-  }
-  out << "\n";
-  for (const auto& row : rows_) {
-    out << "|";
-    for (const auto& cell : row) out << " " << cell << " |";
     out << "\n";
   }
   return out.str();

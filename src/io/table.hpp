@@ -33,18 +33,11 @@ class Table {
   static std::string fmt_int(long long value);
   static std::string fmt_sci(double value, int precision = 2);
 
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t columns() const noexcept { return headers_.size(); }
-  [[nodiscard]] const std::string& cell(std::size_t row, std::size_t col) const;
-
   /// Render with a header rule, e.g.
   ///   n      cover   ratio
   ///   ----   -----   -----
   ///   128      412    1.02
   [[nodiscard]] std::string render() const;
-
-  /// Render as GitHub-flavored markdown (used to paste into EXPERIMENTS.md).
-  [[nodiscard]] std::string render_markdown() const;
 
   /// Stream the plain rendering.
   friend std::ostream& operator<<(std::ostream& os, const Table& table);

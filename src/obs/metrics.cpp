@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "obs/manifest.hpp"
 
@@ -47,30 +47,18 @@ std::uint64_t Timer::count() const noexcept {
   return total;
 }
 
-void Timer::reset() noexcept {
-  for (Slot& s : slots_) {
-    s.ns.store(0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
-  }
-}
-
 // ---------------------------------------------------------- Registry -----
 
-/// Storage lives in deques so references handed out by counter()/gauge()/
-/// timer() stay valid as the registry grows; the maps only index into them.
+/// Storage lives in deques so references handed out by counter()/timer()
+/// stay valid as the registry grows; the maps only index into them.
 struct Registry::Impl {
   mutable std::mutex mu;
   std::deque<Counter> counters;
-  std::deque<Gauge> gauges;
   std::deque<Timer> timers;
-  // string (not string_view) keys: the registry owns the names.
-  // cobra-lint: allow(D2-unordered) name->slot lookup only; every
-  // consumer that ENUMERATES goes through snapshot(), which sorts.
-  std::unordered_map<std::string, Counter*> counter_by_name;
-  // cobra-lint: allow(D2-unordered) lookup only (see counter_by_name).
-  std::unordered_map<std::string, Gauge*> gauge_by_name;
-  // cobra-lint: allow(D2-unordered) lookup only (see counter_by_name).
-  std::unordered_map<std::string, Timer*> timer_by_name;
+  // The registry owns the names; std::less<> looks a string_view up
+  // without building a std::string key.
+  std::map<std::string, Counter*, std::less<>> counter_by_name;
+  std::map<std::string, Timer*, std::less<>> timer_by_name;
 };
 
 Registry::Impl& Registry::impl() const {
@@ -84,27 +72,17 @@ Registry::Impl& Registry::impl() const {
 Counter& Registry::counter(std::string_view name) {
   Impl& im = impl();
   std::lock_guard lock(im.mu);
-  auto it = im.counter_by_name.find(std::string(name));
+  auto it = im.counter_by_name.find(name);
   if (it != im.counter_by_name.end()) return *it->second;
   Counter& c = im.counters.emplace_back();
   im.counter_by_name.emplace(std::string(name), &c);
   return c;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  Impl& im = impl();
-  std::lock_guard lock(im.mu);
-  auto it = im.gauge_by_name.find(std::string(name));
-  if (it != im.gauge_by_name.end()) return *it->second;
-  Gauge& g = im.gauges.emplace_back();
-  im.gauge_by_name.emplace(std::string(name), &g);
-  return g;
-}
-
 Timer& Registry::timer(std::string_view name) {
   Impl& im = impl();
   std::lock_guard lock(im.mu);
-  auto it = im.timer_by_name.find(std::string(name));
+  auto it = im.timer_by_name.find(name);
   if (it != im.timer_by_name.end()) return *it->second;
   Timer& t = im.timers.emplace_back();
   im.timer_by_name.emplace(std::string(name), &t);
@@ -116,12 +94,9 @@ std::vector<Sample> Registry::snapshot() const {
   std::vector<Sample> out;
   {
     std::lock_guard lock(im.mu);
-    out.reserve(im.counter_by_name.size() + im.gauge_by_name.size() +
-                im.timer_by_name.size());
+    out.reserve(im.counter_by_name.size() + im.timer_by_name.size());
     for (const auto& [name, c] : im.counter_by_name)
       out.push_back({name, "counter", static_cast<double>(c->value()), 0});
-    for (const auto& [name, g] : im.gauge_by_name)
-      out.push_back({name, "gauge", g->value(), 0});
     for (const auto& [name, t] : im.timer_by_name)
       out.push_back({name, "timer", static_cast<double>(t->total_ns()) * 1e-9,
                      t->count()});
@@ -129,14 +104,6 @@ std::vector<Sample> Registry::snapshot() const {
   std::sort(out.begin(), out.end(),
             [](const Sample& a, const Sample& b) { return a.name < b.name; });
   return out;
-}
-
-void Registry::reset() {
-  Impl& im = impl();
-  std::lock_guard lock(im.mu);
-  for (Counter& c : im.counters) c.set(0);
-  for (Gauge& g : im.gauges) g.set(0.0);
-  for (Timer& t : im.timers) t.reset();
 }
 
 Registry& registry() {

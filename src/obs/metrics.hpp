@@ -8,8 +8,8 @@
 #include <vector>
 
 /// \file metrics.hpp
-/// The process-global metrics registry — named counters, gauges, and phase
-/// timers that any layer (engine, runner, generators, fault registry)
+/// The process-global metrics registry — named counters and phase timers
+/// that any layer (engine, runner, generators, fault registry)
 /// bumps and that `--metrics <path>` snapshots into a JSON file next to
 /// every bench's records.
 ///
@@ -24,17 +24,18 @@
 ///      happens once. Timers accumulate into thread-striped, cache-line
 ///      padded slots so concurrent pool workers do not ping-pong one line.
 ///   3. Compile-out-able. Building with -DCOBRA_OBS_LEVEL=0 turns the
-///      *instrumentation helpers* (obs::count / obs::set_gauge /
-///      obs::ScopedTimer / the trace layer) into no-ops that fold away.
-///      The primitive types themselves (Counter/Gauge/Timer/Registry)
+///      *instrumentation helpers* (obs::count / obs::ScopedTimer / the
+///      trace layer) into no-ops that fold away.
+///      The primitive types themselves (Counter/Timer/Registry)
 ///      stay functional at every level, because subsystems with semantic
 ///      counting needs (the fault registry's `after = k` arming) build on
 ///      them — telemetry disappears, behavior does not.
 ///
 /// Registration is by name: `registry().counter("frontier.dense_fallbacks")`
 /// returns a stable reference (entries live in deques and are never
-/// removed), `snapshot()` reads everything, `reset()` zeroes values while
-/// keeping registrations — so cached references stay valid across resets.
+/// removed), and `snapshot()` reads everything. There is no registry-wide
+/// reset: a reader that wants one run's share takes the difference of two
+/// reads.
 
 #ifndef COBRA_OBS_LEVEL
 #define COBRA_OBS_LEVEL 1
@@ -66,18 +67,6 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-written value (e.g. "current frontier size", "bytes resident").
-class Gauge {
- public:
-  void set(double v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> v_{0.0};
-};
-
 /// Accumulated phase time. Workers land on one of kSlots cache-line
 /// padded slots (hashed from the thread id), so N pool threads timing the
 /// same phase do not serialize on a single line; totals are summed at
@@ -90,7 +79,6 @@ class Timer {
 
   [[nodiscard]] std::uint64_t total_ns() const noexcept;
   [[nodiscard]] std::uint64_t count() const noexcept;
-  void reset() noexcept;
 
  private:
   struct alignas(64) Slot {
@@ -100,11 +88,11 @@ class Timer {
   Slot slots_[kSlots];
 };
 
-/// One snapshot row; `value` is the counter value, gauge value, or the
-/// timer's total seconds; `count` is nonzero for timers only.
+/// One snapshot row; `value` is the counter value or the timer's total
+/// seconds; `count` is nonzero for timers only.
 struct Sample {
   std::string name;
-  std::string kind;  ///< "counter" | "gauge" | "timer"
+  std::string kind;  ///< "counter" | "timer"
   double value = 0.0;
   std::uint64_t count = 0;
 };
@@ -114,14 +102,10 @@ class Registry {
   /// By-name lookup-or-create; the returned reference is stable for the
   /// registry's lifetime (cache it at the call site).
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Timer& timer(std::string_view name);
 
   /// Every registered metric, sorted by name (deterministic output).
   [[nodiscard]] std::vector<Sample> snapshot() const;
-
-  /// Zero every value; registrations (and cached references) survive.
-  void reset();
 
  private:
   struct Impl;
@@ -147,10 +131,6 @@ bool write_metrics_json(const std::string& path);
 /// hot paths cache `registry().counter(...)` themselves).
 inline void count(std::string_view name, std::uint64_t d = 1) {
   if constexpr (kLevel >= 1) registry().counter(name).add(d);
-}
-
-inline void set_gauge(std::string_view name, double v) {
-  if constexpr (kLevel >= 1) registry().gauge(name).set(v);
 }
 
 /// RAII phase timer: accumulates the scope's wall time into `t` on exit.

@@ -60,11 +60,6 @@ void ThreadPool::wait_idle() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-std::size_t ThreadPool::queued() const {
-  const std::lock_guard lock(mutex_);
-  return queue_.size();
-}
-
 void ThreadPool::worker_loop() {
   t_owning_pool = this;
   for (;;) {

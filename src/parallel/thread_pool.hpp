@@ -48,13 +48,10 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Number of tasks currently queued (not including running ones).
-  [[nodiscard]] std::size_t queued() const;
-
  private:
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable task_available_;
   std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;

@@ -1,6 +1,5 @@
 #include "rng/distributions.hpp"
 
-#include "rng/pcg32.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -8,12 +7,9 @@ namespace cobra::rng {
 
 namespace {
 
-// The concept must admit the full-range engines and reject the bare 32-bit one.
+// The concept must admit the library's full-range engines.
 static_assert(Uint64Generator<SplitMix64>);
 static_assert(Uint64Generator<Xoshiro256>);
-static_assert(Uint64Generator<Pcg32x64>);
-static_assert(!Uint64Generator<Pcg32>,
-              "bare Pcg32 must not satisfy the full-range concept");
 
 }  // namespace
 

@@ -20,7 +20,7 @@ namespace cobra::rng {
 /// Any engine producing uniformly distributed uint64 over the FULL 64-bit
 /// range. The full-range requirement is load-bearing: `uniform_below` uses a
 /// 128-bit multiply-shift that silently degenerates for narrower engines
-/// (wrap a 32-bit engine, e.g. with Pcg32x64, before using it here).
+/// (wrap a 32-bit engine to 64 bits first, as the tests' Pcg32x64 does).
 template <typename G>
 concept Uint64Generator = requires(G g) {
   { g() } -> std::convertible_to<std::uint64_t>;

@@ -46,10 +46,6 @@ LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
   return fit;
 }
 
-double PowerLawFit::predict(double x) const noexcept {
-  return prefactor * std::pow(x, exponent);
-}
-
 PowerLawFit fit_power_law(std::span<const double> xs, std::span<const double> ys) {
   std::vector<double> lx, ly;
   const std::size_t n = std::min(xs.size(), ys.size());

@@ -40,8 +40,6 @@ struct PowerLawFit {
   double r_squared = 0.0;
   double exponent_stderr = 0.0;
   std::size_t count = 0;
-
-  [[nodiscard]] double predict(double x) const noexcept;
 };
 
 [[nodiscard]] PowerLawFit fit_power_law(std::span<const double> xs,

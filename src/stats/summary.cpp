@@ -26,23 +26,6 @@ double Welford::variance() const noexcept {
 
 double Welford::stddev() const noexcept { return std::sqrt(variance()); }
 
-void Welford::merge(const Welford& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double quantile_sorted(std::span<const double> sorted, double q) {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted[0];
@@ -90,13 +73,6 @@ Summary summarize(std::span<const double> sample) {
   s.q75 = quantile_sorted(sorted, 0.75);
   s.max = sorted.back();
   return s;
-}
-
-double mean_of(std::span<const double> sample) noexcept {
-  if (sample.empty()) return 0.0;
-  double total = 0.0;
-  for (const double x : sample) total += x;
-  return total / static_cast<double>(sample.size());
 }
 
 }  // namespace cobra::stats

@@ -30,9 +30,6 @@ class Welford {
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
-  /// Merge another accumulator (parallel reduction; Chan et al. update).
-  void merge(const Welford& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -69,8 +66,5 @@ struct Summary {
 /// (i.e. the multiplier for a 95% CI). Exact table for small dof, normal
 /// limit 1.96 beyond.
 [[nodiscard]] double t_critical_975(std::size_t dof) noexcept;
-
-/// Mean of a span (0 if empty) — convenience for quick reductions.
-[[nodiscard]] double mean_of(std::span<const double> sample) noexcept;
 
 }  // namespace cobra::stats

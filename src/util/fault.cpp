@@ -23,10 +23,6 @@ std::atomic<std::uint64_t> round_clock{0};
 
 namespace {
 
-/// Most recent firings retained by events(); older ones are dropped so a
-/// long chaotic soak cannot grow the log without bound.
-constexpr std::size_t kMaxEvents = 4096;
-
 /// FNV-1a over the site name — folds the name into the per-site stream
 /// seed so two sites in one plan get independent draw sequences.
 std::uint64_t fnv1a64_str(std::string_view s) noexcept {
@@ -81,24 +77,16 @@ std::deque<Site>& registry() {
   return sites;
 }
 
-std::deque<FaultEvent>& event_log() {
-  static std::deque<FaultEvent> log;
-  return log;
-}
-
 /// Map one 64-bit draw to a double in [0, 1) — the standard 53-bit ldexp
 /// construction, identical to rng/distributions' uniform path.
 double unit_uniform(std::uint64_t draw) noexcept {
   return static_cast<double>(draw >> 11) * 0x1.0p-53;
 }
 
-/// Record a firing under the registry lock and mirror it to the trace
-/// sink when one is armed. trace_fault bypasses the trace.write fault
-/// site by design, so the fault log itself is never a fault victim.
-void record_firing(Site& s, std::uint64_t hit, std::uint64_t fire) {
-  auto& log = event_log();
-  log.push_back(FaultEvent{s.name, hit, fire, current_round()});
-  if (log.size() > kMaxEvents) log.pop_front();
+/// Mirror a firing to the trace sink when one is armed. trace_fault
+/// bypasses the trace.write fault site by design, so the fault lines are
+/// never a fault victim.
+void record_firing(const Site& s, std::uint64_t hit, std::uint64_t fire) {
   if (obs::trace_enabled()) {
     obs::trace_fault(s.name, hit, fire, current_round());
   }
@@ -234,7 +222,6 @@ std::size_t arm_plan(const FaultPlan& plan) {
 void disarm_all() {
   std::lock_guard<std::mutex> lock(registry_mutex());
   registry().clear();
-  event_log().clear();
   detail::round_clock.store(0, std::memory_order_relaxed);
   detail::any_armed.store(false, std::memory_order_relaxed);
 }
@@ -348,26 +335,6 @@ std::size_t arm_plan_file(const std::string& path) {
     for (const FaultSpec& spec : specs.specs) plan.specs.push_back(spec);
   }
   return arm_plan(plan);
-}
-
-std::vector<std::string> armed_sites() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  std::vector<std::string> out;
-  out.reserve(registry().size());
-  for (const Site& s : registry()) {
-    FaultSpec spec;
-    spec.site = s.name;
-    spec.after = s.after;
-    spec.prob = s.prob;
-    spec.limit = s.limit;
-    out.push_back(spec.render());
-  }
-  return out;
-}
-
-std::vector<FaultEvent> events() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  return {event_log().begin(), event_log().end()};
 }
 
 }  // namespace cobra::util::fault

@@ -60,10 +60,10 @@
 ///     `#`-prefixed lines are comments (the replay format cobra_chaos and
 ///     quarantined sweep cells print).
 ///
-/// Every firing is recorded in an in-memory EVENT LOG (site, hit index,
-/// firing ordinal, engine round) and — when the obs trace sink is armed —
-/// emitted as a `{"fault": ...}` JSONL line next to the per-round traces,
-/// so a chaotic run can be replayed and post-mortemed from its artifacts.
+/// When the obs trace sink is armed, every firing is emitted as a
+/// `{"fault": ...}` JSONL line (site, hit index, firing ordinal, engine
+/// round) next to the per-round traces, so a chaotic run can be replayed
+/// and post-mortemed from its artifacts.
 ///
 /// Registered site names in this repo (grep for `fault::should_fail`),
 /// with their contract class — GRACEFUL sites must degrade to a
@@ -105,7 +105,7 @@ namespace cobra::util::fault {
 namespace detail {
 /// The one-word disabled gate. Never set directly — arm/disarm own it.
 extern std::atomic<bool> any_armed;
-/// Engine round clock for the event log: FrontierEngine ticks it once per
+/// Engine round clock for the fault trace lines: FrontierEngine ticks it once per
 /// expand while any fault is armed (zero cost otherwise).
 extern std::atomic<std::uint64_t> round_clock;
 }  // namespace detail
@@ -141,14 +141,6 @@ struct FaultPlan {
   [[nodiscard]] std::string render() const;
 };
 
-/// One recorded firing.
-struct FaultEvent {
-  std::string site;
-  std::uint64_t hit = 0;    ///< 0-based hit index that fired
-  std::uint64_t fire = 0;   ///< 1-based firing ordinal for the site
-  std::uint64_t round = 0;  ///< engine round clock at firing time
-};
-
 /// Arm `site`: its `should_fail()` returns true from the `after`-th hit
 /// (0-based) onward. Re-arming an armed site resets its hit counter.
 void arm(std::string_view site, std::uint64_t after = 0);
@@ -160,7 +152,7 @@ void arm_spec(const FaultSpec& spec, std::uint64_t seed = 0);
 /// Arm every entry of `plan` under `plan.seed`; returns the count armed.
 std::size_t arm_plan(const FaultPlan& plan);
 
-/// Disarm every site, clear the event log, and reset the round clock
+/// Disarm every site and reset the round clock
 /// (test teardown).
 void disarm_all();
 
@@ -193,20 +185,13 @@ std::size_t arm_from_env();
 /// on an unreadable file or malformed entry.
 std::size_t arm_plan_file(const std::string& path);
 
-/// The armed sites in canonical spec form ("name@after[%prob][#limit]")
-/// — diagnostics / tests.
-[[nodiscard]] std::vector<std::string> armed_sites();
-
-/// Snapshot of the firing event log (bounded to the most recent 4096).
-[[nodiscard]] std::vector<FaultEvent> events();
-
-/// Advance the event log's engine round clock — the frontier engine calls
+/// Advance the engine round clock — the frontier engine calls
 /// this once per expand when enabled() (never on the fault-free path).
 inline void tick_round() noexcept {
   detail::round_clock.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// The current round-clock value stamped into events.
+/// The current round-clock value stamped into fault trace lines.
 [[nodiscard]] inline std::uint64_t current_round() noexcept {
   return detail::round_clock.load(std::memory_order_relaxed);
 }

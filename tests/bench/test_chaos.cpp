@@ -111,7 +111,7 @@ TEST_F(ChaosTest, GeneratorCellCatchesNothingOnAnLccSpec) {
   const bench::ChaosReport report = bench::run_chaos(config);
   EXPECT_EQ(report.gen_checks, 1u);
   EXPECT_TRUE(report.violations.empty());
-  EXPECT_TRUE(util::fault::armed_sites().empty());
+  EXPECT_FALSE(util::fault::enabled());
 }
 
 TEST_F(ChaosTest, ShrinkPlanIsIdentityOnSingleEntryPlans) {
@@ -133,7 +133,7 @@ TEST_F(ChaosTest, CleanFuzzReportsNoViolationsWithFullAccounting) {
   EXPECT_GT(report.hard_checks, 0u);
   EXPECT_EQ(report.gen_checks, 2u);
   EXPECT_TRUE(report.violations.empty());
-  EXPECT_TRUE(util::fault::armed_sites().empty());  // registry left clean
+  EXPECT_FALSE(util::fault::enabled());  // registry left clean
   const std::string text = bench::render_chaos_report(report, config);
   EXPECT_NE(text.find("0 violations"), std::string::npos);
 }
@@ -187,7 +187,7 @@ TEST_F(ChaosTest, MisCleanFuzzReportsNoViolations) {
   EXPECT_EQ(report.cells, 2u);
   EXPECT_EQ(report.fuzz_runs, 16u);
   EXPECT_TRUE(report.violations.empty());
-  EXPECT_TRUE(util::fault::armed_sites().empty());
+  EXPECT_FALSE(util::fault::enabled());
   const std::string text = bench::render_chaos_report(report, config);
   EXPECT_NE(text.find("process=mis"), std::string::npos);
 }

@@ -47,11 +47,14 @@ TEST(BiasedWalk, ZeroBiasNeverControls) {
 TEST(BiasedWalk, ControllerChoiceIsCloserNeighbor) {
   const Graph g = make_grid(2, 5);
   const Vertex target = 24;
-  BiasedWalk walk(g, 0, target, BiasSchedule::InverseDegreeBias);
   const auto dist = graph::bfs_distances(g, target);
+  Engine gen(1);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     if (v == target) continue;
-    const Vertex c = walk.controller_choice(v);
+    // epsilon = 1: every move away from the target is the controller's.
+    BiasedWalk walk(g, v, target, BiasSchedule::EpsilonBias, 1.0);
+    walk.step(gen);
+    const Vertex c = walk.position();
     EXPECT_TRUE(g.has_edge(v, c));
     EXPECT_EQ(dist[c] + 1, dist[v]);
   }
@@ -143,18 +146,6 @@ TEST(BiasedWalk, UnreachableTargetThrows) {
   const Graph g = graph::from_edges(4, {&edges, 1}, false);
   EXPECT_THROW(BiasedWalk(g, 0, 2, BiasSchedule::EpsilonBias, 0.5),
                std::invalid_argument);
-}
-
-TEST(BiasedWalk, ResetPreservesTarget) {
-  const Graph g = make_cycle(8);
-  Engine gen(7);
-  BiasedWalk walk(g, 0, 4, BiasSchedule::EpsilonBias, 0.7);
-  for (int t = 0; t < 10; ++t) walk.step(gen);
-  walk.reset(2);
-  EXPECT_EQ(walk.position(), 2u);
-  EXPECT_EQ(walk.target(), 4u);
-  EXPECT_EQ(walk.round(), 0u);
-  EXPECT_EQ(walk.controlled_moves(), 0u);
 }
 
 }  // namespace

@@ -20,21 +20,6 @@ using graph::make_grid;
 using graph::make_path;
 using graph::make_star;
 
-TEST(ExactCobra, TransitionRowsAreDistributions) {
-  const Graph g = make_cycle(5);
-  const ExactCobra exact(g, 2);
-  for (std::uint32_t a = 1; a < (1u << 5); ++a) {
-    const auto& row = exact.transition_row(a);
-    double total = 0.0;
-    for (const double p : row) {
-      EXPECT_GE(p, 0.0);
-      total += p;
-    }
-    EXPECT_NEAR(total, 1.0, 1e-12) << "A=" << a;
-    EXPECT_EQ(row[0], 0.0);  // active set never empties (k >= 1)
-  }
-}
-
 TEST(ExactCobra, SingleEdgeGraphIsDeterministic) {
   // K2: from {0} the only next set is {1}. Hitting time 1, cover time 1.
   const Graph g = make_path(2);
@@ -171,7 +156,6 @@ TEST(ExactCobra, InputValidation) {
   EXPECT_THROW(ExactCobra(make_cycle(12), 2), std::invalid_argument);  // n > 10
   const ExactCobra exact(g, 2);
   EXPECT_THROW((void)exact.expected_hitting_time(9, 0), std::out_of_range);
-  EXPECT_THROW((void)exact.transition_row(0), std::out_of_range);
   // Cover limited to n <= 8.
   const Graph g10 = make_cycle(10);
   const ExactCobra exact10(g10, 2);

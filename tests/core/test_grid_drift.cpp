@@ -134,20 +134,6 @@ TEST(GridDrift, OriginIsSticky) {
   EXPECT_LT(max_dist, 40u);
 }
 
-TEST(GridDrift, ResetRestoresState) {
-  Engine gen(5);
-  GridDriftWalk walk(2, 5, 10);
-  for (int t = 0; t < 50; ++t) walk.step(gen);
-  const std::vector<std::uint32_t> fresh{1, 2};
-  walk.reset(fresh);
-  EXPECT_EQ(walk.distance(0), 1u);
-  EXPECT_EQ(walk.distance(1), 2u);
-  EXPECT_EQ(walk.round(), 0u);
-  EXPECT_THROW(walk.reset(std::vector<std::uint32_t>{1}), std::invalid_argument);
-  EXPECT_THROW(walk.reset(std::vector<std::uint32_t>{1, 99}),
-               std::invalid_argument);
-}
-
 TEST(GridDrift, OneDimensionIsBiasedWalk) {
   // d = 1: both clones move in the same dimension; the selection rule keeps
   // a decreasing clone when one exists: P(decrease) = 3/4 interior.

@@ -121,15 +121,12 @@ TEST(PairWalk, CopyEventsCounted) {
   walk.step(gen);
   // First step from co-location: copy happened or not; counter <= rounds.
   EXPECT_LE(walk.copy_events(), walk.round());
-  walk.reset(0, 1);
-  EXPECT_EQ(walk.copy_events(), 0u);
-  EXPECT_EQ(walk.round(), 0u);
 }
 
 TEST(PairWalk, ProcessViewTracksTheProductState) {
   // The sim::Process view: active() is the one product-space state, n() is
   // the product-space size, and the cached id follows every transition
-  // (ctor, step, reset).
+  // (ctor, step).
   const Graph g = make_cycle(6);
   Engine gen(8);
   PairWalk walk(g, 2, 5, /*lazy=*/false);
@@ -141,8 +138,6 @@ TEST(PairWalk, ProcessViewTracksTheProductState) {
     walk.step(gen);
     ASSERT_EQ(walk.active()[0], walk.product_id()) << "round " << t;
   }
-  walk.reset(1, 4);
-  EXPECT_EQ(walk.active()[0], 1u * 6u + 4u);
 }
 
 TEST(PairWalk, InvalidConstruction) {

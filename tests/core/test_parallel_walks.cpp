@@ -77,17 +77,6 @@ TEST(ParallelWalks, WalkersAreIndependent) {
   EXPECT_GT(distinct, kTrials / 2);
 }
 
-TEST(ParallelWalks, ResetRestoresAll) {
-  const Graph g = make_grid(2, 4);
-  Engine gen(4);
-  RandomWalk walks(g, std::vector<Vertex>(5, 0));
-  for (int t = 0; t < 20; ++t) walks.step(gen);
-  walks.reset(7);
-  EXPECT_EQ(walks.round(), 0u);
-  ASSERT_EQ(walks.active().size(), 5u);
-  for (const Vertex v : walks.active()) EXPECT_EQ(v, 7u);
-}
-
 TEST(ParallelWalks, OneWalkerListIsTheSingleStartWalk) {
   // The start-list constructor with one entry must draw exactly what the
   // single-start walk draws, laziness coin included, round for round.

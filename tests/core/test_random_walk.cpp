@@ -71,18 +71,6 @@ TEST(RandomWalk, UniformNeighborChoice) {
   for (std::size_t v = 1; v < 5; ++v) EXPECT_NEAR(counts[v], kTrials / 4, 500);
 }
 
-TEST(RandomWalk, ResetClearsRound) {
-  const Graph g = make_path(4);
-  Engine gen(4);
-  RandomWalk walk(g, 0);
-  walk.step(gen);
-  walk.step(gen);
-  walk.reset(3);
-  EXPECT_EQ(walk.round(), 0u);
-  EXPECT_EQ(walk.position(), 3u);
-  EXPECT_THROW(walk.reset(4), std::out_of_range);
-}
-
 TEST(RandomWalk, ParityOnBipartiteGraph) {
   // A non-lazy walk on a path alternates vertex parity every step.
   const Graph g = make_path(10);

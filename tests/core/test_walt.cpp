@@ -148,16 +148,6 @@ TEST(Walt, ExplicitStartPositions) {
   EXPECT_EQ(walt.active().size(), 3u);  // {0, 3, 5}
 }
 
-TEST(Walt, ResetValidation) {
-  const Graph g = make_path(5);
-  Walt walt(g, 0, 3, false);
-  EXPECT_THROW(walt.reset(std::vector<Vertex>{0, 1}), std::invalid_argument);
-  EXPECT_THROW(walt.reset(std::vector<Vertex>{0, 1, 9}), std::out_of_range);
-  walt.reset(std::vector<Vertex>{0, 1, 2});
-  EXPECT_EQ(walt.active().size(), 3u);
-  EXPECT_EQ(walt.round(), 0u);
-}
-
 TEST(Walt, InvalidConstruction) {
   const Graph g = make_path(4);
   EXPECT_THROW(Walt(g, 0, 0, false), std::invalid_argument);

@@ -24,7 +24,7 @@
 #include "gen/families.hpp"
 #include "gen/registry.hpp"
 #include "graph/generators.hpp"
-#include "graph/tensor_product.hpp"
+#include "graph/reference.hpp"
 #include "io/graph_io.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/xoshiro256.hpp"

@@ -31,17 +31,6 @@ TEST(GraphSpec, ParsesKeyValuePairsInOrder) {
   EXPECT_EQ(spec.require_uint("seed"), 7u);
 }
 
-TEST(GraphSpec, RoundTripsThroughToString) {
-  for (const char* text :
-       {"gnp:n=1e6,avg_deg=8", "gnm:n=2^16,m=2^18,seed=5",
-        "ws:n=4096,k=6,beta=0.1", "ring:n=100",
-        "rmat:n=2^20,deg=16,seed=7", "hypercube"}) {
-    const GraphSpec spec = GraphSpec::parse(text);
-    EXPECT_EQ(spec.to_string(), text);
-    EXPECT_EQ(GraphSpec::parse(spec.to_string()).to_string(), text);
-  }
-}
-
 TEST(GraphSpec, NumberGrammar) {
   const GraphSpec spec =
       GraphSpec::parse("gnp:n=1e6,p=0.5,big=2^33,plain=123");

@@ -9,6 +9,7 @@
 #include "gen/families.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/reference.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace cobra::graph {

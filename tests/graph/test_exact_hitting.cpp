@@ -99,9 +99,9 @@ TEST(ExactHitting, MatthewsUpperBoundHolds) {
       par::global_pool(), opts, [&](core::Engine& gen, std::uint32_t) {
         return sim::cover_rounds<core::RandomWalk>(gen, g, 0u);
       });
-  EXPECT_LE(stats::mean_of(samples), bound);
+  EXPECT_LE(stats::summarize(samples).mean, bound);
   // Cycle cover time is exactly n(n-1)/2 = 120; the bound is ~64*3.3.
-  EXPECT_NEAR(stats::mean_of(samples), 120.0, 10.0);
+  EXPECT_NEAR(stats::summarize(samples).mean, 120.0, 10.0);
 }
 
 TEST(ExactHitting, InputValidation) {

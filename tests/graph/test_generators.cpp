@@ -9,6 +9,7 @@
 #include "gen/families.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/grid_coords.hpp"
+#include "graph/reference.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace cobra::graph {
@@ -62,9 +63,9 @@ TEST(Generators, Grid2D) {
   EXPECT_TRUE(g.is_simple());
   // Corner degree 2, edge 3, interior 4.
   const GridCoords gc(2, 4);
-  EXPECT_EQ(g.degree(gc.id(std::vector<std::uint32_t>{0, 0})), 2u);
-  EXPECT_EQ(g.degree(gc.id(std::vector<std::uint32_t>{0, 1})), 3u);
-  EXPECT_EQ(g.degree(gc.id(std::vector<std::uint32_t>{1, 1})), 4u);
+  EXPECT_EQ(g.degree(grid_id(gc, std::vector<std::uint32_t>{0, 0})), 2u);
+  EXPECT_EQ(g.degree(grid_id(gc, std::vector<std::uint32_t>{0, 1})), 3u);
+  EXPECT_EQ(g.degree(grid_id(gc, std::vector<std::uint32_t>{1, 1})), 4u);
   EXPECT_EQ(exact_diameter(g), 6u);
 }
 
@@ -77,7 +78,7 @@ TEST(Generators, Grid3D) {
   EXPECT_EQ(exact_diameter(g), 6u);
   // Center vertex has degree 6.
   const GridCoords gc(3, 3);
-  EXPECT_EQ(g.degree(gc.id(std::vector<std::uint32_t>{1, 1, 1})), 6u);
+  EXPECT_EQ(g.degree(grid_id(gc, std::vector<std::uint32_t>{1, 1, 1})), 6u);
 }
 
 TEST(Generators, GridEdgesAreUnitManhattan) {
@@ -85,7 +86,7 @@ TEST(Generators, GridEdgesAreUnitManhattan) {
   const GridCoords gc(2, 5);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     for (const Vertex u : g.neighbors(v)) {
-      EXPECT_EQ(gc.manhattan(u, v), 1u);
+      EXPECT_EQ(manhattan(gc, u, v), 1u);
     }
   }
 }

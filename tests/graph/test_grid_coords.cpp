@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "graph/reference.hpp"
+
 namespace cobra::graph {
 namespace {
 
@@ -11,17 +13,17 @@ TEST(GridCoords, RoundTripAllPoints2D) {
   const GridCoords gc(2, 5);
   EXPECT_EQ(gc.num_points(), 25u);
   for (Vertex id = 0; id < 25; ++id) {
-    const auto c = gc.coords(id);
-    EXPECT_EQ(gc.id(c), id);
+    const auto c = grid_coords(gc, id);
+    EXPECT_EQ(grid_id(gc, c), id);
   }
 }
 
 TEST(GridCoords, RowMajorLayout) {
   const GridCoords gc(2, 4);
   // Last axis fastest: (0,0)=0, (0,1)=1, ..., (1,0)=4.
-  EXPECT_EQ(gc.id(std::vector<std::uint32_t>{0, 0}), 0u);
-  EXPECT_EQ(gc.id(std::vector<std::uint32_t>{0, 1}), 1u);
-  EXPECT_EQ(gc.id(std::vector<std::uint32_t>{1, 0}), 4u);
+  EXPECT_EQ(grid_id(gc, std::vector<std::uint32_t>{0, 0}), 0u);
+  EXPECT_EQ(grid_id(gc, std::vector<std::uint32_t>{0, 1}), 1u);
+  EXPECT_EQ(grid_id(gc, std::vector<std::uint32_t>{1, 0}), 4u);
   EXPECT_EQ(gc.stride(0), 4u);
   EXPECT_EQ(gc.stride(1), 1u);
 }
@@ -33,24 +35,24 @@ TEST(GridCoords, MixedExtents) {
   EXPECT_EQ(gc.extent(0), 2u);
   EXPECT_EQ(gc.extent(2), 4u);
   for (Vertex id = 0; id < 24; ++id) {
-    EXPECT_EQ(gc.id(gc.coords(id)), id);
+    EXPECT_EQ(grid_id(gc, grid_coords(gc, id)), id);
   }
 }
 
 TEST(GridCoords, Manhattan) {
   const GridCoords gc(2, 10);
-  const Vertex a = gc.id(std::vector<std::uint32_t>{1, 2});
-  const Vertex b = gc.id(std::vector<std::uint32_t>{4, 9});
-  EXPECT_EQ(gc.manhattan(a, b), 10u);
-  EXPECT_EQ(gc.manhattan(a, a), 0u);
-  EXPECT_EQ(gc.manhattan(b, a), 10u);
+  const Vertex a = grid_id(gc, std::vector<std::uint32_t>{1, 2});
+  const Vertex b = grid_id(gc, std::vector<std::uint32_t>{4, 9});
+  EXPECT_EQ(manhattan(gc, a, b), 10u);
+  EXPECT_EQ(manhattan(gc, a, a), 0u);
+  EXPECT_EQ(manhattan(gc, b, a), 10u);
 }
 
 TEST(GridCoords, OneDimension) {
   const GridCoords gc(1, 7);
   EXPECT_EQ(gc.num_points(), 7u);
-  EXPECT_EQ(gc.coords(3), (std::vector<std::uint32_t>{3}));
-  EXPECT_EQ(gc.manhattan(1, 6), 5u);
+  EXPECT_EQ(grid_coords(gc, 3), (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(manhattan(gc, 1, 6), 5u);
 }
 
 TEST(GridCoords, InvalidConstruction) {
@@ -62,9 +64,9 @@ TEST(GridCoords, InvalidConstruction) {
 
 TEST(GridCoords, OutOfRangeAccess) {
   const GridCoords gc(2, 3);
-  EXPECT_THROW(gc.coords(9), std::out_of_range);
-  EXPECT_THROW((void)gc.id(std::vector<std::uint32_t>{0, 3}), std::out_of_range);
-  EXPECT_THROW((void)gc.id(std::vector<std::uint32_t>{0}), std::out_of_range);
+  EXPECT_THROW(grid_coords(gc, 9), std::out_of_range);
+  EXPECT_THROW((void)grid_id(gc, std::vector<std::uint32_t>{0, 3}), std::out_of_range);
+  EXPECT_THROW((void)grid_id(gc, std::vector<std::uint32_t>{0}), std::out_of_range);
 }
 
 TEST(GridCoords, LargeGridWithinBudget) {
@@ -72,7 +74,7 @@ TEST(GridCoords, LargeGridWithinBudget) {
   const GridCoords gc(3, 1u << 10);
   EXPECT_EQ(gc.num_points(), 1u << 30);
   const Vertex last = gc.num_points() - 1;
-  const auto c = gc.coords(last);
+  const auto c = grid_coords(gc, last);
   for (const auto x : c) EXPECT_EQ(x, (1u << 10) - 1);
 }
 

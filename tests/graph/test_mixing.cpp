@@ -7,6 +7,7 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/reference.hpp"
 #include "graph/spectral.hpp"
 
 namespace cobra::graph {

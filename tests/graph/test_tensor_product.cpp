@@ -7,6 +7,7 @@
 #include "gen/families.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/reference.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace cobra::graph {
@@ -110,7 +111,7 @@ TEST(WaltPairDigraph, PowerIterationAgreesOnAperiodicGraph) {
   // the Eulerian closed form.
   const Graph g = make_complete(5);
   const Digraph d = walt_pair_digraph(g);
-  const auto pi = d.stationary_distribution(200000, 1e-13);
+  const auto pi = stationary_distribution(d, 200000, 1e-13);
   const auto closed = walt_pair_stationary(5);
   for (Vertex pv = 0; pv < d.num_vertices(); ++pv) {
     EXPECT_NEAR(pi[pv],

@@ -15,6 +15,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "graph/reference.hpp"
 #include "graph/spectral.hpp"
 #include "rng/xoshiro256.hpp"
 

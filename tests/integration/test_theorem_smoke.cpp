@@ -37,7 +37,7 @@ double mean_cobra_cover(const Graph& g, Vertex start, int trials,
                         return sim::cover_rounds<core::CobraWalk>(
                             gen, g, start, 2u);
                       });
-  return stats::mean_of(results);
+  return stats::summarize(results).mean;
 }
 
 // E1 (Theorem 3): 2-cobra cover on the 1-D grid scales ~linearly in n
@@ -67,7 +67,7 @@ TEST(TheoremSmoke, PathRandomWalkIsQuadratic) {
           return sim::cover_rounds<core::RandomWalk>(gen, g, 0u);
         });
     ns.push_back(side);
-    covers.push_back(stats::mean_of(results));
+    covers.push_back(stats::summarize(results).mean);
   }
   const auto fit = stats::fit_power_law(ns, covers);
   EXPECT_GT(fit.exponent, 1.6);
@@ -102,7 +102,7 @@ TEST(TheoremSmoke, LollipopCobraBeatsRandomWalk) {
       par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
         return sim::cover_rounds<core::RandomWalk>(gen, g, 0u);
       });
-  EXPECT_LT(stats::mean_of(cobra) * 5, stats::mean_of(rw));
+  EXPECT_LT(stats::summarize(cobra).mean * 5, stats::summarize(rw).mean);
 }
 
 // E6 (Theorem 1): cover time is bounded by O(hmax log n); check the ratio
@@ -136,7 +136,7 @@ TEST(TheoremSmoke, WaltDominatesCobra) {
                                              true);
       });
   // Dominance is on distributions; compare means with slack for noise.
-  EXPECT_GT(stats::mean_of(walt), 0.8 * stats::mean_of(cobra));
+  EXPECT_GT(stats::summarize(walt).mean, 0.8 * stats::summarize(cobra).mean);
 }
 
 // E9: 2-cobra cover on k-ary trees is proportional to the diameter (k=2,3):
@@ -174,7 +174,7 @@ TEST(TheoremSmoke, CobraComparableToGossipOnExpander) {
         return sim::cover_rounds<core::Gossip>(gen, g, 0u,
                                                core::GossipMode::Push);
       });
-  const double ratio = stats::mean_of(cobra) / stats::mean_of(gossip);
+  const double ratio = stats::summarize(cobra).mean / stats::summarize(gossip).mean;
   EXPECT_GT(ratio, 0.2);
   EXPECT_LT(ratio, 20.0);
 }
@@ -193,7 +193,7 @@ TEST(TheoremSmoke, CycleHittingSubquadratic) {
           return sim::hit_rounds<core::CobraWalk>(gen, n / 2, g, 0u, 2u);
         });
     ns.push_back(n);
-    hits.push_back(stats::mean_of(results));
+    hits.push_back(stats::summarize(results).mean);
   }
   const auto fit = stats::fit_power_law(ns, hits);
   EXPECT_LT(fit.exponent, 1.8);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -16,13 +17,13 @@ Args parse(std::vector<const char*> argv,
 
 TEST(Args, EqualsSyntax) {
   const Args args = parse({"--n=128", "--rate=0.5"});
-  EXPECT_EQ(args.get_int("n", 0), 128);
+  EXPECT_EQ(args.get_uint("n", 0), 128);
   EXPECT_DOUBLE_EQ(args.get_double("rate", 0.0), 0.5);
 }
 
 TEST(Args, SpaceSyntax) {
   const Args args = parse({"--n", "42", "--name", "grid"});
-  EXPECT_EQ(args.get_int("n", 0), 42);
+  EXPECT_EQ(args.get_uint("n", 0), 42);
   EXPECT_EQ(args.get("name", ""), "grid");
 }
 
@@ -34,7 +35,7 @@ TEST(Args, BareFlagIsTrue) {
 
 TEST(Args, DefaultsWhenMissing) {
   const Args args = parse({});
-  EXPECT_EQ(args.get_int("n", 7), 7);
+  EXPECT_EQ(args.get_uint("n", 7), 7);
   EXPECT_EQ(args.get("s", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(args.get_double("d", 1.5), 1.5);
   EXPECT_FALSE(args.get_bool("b", false));
@@ -55,7 +56,7 @@ TEST(Args, UnknownFlagRejectedWhenAllowlisted) {
 
 TEST(Args, BadIntegerThrows) {
   const Args args = parse({"--n=12x"});
-  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_uint("n", 0), std::invalid_argument);
 }
 
 TEST(Args, BadDoubleThrows) {
@@ -66,7 +67,27 @@ TEST(Args, BadDoubleThrows) {
 TEST(Args, NegativeUintThrows) {
   const Args args = parse({"--n=-3"});
   EXPECT_THROW((void)args.get_uint("n", 0), std::invalid_argument);
-  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("n", 0.0), -3.0);
+}
+
+TEST(Args, UintTakesTheFullU64Range) {
+  EXPECT_EQ(parse({"--seed=18446744073709551615"}).get_uint("seed", 0),
+            UINT64_MAX);
+  EXPECT_EQ(parse({"--seed", "9223372036854775808"}).get_uint("seed", 0),
+            std::uint64_t{1} << 63);
+}
+
+TEST(Args, UintRejectsTwoToTheSixtyFourAndMinusOne) {
+  EXPECT_THROW((void)parse({"--seed=18446744073709551616"}).get_uint("seed", 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--seed=-1"}).get_uint("seed", 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--seed= -1"}).get_uint("seed", 0),
+               std::invalid_argument);
+}
+
+TEST(Args, AbsentUintReturnsAFallbackAboveTwoToTheSixtyThree) {
+  EXPECT_EQ(parse({}).get_uint("seed", UINT64_MAX), UINT64_MAX);
 }
 
 TEST(Args, BoolVariants) {
@@ -82,12 +103,12 @@ TEST(Args, BoolVariants) {
 TEST(Args, NegativeNumberAsValueAfterSpace) {
   // "--n -3": -3 does not start with --, so it is consumed as n's value.
   const Args args = parse({"--n", "-3"});
-  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("n", 0.0), -3.0);
 }
 
 TEST(Args, LastOccurrenceWins) {
   const Args args = parse({"--n=1", "--n=2"});
-  EXPECT_EQ(args.get_int("n", 0), 2);
+  EXPECT_EQ(args.get_uint("n", 0), 2);
 }
 
 }  // namespace

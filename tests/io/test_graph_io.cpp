@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
-#include "gen/families.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "rng/xoshiro256.hpp"
 
 namespace cobra::io {
 namespace {
@@ -31,26 +29,19 @@ TEST(GraphIo, ReadsBasicFormat) {
   EXPECT_TRUE(g.has_edge(2, 0));
 }
 
-TEST(GraphIo, RoundTripsGeneratedGraphs) {
-  rng::Xoshiro256 eng(1);
-  for (const graph::Graph& g :
-       {graph::make_grid(2, 5), graph::make_hypercube(4),
-        gen::random_regular(30, 4, eng()), graph::make_star(9)}) {
-    std::stringstream buffer;
-    write_edge_list(buffer, g);
-    const graph::Graph back = read_edge_list(buffer);
-    EXPECT_EQ(back.num_vertices(), g.num_vertices());
-    EXPECT_EQ(back.num_edges(), g.num_edges());
-    EXPECT_EQ(back.targets(), g.targets());  // CSR is canonical (sorted)
-  }
+TEST(GraphIo, ReadsEdgesInAnyOrderIntoTheCanonicalCsr) {
+  // A 4-cycle listed out of order, endpoints either way round.
+  std::istringstream in("4\n3 0\n1 0\n2 1\n2 3\n");
+  const graph::Graph back = read_edge_list(in);
+  const graph::Graph cycle = graph::make_cycle(4);
+  EXPECT_EQ(back.num_vertices(), cycle.num_vertices());
+  EXPECT_EQ(back.num_edges(), cycle.num_edges());
+  EXPECT_EQ(back.targets(), cycle.targets());  // CSR is canonical (sorted)
 }
 
-TEST(GraphIo, RoundTripsSelfLoopsAndParallelEdges) {
-  std::vector<graph::Edge> edges = {{0, 0}, {1, 2}, {1, 2}};
-  const graph::Graph g = graph::from_edges(3, {&edges, 1}, false);
-  std::stringstream buffer;
-  write_edge_list(buffer, g);
-  const graph::Graph back = read_edge_list(buffer);
+TEST(GraphIo, KeepsSelfLoopsAndParallelEdges) {
+  std::istringstream in("3\n0 0\n1 2\n1 2\n");
+  const graph::Graph back = read_edge_list(in);
   EXPECT_EQ(back.num_edges(), 3u);
   EXPECT_EQ(back.degree(0), 2u);  // self-loop counts twice
   EXPECT_EQ(back.degree(1), 2u);
@@ -103,12 +94,14 @@ TEST(GraphIo, RejectsMalformedInput) {
   }
 }
 
-TEST(GraphIo, FileRoundTrip) {
+TEST(GraphIo, LoadsFromAFile) {
   const std::string path = ::testing::TempDir() + "cobra_graph_io_test.txt";
-  const graph::Graph g = graph::make_cycle(12);
-  save_edge_list(path, g);
+  {
+    std::ofstream out(path);
+    out << "# a 5-cycle\n5\n0 1\n1 2\n2 3\n3 4\n4 0\n";
+  }
   const graph::Graph back = load_edge_list(path);
-  EXPECT_EQ(back.num_edges(), 12u);
+  EXPECT_EQ(back.num_edges(), 5u);
   EXPECT_TRUE(graph::is_connected(back));
   std::remove(path.c_str());
 }

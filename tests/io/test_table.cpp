@@ -39,15 +39,6 @@ TEST(Table, EmptyHeaderThrows) {
   EXPECT_THROW(Table({}), std::invalid_argument);
 }
 
-TEST(Table, CellAccess) {
-  Table t({"x"});
-  t.add_row({"hello"});
-  EXPECT_EQ(t.cell(0, 0), "hello");
-  EXPECT_EQ(t.rows(), 1u);
-  EXPECT_EQ(t.columns(), 1u);
-  EXPECT_THROW((void)t.cell(1, 0), std::out_of_range);
-}
-
 TEST(Table, FmtFixedPoint) {
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::fmt(3.14159, 4), "3.1416");
@@ -64,16 +55,6 @@ TEST(Table, FmtInt) {
 TEST(Table, FmtSci) {
   const std::string s = Table::fmt_sci(12345.678, 2);
   EXPECT_NE(s.find("1.23e"), std::string::npos);
-}
-
-TEST(Table, MarkdownRendering) {
-  Table t({"n", "label"});
-  t.set_align(1, Align::Left);
-  t.add_row({"1", "x"});
-  const std::string md = t.render_markdown();
-  EXPECT_NE(md.find("| n | label |"), std::string::npos);
-  EXPECT_NE(md.find("| ---: | :--- |"), std::string::npos);
-  EXPECT_NE(md.find("| 1 | x |"), std::string::npos);
 }
 
 TEST(Table, StreamOperator) {

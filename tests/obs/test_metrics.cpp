@@ -1,5 +1,5 @@
-// Tests for the obs metrics registry: counter/gauge/timer primitives,
-// snapshot/reset semantics, concurrent increments, the fault registry's
+// Tests for the obs metrics registry: counter/timer primitives, snapshot
+// semantics, concurrent increments, the fault registry's
 // migration onto registry-backed counters, and MetricsObserver through
 // sim::Runner.
 
@@ -50,9 +50,6 @@ TEST(Metrics, TimerAccumulatesAcrossSlots) {
   t.add(50, 3);
   EXPECT_EQ(t.total_ns(), 150u);
   EXPECT_EQ(t.count(), 4u);
-  t.reset();
-  EXPECT_EQ(t.total_ns(), 0u);
-  EXPECT_EQ(t.count(), 0u);
 }
 
 TEST(Metrics, RegistryReturnsStableReferencesByName) {
@@ -60,19 +57,17 @@ TEST(Metrics, RegistryReturnsStableReferencesByName) {
   obs::Counter& b = obs::registry().counter("test.stable");
   EXPECT_EQ(&a, &b);
   // Distinct kinds under one name are distinct metrics.
-  obs::Gauge& g = obs::registry().gauge("test.stable");
-  g.set(2.5);
+  obs::Timer& t = obs::registry().timer("test.stable");
+  t.add(5);
   a.add(7);
   EXPECT_EQ(a.value(), 7u);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
+  EXPECT_EQ(t.total_ns(), 5u);
 }
 
 TEST(Metrics, SnapshotListsRegisteredMetricsSorted) {
   obs::registry().counter("test.snap.b").set(3);
   obs::registry().counter("test.snap.a").set(1);
-  obs::registry().gauge("test.snap.g").set(0.5);
   obs::Timer& t = obs::registry().timer("test.snap.t");
-  t.reset();
   t.add(2'000'000'000, 2);  // 2 s over 2 calls
 
   const auto samples = obs::registry().snapshot();
@@ -82,47 +77,22 @@ TEST(Metrics, SnapshotListsRegisteredMetricsSorted) {
                              }));
   const obs::Sample* a = find_sample(samples, "test.snap.a");
   const obs::Sample* b = find_sample(samples, "test.snap.b");
-  const obs::Sample* g = find_sample(samples, "test.snap.g");
   const obs::Sample* timer = find_sample(samples, "test.snap.t");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  ASSERT_NE(g, nullptr);
   ASSERT_NE(timer, nullptr);
   EXPECT_EQ(a->kind, "counter");
   EXPECT_DOUBLE_EQ(a->value, 1.0);
   EXPECT_DOUBLE_EQ(b->value, 3.0);
-  EXPECT_EQ(g->kind, "gauge");
-  EXPECT_DOUBLE_EQ(g->value, 0.5);
   EXPECT_EQ(timer->kind, "timer");
   EXPECT_DOUBLE_EQ(timer->value, 2.0);  // seconds
   EXPECT_EQ(timer->count, 2u);
-}
-
-TEST(Metrics, ResetZeroesValuesButKeepsRegistrationsAndReferences) {
-  obs::Counter& c = obs::registry().counter("test.reset.c");
-  obs::Gauge& g = obs::registry().gauge("test.reset.g");
-  obs::Timer& t = obs::registry().timer("test.reset.t");
-  c.add(9);
-  g.set(1.25);
-  t.add(10);
-  obs::registry().reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(t.total_ns(), 0u);
-  // Registration survives: the name still snapshots, and the cached
-  // reference still feeds it.
-  c.add(2);
-  const auto samples = obs::registry().snapshot();
-  const obs::Sample* s = find_sample(samples, "test.reset.c");
-  ASSERT_NE(s, nullptr);
-  EXPECT_DOUBLE_EQ(s->value, 2.0);
 }
 
 TEST(Metrics, ConcurrentIncrementsLoseNothing) {
   obs::Counter& c = obs::registry().counter("test.concurrent");
   obs::Timer& t = obs::registry().timer("test.concurrent.t");
   c.set(0);
-  t.reset();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> workers;
@@ -162,8 +132,10 @@ TEST(Metrics, MetricsObserverFeedsRegistryThroughRunner) {
   const graph::Graph g = gen::build_graph("rreg:n=128,d=4,seed=11");
   obs::Counter& rounds = obs::registry().counter("sim.observed_rounds");
   obs::Counter& runs = obs::registry().counter("sim.observed_runs");
+  obs::Counter& active = obs::registry().counter("sim.observed_active");
   const std::uint64_t rounds_before = rounds.value();
   const std::uint64_t runs_before = runs.value();
+  const std::uint64_t active_before = active.value();
   core::Engine gen(77);
   core::CobraWalk walk(g, 0, 2);
   sim::CoverStop cover;
@@ -172,7 +144,8 @@ TEST(Metrics, MetricsObserverFeedsRegistryThroughRunner) {
   ASSERT_TRUE(r.stopped);
   EXPECT_EQ(rounds.value() - rounds_before, r.rounds);
   EXPECT_EQ(runs.value() - runs_before, 1u);
-  EXPECT_GE(obs::registry().gauge("sim.peak_active_size").value(), 1.0);
+  // A 2-cobra walk never dies out: every observed round adds >= 1.
+  EXPECT_GE(active.value() - active_before, r.rounds);
 }
 
 TEST(Metrics, RandomRegularBuildReportsPhasesAndDefects) {

@@ -222,16 +222,21 @@ TEST_F(TraceTest, FaultFiringsLandInTheTraceLog) {
   ASSERT_TRUE(obs::open_global_trace(path));
   util::fault::disarm_all();
   util::fault::arm("trace.write", 1000);  // armed but never firing
-  util::fault::arm("demo.site", 1);
-  (void)util::fault::should_fail("demo.site");  // hit 0: no fire
-  (void)util::fault::should_fail("demo.site");  // hit 1: fires
-  util::fault::disarm_all();
+  util::fault::arm_spec(util::fault::FaultPlan::parse("demo.site@1#2").specs[0]);
+  util::fault::tick_round();
+  util::fault::tick_round();
+  for (int i = 0; i < 5; ++i) (void)util::fault::should_fail("demo.site");
+  util::fault::disarm_all();  // also resets the round clock
+  EXPECT_EQ(util::fault::current_round(), 0u);
   obs::close_global_trace();
   const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 1u);
+  ASSERT_EQ(lines.size(), 2u);  // hits 1 and 2 fired (limit 2)
   EXPECT_EQ(str_field(lines[0], "fault"), "demo.site");
   EXPECT_EQ(u64_field(lines[0], "hit"), 1u);
   EXPECT_EQ(u64_field(lines[0], "fire"), 1u);
+  EXPECT_EQ(u64_field(lines[0], "round"), 2u);  // the engine round clock
+  EXPECT_EQ(u64_field(lines[1], "hit"), 2u);
+  EXPECT_EQ(u64_field(lines[1], "fire"), 2u);
 }
 
 TEST_F(TraceTest, ReopenTruncatesAndReuses) {

@@ -69,7 +69,6 @@ TEST(FitPowerLaw, ExactPower) {
   EXPECT_NEAR(fit.exponent, 1.5, 1e-10);
   EXPECT_NEAR(fit.prefactor, 5.0, 1e-8);
   EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-  EXPECT_NEAR(fit.predict(256.0), 5.0 * std::pow(256.0, 1.5), 1e-6);
 }
 
 TEST(FitPowerLaw, LinearGrowthHasExponentOne) {

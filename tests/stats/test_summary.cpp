@@ -40,36 +40,6 @@ TEST(Welford, NumericallyStableForLargeOffset) {
   EXPECT_NEAR(acc.variance(), 0.25 * 1000.0 / 999.0, 1e-6);
 }
 
-TEST(Welford, MergeMatchesSequential) {
-  rng::Xoshiro256 gen(1);
-  Welford all, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng::uniform_unit(gen) * 10.0 - 5.0;
-    all.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-10);
-  EXPECT_EQ(left.min(), all.min());
-  EXPECT_EQ(left.max(), all.max());
-}
-
-TEST(Welford, MergeWithEmpty) {
-  Welford a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), mean);
-  Welford b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_EQ(b.mean(), mean);
-}
-
 TEST(QuantileSorted, Interpolates) {
   const std::vector<double> sorted{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile_sorted(sorted, 0.0), 1.0);
@@ -134,12 +104,6 @@ TEST(Summarize, CoversTrueMeanMostOfTheTime) {
     if (s.ci_lo() <= 0.5 && 0.5 <= s.ci_hi()) ++covers;
   }
   EXPECT_GE(covers, 85);
-}
-
-TEST(MeanOf, Basic) {
-  EXPECT_EQ(mean_of({}), 0.0);
-  const std::vector<double> v{1.0, 2.0, 6.0};
-  EXPECT_DOUBLE_EQ(mean_of(v), 3.0);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 
 /// \file metrics_observer.hpp
 /// A sim::Runner observer that feeds the global metrics registry: one
-/// counter bump + gauge store per observed round. Opt-in by construction —
+/// counter bump per observed round, and the round's active-set size added
+/// to `sim.observed_active`. Opt-in by construction —
 /// the zero-observer Runner path compiles to the bare step loop, so
 /// attaching this (or not) is exactly the "metrics on/off" toggle the
 /// inertness tests exercise. Reads process state only; never touches the
@@ -17,28 +18,23 @@ class MetricsObserver {
   MetricsObserver()
       : rounds_(registry().counter("sim.observed_rounds")),
         runs_(registry().counter("sim.observed_runs")),
-        active_(registry().gauge("sim.active_size")),
-        peak_(registry().gauge("sim.peak_active_size")) {}
+        active_(registry().counter("sim.observed_active")) {}
 
   template <class P>
-  void start(const P& p) {
+  void start(const P&) {
     runs_.add(1);
-    active_.set(static_cast<double>(p.active().size()));
   }
 
   template <class P>
   void observe(const P& p) {
     rounds_.add(1);
-    const double size = static_cast<double>(p.active().size());
-    active_.set(size);
-    if (size > peak_.value()) peak_.set(size);
+    active_.add(p.active().size());
   }
 
  private:
   Counter& rounds_;
   Counter& runs_;
-  Gauge& active_;
-  Gauge& peak_;
+  Counter& active_;
 };
 
 }  // namespace cobra::obs

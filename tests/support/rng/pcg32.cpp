@@ -1,8 +1,16 @@
 #include "rng/pcg32.hpp"
 
+#include "rng/distributions.hpp"
+
 namespace cobra::rng {
 
 namespace {
+
+// The full-range concept admits the widened engine and rejects the bare
+// 32-bit one.
+static_assert(Uint64Generator<Pcg32x64>);
+static_assert(!Uint64Generator<Pcg32>,
+              "bare Pcg32 must not satisfy the full-range concept");
 
 // Streams must be independent: same seed on different streams diverges.
 static_assert([] {

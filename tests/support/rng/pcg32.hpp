@@ -4,11 +4,10 @@
 
 /// \file pcg32.hpp
 /// PCG32 (XSH-RR variant, 64-bit state / 32-bit output) — an alternative
-/// engine with explicit multi-stream support. The cobra simulators default
-/// to Xoshiro256; PCG32 exists so that statistical results can be
-/// cross-checked under a structurally different generator (the classic
-/// "two-RNG" hygiene test for Monte-Carlo code), and because its 32-bit
-/// output is a natural fit for 32-bit vertex ids.
+/// engine with explicit multi-stream support. The cobra simulators run on
+/// Xoshiro256; the tests use PCG32 to cross-check statistical results
+/// under a structurally different generator (the classic "two-RNG"
+/// hygiene test for Monte-Carlo code).
 ///
 /// Reference: M.E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient
 /// Statistically Good Algorithms for Random Number Generation" (2014).
