@@ -131,9 +131,8 @@ std::string expect_loud_failure(const std::string& site, const Op& op) {
 
 std::vector<std::string> chaos_graceful_sites(bool inject_bug) {
   std::vector<std::string> sites = {
-      "frontier.dense_alloc",       "frontier.materialize_alloc",
-      "frontier.worker_bits_alloc", "pool.thread_spawn",
-      "trace.write",
+      "frontier.dense_alloc", "frontier.worker_bits_alloc",
+      "pool.thread_spawn",    "trace.write",
   };
   if (inject_bug) sites.push_back("chaos.degrade_bug");
   return sites;

@@ -201,70 +201,6 @@ void FrontierEngine::merge_claims(std::vector<Vertex>& out) {
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-void FrontierEngine::materialize_bits(std::span<const std::uint64_t> words,
-                                      std::size_t count,
-                                      std::vector<Vertex>& out) {
-#if COBRA_OBS_LEVEL >= 1
-  static obs::Timer& timer = obs::registry().timer("frontier.materialize");
-  obs::ScopedTimer timed(timer);
-#endif
-  out.clear();
-  const std::size_t n_words = words.size();
-  // The decode is O(n/64 + count): the bitmap scan term does not shrink
-  // with a collapsing frontier, so the pool gate uses whichever of the
-  // two is larger (still through pick_pool, so a forced-serial threshold
-  // keeps the decode serial too).
-  constexpr std::size_t kMinParallelDecodeWords = std::size_t{1} << 12;
-  par::ThreadPool* pool = opts_.parallel_dense_ops
-                              ? pick_pool(std::max(count, n_words))
-                              : nullptr;
-  // Fault site `frontier.materialize_alloc` (GRACEFUL): the parallel
-  // decode's offsets scratch cannot be allocated — degrade to the serial
-  // single-pass decode, which needs no side allocation and produces the
-  // same ascending vertex list by construction.
-  if (pool != nullptr && util::fault::should_fail("frontier.materialize_alloc")) {
-    pool = nullptr;
-  }
-  if (pool == nullptr || n_words < kMinParallelDecodeWords) {
-    out.reserve(count);
-    detail::decode_bits(words, 0, n_words, out);
-    return;
-  }
-  constexpr std::size_t kDecodeChunkWords = std::size_t{1} << 11;
-  const std::size_t n_chunks =
-      (n_words + kDecodeChunkWords - 1) / kDecodeChunkWords;
-  // Pass 1: per-range popcounts -> exclusive prefix offsets. Each range
-  // then decodes straight into its final slot, so the ascending order is
-  // positional, not a merge artifact.
-  std::vector<std::size_t> offsets(n_chunks + 1, 0);
-  par::parallel_for(*pool, 0, n_chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kDecodeChunkWords;
-    const std::size_t hi = std::min(n_words, lo + kDecodeChunkWords);
-    std::size_t bits = 0;
-    for (std::size_t w = lo; w < hi; ++w) {
-      bits += static_cast<std::size_t>(std::popcount(words[w]));
-    }
-    offsets[c + 1] = bits;
-  });
-  for (std::size_t c = 0; c < n_chunks; ++c) offsets[c + 1] += offsets[c];
-  assert(offsets[n_chunks] == count);
-  out.resize(offsets[n_chunks]);
-  Vertex* base = out.data();
-  par::parallel_for(*pool, 0, n_chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kDecodeChunkWords;
-    const std::size_t hi = std::min(n_words, lo + kDecodeChunkWords);
-    Vertex* dst = base + offsets[c];
-    for (std::size_t w = lo; w < hi; ++w) {
-      std::uint64_t word = words[w];
-      while (word != 0) {
-        *dst++ = static_cast<Vertex>(
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-        word &= word - 1;
-      }
-    }
-  });
-}
-
 void FrontierEngine::reset_workers(std::size_t workers) {
   if (workers_.size() < workers) workers_.resize(workers);
   // Every slot, not just the round's: the driver sums over all of them.

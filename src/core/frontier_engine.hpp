@@ -39,9 +39,8 @@
 /// offspring are its own survivors. The driver owns the whole round
 /// skeleton once: the empty-frontier return, the fault round clock, the
 /// step timer, the representation choice, the one output audit and the
-/// trace line. The span overload of `expand` runs the same driver over a
-/// scratch Frontier that borrows the caller's vector and materializes the
-/// dense form into it.
+/// trace line. Every round writes a `Frontier`; a client that wants the
+/// sorted list of a dense output asks `vertices()`, which decodes it once.
 ///
 /// Representations (the Beamer-style sparse/dense switch): a frontier is
 /// either a SPARSE sorted vertex list or a DENSE bitmap over [0, n). The
@@ -72,7 +71,7 @@
 /// identical to the serial in-line path, AND identical across the sparse
 /// and dense paths. The one requirement this puts on callers: a frontier
 /// passed as a raw span must be sorted ascending and duplicate-free — which
-/// `expand` and `dedupe` outputs always are.
+/// `vertices()` of any `expand` or `dedupe` output always is.
 ///
 /// Round state: a dedup needs no memory of earlier rounds, so nothing
 /// outlives a round but storage. Worker 0's bitmap IS the output bitmap;
@@ -134,11 +133,10 @@ struct FrontierOptions {
   double dense_alpha = 256.0;
   /// Representation override for tests and experiments.
   FrontierMode mode = FrontierMode::Auto;
-  /// Spread the dense rounds' O(n/64) fixed costs (bitmap clear,
-  /// span-overload materialization) over the round's pool once the bitmap
-  /// outgrows cache scale. Value-independent work, so this affects SPEED
-  /// only, never results; off = the serial clear/decode (tests pin it to
-  /// isolate the sampling path).
+  /// Spread the dense rounds' O(n/64) bitmap clear over the round's pool
+  /// once the bitmap outgrows cache scale. Value-independent work, so this
+  /// affects SPEED only, never results; off = the serial clear (tests pin
+  /// it to isolate the sampling path).
   bool parallel_dense_ops = true;
 };
 
@@ -146,8 +144,7 @@ namespace detail {
 
 /// Append the set bits of `words[first_word, last_word)` to `out` as
 /// vertex ids, ascending — the one bitmap-decode idiom, shared by
-/// Frontier materialization, chunk decoding, and the span-overload
-/// output path.
+/// Frontier materialization and chunk decoding.
 inline void decode_bits(std::span<const std::uint64_t> words,
                         std::size_t first_word, std::size_t last_word,
                         std::vector<Vertex>& out) {
@@ -231,8 +228,9 @@ class Frontier {
   std::size_t count_ = 0;
 };
 
-/// Non-owning view of a frontier in either representation — what the
-/// engine's round driver walks. Sparse views require the span to be
+/// Non-owning view of a frontier in either representation — what
+/// `expand` takes and the engine's round driver walks. It converts
+/// implicitly from a `Frontier` or from a sorted span; a span must be
 /// sorted ascending and duplicate-free, i.e. strictly ascending (asserted
 /// in debug builds).
 class FrontierView {
@@ -243,12 +241,9 @@ class FrontierView {
                               std::greater_equal<>()) == sorted.end());
   }
 
-  FrontierView(std::span<const std::uint64_t> words, std::size_t count) noexcept
-      : words_(words), count_(count), dense_(true) {}
-
   /// View of `f` in its cheapest walkable form: the cached list when one
   /// is valid (no decode needed), the bitmap otherwise.
-  explicit FrontierView(const Frontier& f) noexcept {
+  /* implicit */ FrontierView(const Frontier& f) noexcept {
     if (f.dense_ && !f.list_valid_) {
       words_ = f.bits_;
       dense_ = true;
@@ -315,7 +310,7 @@ class FrontierEngine {
   /// each vertex-range chunk), invoke `sampler(v, rng, sink)`, which must
   /// call `sink(u)` once per offspring vertex u. `next` receives the
   /// deduplicated offspring in the representation the round's mode picked;
-  /// `frontier` and `next` must be distinct objects. `sampler` is shared
+  /// `frontier` must not view `next`'s own storage. `sampler` is shared
   /// across worker threads — it must be const-callable and must not mutate
   /// shared state without synchronization.
   ///
@@ -324,31 +319,10 @@ class FrontierEngine {
   /// nothing takes `(v, sink)` instead; its chunks construct no engine and
   /// `round_seed` is unused.
   template <typename Sampler>
-  void expand(const Frontier& frontier, Frontier& next,
-              std::uint64_t round_seed, const Sampler& sampler) {
-    assert(&frontier != &next);
-    run_round</*kFilter=*/false>(FrontierView(frontier), next, round_seed,
-                                 sampler, /*materialize=*/false);
-  }
-
-  /// Span-in / vector-out variant for processes that maintain their own
-  /// lists (gossip). `frontier` must be sorted ascending and duplicate-free
-  /// (all engine outputs are); `next` receives the deduplicated offspring
-  /// sorted ascending (cleared first), materialized even after dense
-  /// rounds (via the engine's scratch bitmap).
-  template <typename Sampler>
-  void expand(std::span<const Vertex> frontier, std::vector<Vertex>& next,
-              std::uint64_t round_seed, const Sampler& sampler) {
-    // A scratch Frontier borrows the caller's vector as its list and the
-    // engine's scratch bitmap as its dense form; the driver materializes
-    // dense rounds into the list, so both forms hold the round's output.
-    Frontier out;
-    out.list_.swap(next);
-    out.bits_.swap(scratch_bits_);
-    run_round</*kFilter=*/false>(FrontierView(frontier), out, round_seed,
-                                 sampler, /*materialize=*/true);
-    out.list_.swap(next);
-    out.bits_.swap(scratch_bits_);
+  void expand(FrontierView frontier, Frontier& next, std::uint64_t round_seed,
+              const Sampler& sampler) {
+    assert(!views(frontier, next));
+    run_round</*kFilter=*/false>(frontier, next, round_seed, sampler);
   }
 
   /// Filter one round: `next` receives exactly the frontier vertices v with
@@ -362,12 +336,11 @@ class FrontierEngine {
   template <typename Pred>
   void retain(const Frontier& frontier, Frontier& next, const Pred& keep) {
     assert(&frontier != &next);
-    run_round</*kFilter=*/true>(
-        FrontierView(frontier), next, /*round_seed=*/0,
-        [&keep](Vertex v, const auto& sink) {
-          if (keep(v)) sink(v);
-        },
-        /*materialize=*/false);
+    run_round</*kFilter=*/true>(FrontierView(frontier), next,
+                                /*round_seed=*/0,
+                                [&keep](Vertex v, const auto& sink) {
+                                  if (keep(v)) sink(v);
+                                });
   }
 
   /// Dedup `in` into a canonical (sorted ascending) sparse frontier — the
@@ -379,12 +352,10 @@ class FrontierEngine {
   /// Mutable knobs — tests pin chunk_size / threshold / pool explicitly.
   [[nodiscard]] FrontierOptions& options() noexcept { return opts_; }
 
-  /// How many rounds took each execution path (observability).
+  /// How many rounds took the pool path (observability); the others ran
+  /// in-line.
   [[nodiscard]] std::uint64_t parallel_rounds() const noexcept {
     return parallel_rounds_;
-  }
-  [[nodiscard]] std::uint64_t serial_rounds() const noexcept {
-    return serial_rounds_;
   }
 
   /// How many rounds ran each representation, and how often the
@@ -416,14 +387,6 @@ class FrontierEngine {
   /// here instead of maintaining a contended counter inside the sampler.
   [[nodiscard]] std::uint64_t last_emitted() const noexcept {
     return last_emitted_;
-  }
-
-  /// Why the most recent round's representation is what it is: "" when the
-  /// mode simply carried over, else one of "auto-grow", "auto-shrink",
-  /// "forced-sparse", "forced-dense", "dense-alloc-fallback" — the trace
-  /// sink's "switch" field.
-  [[nodiscard]] const char* last_switch_reason() const noexcept {
-    return last_switch_reason_;
   }
 
  private:
@@ -500,13 +463,6 @@ class FrontierEngine {
   /// `out`, then sort (a radix sort) + unique.
   void merge_claims(std::vector<Vertex>& out);
 
-  /// Decode `words` (holding `count` set bits) into `out` ascending — the
-  /// span overload's output path. Parallel two-pass (per-range popcount,
-  /// prefix offsets, in-place range decode) on large bitmaps; identical
-  /// output to the serial decode by construction.
-  void materialize_bits(std::span<const std::uint64_t> words,
-                        std::size_t count, std::vector<Vertex>& out);
-
   /// Active vertices of vertex-range chunk c, ascending. Sparse views
   /// return a subspan located by binary search; dense views decode the
   /// chunk's words into `scratch`.
@@ -536,10 +492,19 @@ class FrontierEngine {
   void audit_round(const Frontier& next);
   void audit_graph_once();
 
+  /// True when `in` reads `next`'s own storage: a round clears `next`
+  /// before it walks `in`.
+  [[nodiscard]] static bool views(const FrontierView& in,
+                                  const Frontier& next) noexcept {
+    return (in.list().data() != nullptr &&
+            in.list().data() == next.list_.data()) ||
+           (in.words().data() != nullptr &&
+            in.words().data() == next.bits_.data());
+  }
+
   /// THE round: runs `body` over `in` and publishes the deduplicated
   /// output into `next` (cleared first) in the representation the mode
-  /// picks; `materialize` also decodes a dense output into `next`'s list
-  /// (the span overload's output). `kFilter` marks a body that emits only
+  /// picks. `kFilter` marks a body that emits only
   /// its own vertex and reads no adjacency: such a round is billed to
   /// "frontier.retain" instead of "frontier.step", skips the CSR prefetch,
   /// and its claims never collide — a chunk's vertices and (word-aligned)
@@ -547,8 +512,7 @@ class FrontierEngine {
   /// worker writes the output bitmap directly and no OR is needed.
   template <bool kFilter, typename Body>
   void run_round(const FrontierView& in, Frontier& next,
-                 std::uint64_t round_seed, const Body& body,
-                 bool materialize);
+                 std::uint64_t round_seed, const Body& body);
 
   /// The chunk walker: visit every chunk with active vertices in
   /// ascending order, handing a drawing body chunk c's `Engine`, seeded
@@ -566,17 +530,15 @@ class FrontierEngine {
   FrontierOptions opts_;
   bool last_dense_ = false;  ///< hysteresis memory
   bool have_mode_ = false;   ///< false until the first non-empty round
-  std::vector<std::uint64_t> scratch_bits_;  ///< span-overload dense output
   std::vector<Vertex> sort_scratch_;  ///< sparse merge's radix-sort buffer
   std::vector<WorkerSlot> workers_;
   std::uint64_t parallel_rounds_ = 0;
-  std::uint64_t serial_rounds_ = 0;
   std::uint64_t dense_rounds_ = 0;
   std::uint64_t sparse_rounds_ = 0;
   std::uint64_t switches_ = 0;
   std::uint64_t dense_fallbacks_ = 0;
   std::uint64_t last_emitted_ = 0;
-  const char* last_switch_reason_ = "";
+  const char* last_switch_reason_ = "";  ///< the trace sink's "switch" field
   bool last_parallel_ = false;     ///< the trace sink's "path" field
   std::uint64_t trace_id_ = 0;     ///< lazily drawn on first traced round
   std::uint64_t audit_seq_ = 0;    ///< audited-round ordinal (sampling)
@@ -627,7 +589,6 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
   };
 
   if (pool == nullptr) {
-    ++serial_rounds_;
     last_parallel_ = false;
     if (!in.dense()) {
       // Run by run over the sorted list: no scan over empty chunks — a
@@ -666,8 +627,7 @@ void FrontierEngine::walk_chunks(const FrontierView& in,
 
 template <bool kFilter, typename Body>
 void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
-                               std::uint64_t round_seed, const Body& body,
-                               bool materialize) {
+                               std::uint64_t round_seed, const Body& body) {
   next.clear();
   last_emitted_ = 0;
   if (in.size() == 0) return;  // no bitmap burn for extinct processes
@@ -725,7 +685,7 @@ void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
     sample_s = lap();
     next.count_ = merge_bits(next.bits_, kFilter ? 1 : workers);
     next.dense_ = true;
-    next.list_valid_ = materialize;  // else materialized lazily by vertices()
+    next.list_valid_ = false;  // materialized lazily by vertices()
   } else {
     walk_chunks<kFilter>(
         in, round_seed, pool, workers, body,
@@ -741,9 +701,6 @@ void FrontierEngine::run_round(const FrontierView& in, Frontier& next,
     next.count_ = next.list_.size();
   }
   const double merge_s = lap();
-  if (dense && materialize) {
-    materialize_bits(next.bits_, next.count_, next.list_);
-  }
   // One relaxed load when unarmed, mirroring fault/trace; the sampled
   // checks read the produced frontier only, never mutate it.
   if (audit::enabled()) audit_round(next);

@@ -63,7 +63,7 @@ void Gossip::step(Engine& gen) {
   // and pull polls against the same frozen informed_ array.
   if (mode_ == GossipMode::Push || mode_ == GossipMode::PushPull) {
     const std::uint64_t round_seed = gen();
-    engine_.expand(informed_list_, newly_, round_seed,
+    engine_.expand(std::span<const Vertex>(informed_list_), newly_, round_seed,
                    [this](Vertex v, Engine& rng, auto&& sink) {
                      const Vertex u = pick_(g_->neighbors(v), rng);
                      if (informed_[u] == 0) sink(u);
@@ -74,7 +74,8 @@ void Gossip::step(Engine& gen) {
     // vertex polls one random neighbor and adopts if that neighbor knows.
     // No scan of the n - |uninformed| informed vertices happens at all.
     const std::uint64_t round_seed = gen();
-    engine_.expand(uninformed_list_, pull_newly_, round_seed,
+    engine_.expand(std::span<const Vertex>(uninformed_list_), pull_newly_,
+                   round_seed,
                    [this](Vertex v, Engine& rng, auto&& sink) {
                      const Vertex u = pick_(g_->neighbors(v), rng);
                      if (informed_[u] != 0) sink(v);
@@ -82,9 +83,11 @@ void Gossip::step(Engine& gen) {
   }
   // A vertex can be both pushed to and a successful puller; the sorted
   // union collapses it before the merge into the informed list.
+  const auto pushed = newly_.vertices();
+  const auto pulled = pull_newly_.vertices();
   merged_.clear();
-  std::set_union(newly_.begin(), newly_.end(), pull_newly_.begin(),
-                 pull_newly_.end(), std::back_inserter(merged_));
+  std::set_union(pushed.begin(), pushed.end(), pulled.begin(), pulled.end(),
+                 std::back_inserter(merged_));
   absorb(merged_);
 }
 

@@ -18,7 +18,9 @@
 /// Both phases run on the shared FrontierEngine. Push expands the informed
 /// set (one neighbor sample per informed vertex); pull expands the
 /// maintained UNINFORMED list — each uninformed vertex polls one neighbor,
-/// and the engine's chunked determinism applies symmetrically. The two
+/// and the engine's chunked determinism applies symmetrically. Each phase
+/// writes its round's output into a `Frontier` and reads the sorted list
+/// back through `vertices()`, which decodes a dense output once. The two
 /// lists are complementary frontiers: push work grows toward n while pull
 /// work shrinks toward 0. Both lists are kept sorted ascending (the
 /// engine's canonical frontier order): newly informed vertices merge into
@@ -102,9 +104,9 @@ class Gossip {
   /// informed vertices until the next compact_uninformed().
   mutable std::vector<Vertex> uninformed_list_;
   mutable bool uninformed_stale_ = false;
-  std::vector<Vertex> newly_;       // scratch: push offspring this round
-  std::vector<Vertex> pull_newly_;  // scratch: pull adopters this round
-  std::vector<Vertex> merged_;      // scratch: union of the two
+  Frontier newly_;               // scratch: push offspring this round
+  Frontier pull_newly_;          // scratch: pull adopters this round
+  std::vector<Vertex> merged_;   // scratch: union of the two
   std::uint64_t round_ = 0;
 };
 

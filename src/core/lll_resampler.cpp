@@ -67,13 +67,14 @@ void LLLResampler::step(Engine& gen) {
   engine_.expand(std::span<const Vertex>(violated_), winners_, round_seed,
                  winner_sampler);
   last_winners_ = winners_.size();
-  witness_.insert(witness_.end(), winners_.begin(), winners_.end());
+  const auto winners = winners_.vertices();
+  witness_.insert(witness_.end(), winners.begin(), winners.end());
 
   // Resample every winner's variables from the round's pure hash. Winners
   // are variable-disjoint, so each variable is redrawn exactly once and
   // the resulting assignment is independent of iteration order.
   const std::uint64_t var_seed = rng::derive_seed(round_seed, kVarStream);
-  for (const Vertex c : winners_) {
+  for (const Vertex c : winners) {
     for (const std::uint32_t x :
          sys_->clause_vars(static_cast<std::uint32_t>(c))) {
       assignment_[x] =
@@ -90,9 +91,9 @@ void LLLResampler::step(Engine& gen) {
       if (d != c) sink(d);
     }
   };
-  engine_.expand(std::span<const Vertex>(winners_), touched_, round_seed,
-                 touch_sampler);
-  for (const Vertex c : touched_) {
+  engine_.expand(winners, touched_, round_seed, touch_sampler);
+  const auto touched = touched_.vertices();
+  for (const Vertex c : touched) {
     violated_flag_[c] =
         sys_->satisfied(static_cast<std::uint32_t>(c), assignment_) ? 0 : 1;
   }
@@ -101,20 +102,20 @@ void LLLResampler::step(Engine& gen) {
   // the (sorted) touched set, taking each touched clause's refreshed flag
   // and passing untouched violated clauses through unchanged.
   rebuilt_.clear();
-  auto it = touched_.begin();
+  auto it = touched.begin();
   for (const Vertex c : violated_) {
-    while (it != touched_.end() && *it < c) {
+    while (it != touched.end() && *it < c) {
       if (violated_flag_[*it] != 0) rebuilt_.push_back(*it);
       ++it;
     }
-    if (it != touched_.end() && *it == c) {
+    if (it != touched.end() && *it == c) {
       if (violated_flag_[c] != 0) rebuilt_.push_back(c);
       ++it;
     } else {
       rebuilt_.push_back(c);  // untouched: still violated
     }
   }
-  while (it != touched_.end()) {
+  while (it != touched.end()) {
     if (violated_flag_[*it] != 0) rebuilt_.push_back(*it);
     ++it;
   }

@@ -111,8 +111,8 @@ class LLLResampler {
   std::vector<std::uint8_t> assignment_;     ///< one 0/1 byte per variable
   std::vector<std::uint8_t> violated_flag_;  ///< == membership in violated_
   std::vector<Vertex> violated_;  ///< sorted ascending, the frontier
-  std::vector<Vertex> winners_;
-  std::vector<Vertex> touched_;  ///< winners + dependency neighbors
+  Frontier winners_;
+  Frontier touched_;  ///< winners + dependency neighbors
   std::vector<Vertex> rebuilt_;  ///< merge scratch
   std::vector<Vertex> witness_;
   std::uint64_t var_resamples_ = 0;

@@ -51,11 +51,15 @@ std::uint32_t side_from_spec(const GraphSpec& spec, std::uint32_t dims) {
     }
     return volume <= n;
   };
+  // Any side past 2^32 - 1 fails as_u32, so the search stops at 2^32: the
+  // estimate's cast stays in range and side + 1 never wraps.
+  constexpr std::uint64_t kSideCap = std::uint64_t{1} << 32;
   auto side = static_cast<std::uint64_t>(
-      std::pow(static_cast<double>(n), 1.0 / dims));
+      std::min(std::pow(static_cast<double>(n), 1.0 / dims),
+               static_cast<double>(kSideCap)));
   side = std::max<std::uint64_t>(side, 2);
   while (side > 2 && !fits(side)) --side;
-  while (fits(side + 1)) ++side;
+  while (side < kSideCap && fits(side + 1)) ++side;
   return as_u32(side, "side");
 }
 
@@ -148,14 +152,20 @@ Graph build_tree(const GraphSpec& spec, const GenOptions&) {
   if (spec.has("levels")) {
     levels = as_u32(spec.require_uint("levels"), "levels");
   } else {
-    // Largest complete tree with <= n vertices.
+    // Largest complete tree with <= n vertices. A unary tree is a path of
+    // n vertices; otherwise the next layer fits iff layer * arity <=
+    // n - total, compared without forming the product.
     const std::uint64_t n = spec.require_uint("n");
-    std::uint64_t total = 1, layer = 1;
-    levels = 1;
-    while (total + layer * arity <= n) {
-      layer *= arity;
-      total += layer;
-      ++levels;
+    if (arity == 1) {
+      levels = as_u32(std::max<std::uint64_t>(n, 1), "levels");
+    } else {
+      std::uint64_t total = 1, layer = 1;
+      levels = 1;
+      while (total <= n && layer <= (n - total) / arity) {
+        layer *= arity;
+        total += layer;
+        ++levels;
+      }
     }
   }
   return graph::make_kary_tree(arity, levels);

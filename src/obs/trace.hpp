@@ -38,7 +38,7 @@
 ///              bitmaps (with popcount), or the sparse rounds' sort +
 ///              unique of the concatenated claim lists
 ///   seconds    expand() wall time (the two phases plus representation
-///              choice, bitmap clear and materialization)
+///              choice and bitmap clear)
 ///
 /// The disarmed cost is a single relaxed atomic load per expand() (the
 /// same pattern as util::fault's global gate); at COBRA_OBS_LEVEL=0 the

@@ -71,8 +71,6 @@
 ///
 ///   frontier.dense_alloc       GRACEFUL  dense-bitmap allocation in the
 ///                              frontier engine (degrades to sparse path)
-///   frontier.materialize_alloc GRACEFUL  span-overload dense materialize
-///                              scratch (degrades to the serial decode)
 ///   frontier.worker_bits_alloc GRACEFUL  per-worker private bitmaps of a
 ///                              pool dense round (the round runs in-line
 ///                              as worker 0 into the output bitmap)

@@ -1,6 +1,7 @@
 // Tests for the cobra_chaos fuzz engine (bench/chaos.{hpp,cpp}):
 // trajectory fingerprints are deterministic and thread-count-invariant,
-// graceful plans leave them unchanged, the planted chaos.degrade_bug is
+// graceful plans leave them unchanged, every fuzzed site is reached by a
+// fuzz trajectory, the planted chaos.degrade_bug is
 // caught AND shrunk to a minimal reproducer, shrink_plan's greedy
 // delta-debug keeps exactly the necessary entries, and a clean run's
 // report carries the expected accounting.
@@ -11,11 +12,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "gen/registry.hpp"
+#include "obs/trace.hpp"
 #include "util/fault.hpp"
 
 namespace {
@@ -52,6 +55,27 @@ TEST_F(ChaosTest, GracefulPlanLeavesTheFingerprintUnchanged) {
   const std::uint64_t stormy = bench::chaos_trajectory(g, 2, 5, 24, 2, false);
   util::fault::disarm_all();
   EXPECT_EQ(stormy, baseline);
+}
+
+TEST_F(ChaosTest, EveryFuzzedSiteIsReachedByAFuzzTrajectory) {
+  // A catalog site that no fuzz trajectory reaches is fuzzed in name only:
+  // every schedule that draws it tests nothing. Armed alone, each graceful
+  // site must be hit by the cobra or the MIS trajectory on a fuzz graph.
+  // trace.write is only reached while a trace sink is open.
+  const graph::Graph g = gen::build_graph("rreg:n=256,d=4,seed=7");
+  const std::string trace_path =
+      ::testing::TempDir() + "chaos_site_reach.jsonl";
+  ASSERT_TRUE(obs::open_global_trace(trace_path));
+  for (const std::string& site : bench::chaos_graceful_sites(false)) {
+    util::fault::arm(site);
+    (void)bench::chaos_trajectory(g, 2, 5, 24, 2, false);
+    (void)bench::chaos_mis_trajectory(g, 2, 5, 24, 2, false);
+    EXPECT_GT(util::fault::hits(site), 0u)
+        << site << " is in the fuzz catalog but no trajectory reaches it";
+    util::fault::disarm_all();
+  }
+  obs::close_global_trace();
+  std::remove(trace_path.c_str());
 }
 
 TEST_F(ChaosTest, BenchSitesStayOutOfTheFuzzCatalogs) {

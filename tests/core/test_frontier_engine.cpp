@@ -36,18 +36,29 @@ struct TwoSampler {
   }
 };
 
+/// Run `rounds` rounds from the full vertex set, feeding each round the
+/// previous output as a sorted span (the list a client keeps, as Gossip
+/// does) and returning the last output's vertices.
 std::vector<Vertex> run_rounds(const Graph& g, FrontierOptions opts,
                                std::uint64_t rounds) {
   FrontierEngine engine(g, opts);
   const TwoSampler sampler{&g, NeighborSampler(g)};
   std::vector<Vertex> frontier(g.num_vertices());
   std::iota(frontier.begin(), frontier.end(), 0u);
-  std::vector<Vertex> next;
+  Frontier next;
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    engine.expand(frontier, next, /*round_seed=*/0x5EED0000ULL + r, sampler);
-    frontier.swap(next);
+    engine.expand(std::span<const Vertex>(frontier), next,
+                  /*round_seed=*/0x5EED0000ULL + r, sampler);
+    const auto vs = next.vertices();
+    frontier.assign(vs.begin(), vs.end());
   }
   return frontier;
+}
+
+/// Rounds that ran in-line: every counted round took one of the two paths.
+std::uint64_t inline_rounds(const FrontierEngine& engine) {
+  return engine.dense_rounds() + engine.sparse_rounds() -
+         engine.parallel_rounds();
 }
 
 TEST(FrontierEngine, ParallelBitIdenticalToSerialAcrossThreadCounts) {
@@ -80,35 +91,37 @@ TEST(FrontierEngine, ParallelPathActuallyRuns) {
   opts.pool = &pool;
   FrontierEngine engine(g, opts);
   const TwoSampler sampler{&g, NeighborSampler(g)};
-  std::vector<Vertex> frontier(g.num_vertices());
-  std::iota(frontier.begin(), frontier.end(), 0u);
-  std::vector<Vertex> next;
+  std::vector<Vertex> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), 0u);
+  Frontier frontier, next;
+  engine.dedupe(all, frontier);
   engine.expand(frontier, next, 7, sampler);
   EXPECT_EQ(engine.parallel_rounds(), 1u);
-  EXPECT_EQ(engine.serial_rounds(), 0u);
+  EXPECT_EQ(inline_rounds(engine), 0u);
 }
 
 TEST(FrontierEngine, ParallelDenseOpsBitIdenticalToSerialOps) {
-  // The dense rounds' parallelized fixed costs (bitmap clear + span
-  // overload materialization) are value-independent, so toggling
-  // parallel_dense_ops or the pool size must never change a frontier. The
-  // cycle is large enough (words >= the helpers' engagement thresholds)
-  // that both parallel helpers actually run.
+  // The dense rounds' parallelized bitmap clear is value-independent, so
+  // toggling parallel_dense_ops or the pool size must never change a
+  // frontier. The cycle is large enough (words >= the clear's engagement
+  // threshold) that the parallel clear actually runs.
   const Graph g = make_cycle(1u << 21);
   const auto run = [&](FrontierOptions opts) {
     opts.chunk_size = kChunk;
     opts.mode = FrontierMode::ForceDense;
     FrontierEngine engine(g, opts);
     const TwoSampler sampler{&g, NeighborSampler(g)};
-    std::vector<Vertex> frontier(64);
-    std::iota(frontier.begin(), frontier.end(), 0u);
-    std::vector<Vertex> next;
+    std::vector<Vertex> starts(64);
+    std::iota(starts.begin(), starts.end(), 0u);
+    Frontier frontier, next;
+    engine.dedupe(starts, frontier);
     for (std::uint64_t r = 0; r < 5; ++r) {
       engine.expand(frontier, next, /*round_seed=*/0xD05E + r, sampler);
       frontier.swap(next);
     }
     EXPECT_EQ(engine.dense_rounds(), 5u);
-    return frontier;
+    const auto vs = frontier.vertices();
+    return std::vector<Vertex>(vs.begin(), vs.end());
   };
 
   FrontierOptions serial;
@@ -215,10 +228,12 @@ TEST(FrontierEngine, EmptyFrontierIsFreeAndKeepsEpoch) {
   const Graph g = make_cycle(16);
   FrontierEngine engine(g);
   const TwoSampler sampler{&g, NeighborSampler(g)};
-  std::vector<Vertex> next{3, 4};  // stale content must be cleared
-  engine.expand({}, next, 1, sampler);
+  Frontier next;
+  engine.dedupe(std::vector<Vertex>{3, 4}, next);  // stale: must be cleared
+  engine.expand(std::span<const Vertex>(), next, 1, sampler);
   EXPECT_TRUE(next.empty());
-  EXPECT_EQ(engine.serial_rounds(), 0u);
+  EXPECT_TRUE(next.vertices().empty());
+  EXPECT_EQ(inline_rounds(engine), 0u);
   EXPECT_EQ(engine.parallel_rounds(), 0u);
 }
 
@@ -249,7 +264,7 @@ std::vector<std::vector<Vertex>> run_trajectory(const Graph& g,
   engine.dedupe(all, frontier);
   std::vector<std::vector<Vertex>> trajectory;
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    // Same seed schedule as run_rounds, so span-API and Frontier-API
+    // Same seed schedule as run_rounds, so span-input and Frontier-input
     // trajectories are directly comparable.
     engine.expand(frontier, next, /*round_seed=*/0x5EED0000ULL + r, sampler);
     frontier.swap(next);
@@ -275,8 +290,8 @@ TEST(FrontierEngine, SparseAndDensePathsProduceIdenticalTrajectories) {
   const auto ref = run_trajectory(g, sparse, 8);
   EXPECT_EQ(run_trajectory(g, dense, 8), ref);
   EXPECT_EQ(run_trajectory(g, automatic, 8), ref);
-  // The span-in/vector-out API (gossip's path) must agree as well — it
-  // shares the chunk streams, only the output plumbing differs.
+  // Span inputs (gossip's path) must agree as well — they share the chunk
+  // streams, only the input plumbing differs.
   EXPECT_EQ(run_rounds(g, dense, 8), ref.back());
 }
 
@@ -423,9 +438,9 @@ TEST(FrontierEngine, ParallelThresholdIsAWorkEstimate) {
   const Graph g = gen::random_regular(2048, 4, graph_gen());
   par::ThreadPool pool(2);
   const TwoSampler sampler{&g, NeighborSampler(g)};
-  std::vector<Vertex> frontier(300);
-  std::iota(frontier.begin(), frontier.end(), 0u);
-  std::vector<Vertex> next;
+  std::vector<Vertex> starts(300);
+  std::iota(starts.begin(), starts.end(), 0u);
+  Frontier frontier, next;
 
   FrontierOptions opts;
   opts.chunk_size = kChunk;
@@ -433,13 +448,14 @@ TEST(FrontierEngine, ParallelThresholdIsAWorkEstimate) {
   opts.pool = &pool;
   opts.branching_hint = 8.0;
   FrontierEngine hinted(g, opts);
+  hinted.dedupe(starts, frontier);
   hinted.expand(frontier, next, 3, sampler);
   EXPECT_EQ(hinted.parallel_rounds(), 1u);
 
   opts.branching_hint = 1.0;  // same frontier, honest hint: stays in-line
   FrontierEngine unhinted(g, opts);
   unhinted.expand(frontier, next, 3, sampler);
-  EXPECT_EQ(unhinted.serial_rounds(), 1u);
+  EXPECT_EQ(inline_rounds(unhinted), 1u);
   EXPECT_EQ(unhinted.parallel_rounds(), 0u);
 }
 
@@ -530,15 +546,17 @@ TEST(FrontierEngine, PoolRoundsMatchInlineWithMoreWorkersThanChunks) {
         [&](FrontierOptions opts) {
           FrontierEngine engine(g, opts);
           const TwoSampler sampler{&g, NeighborSampler(g)};
-          std::vector<Vertex> frontier(g.num_vertices());
-          std::iota(frontier.begin(), frontier.end(), 0u);
-          std::vector<Vertex> next;
+          std::vector<Vertex> all(g.num_vertices());
+          std::iota(all.begin(), all.end(), 0u);
+          Frontier frontier, next;
+          engine.dedupe(all, frontier);
           for (std::uint64_t r = 0; r < 6; ++r) {
             engine.expand(frontier, next, 0x3000 + r, sampler);
             frontier.swap(next);
           }
           EXPECT_EQ(engine.parallel_rounds() > 0, opts.pool != nullptr);
-          return frontier;
+          const auto vs = frontier.vertices();
+          return std::vector<Vertex>(vs.begin(), vs.end());
         },
         base);
   }
@@ -756,10 +774,27 @@ TEST(FrontierEngineDeathTest, SpanFrontierWithDuplicateIsRejected) {
   FrontierEngine engine(g);
   const TwoSampler sampler{&g, NeighborSampler(g)};
   const std::vector<Vertex> frontier{1, 4, 4, 9};
-  std::vector<Vertex> next;
-  EXPECT_DEBUG_DEATH(engine.expand(frontier, next, 1, sampler),
-                     "adjacent_find");
+  Frontier next;
+  EXPECT_DEBUG_DEATH(
+      engine.expand(std::span<const Vertex>(frontier), next, 1, sampler),
+      "adjacent_find");
 }
+
+#ifndef NDEBUG
+TEST(FrontierEngineDeathTest, ExpandIntoItsOwnInputIsRejected) {
+  // A round clears its output before it walks its input, so the input may
+  // not view the output's storage: not the Frontier itself, and not the
+  // span its vertices() hands out. (Debug only: a release build would run
+  // the aliased round.)
+  const Graph g = make_cycle(16);
+  FrontierEngine engine(g);
+  const TwoSampler sampler{&g, NeighborSampler(g)};
+  Frontier f;
+  engine.dedupe(std::vector<Vertex>{1, 4, 9}, f);
+  EXPECT_DEATH(engine.expand(f, f, 1, sampler), "views");
+  EXPECT_DEATH(engine.expand(f.vertices(), f, 1, sampler), "views");
+}
+#endif
 
 }  // namespace
 }  // namespace cobra::core

@@ -110,6 +110,18 @@ TEST(Registry, TreeOfExactly2To32VerticesIsRejected) {
                std::invalid_argument);
   EXPECT_THROW((void)build_graph("tree:levels=2,arity=4294967295"),
                std::invalid_argument);
+  // n sugar at the top of the u64 range: the level search must neither
+  // wrap nor spin, and the tree it finds is too big to build.
+  for (const char* spec :
+       {"tree:n=18446744073709551615", "tree:n=18446744073709551615,arity=3",
+        "tree:n=18446744073709551615,arity=1"}) {
+    EXPECT_THROW((void)build_graph(spec), std::invalid_argument) << spec;
+  }
+  // Sizes below the top keep their levels: 1 + 3 + 9 + 27 + 81 + 243 <= 1000.
+  EXPECT_EQ(build_graph("tree:n=1000,arity=3").num_vertices(), 364u);
+  EXPECT_EQ(build_graph("tree:n=1023").num_vertices(), 1023u);
+  EXPECT_EQ(build_graph("tree:n=1022").num_vertices(), 511u);
+  EXPECT_EQ(build_graph("tree:n=5,arity=1").num_vertices(), 5u);
 }
 
 TEST(Registry, GridSugarDerivesSideFromN) {
@@ -117,6 +129,16 @@ TEST(Registry, GridSugarDerivesSideFromN) {
   EXPECT_EQ(g.num_vertices(), 32u * 32u);
   const graph::Graph g3 = build_graph("grid:n=1000,dims=3");
   EXPECT_EQ(g3.num_vertices(), 1000u);
+  EXPECT_EQ(build_graph("grid:n=999,dims=3").num_vertices(), 729u);
+  EXPECT_EQ(build_graph("torus:n=2^18,dims=2").num_vertices(), 1u << 18);
+  // n at the top of the u64 range: the side search must neither overflow
+  // nor divide by zero, and the side it finds is too big to build.
+  for (const char* spec : {"grid:n=18446744073709551615,dims=1",
+                           "torus:n=18446744073709551615,dims=1",
+                           "grid:n=18446744073709551615",
+                           "torus:n=18446744073709551615"}) {
+    EXPECT_THROW((void)build_graph(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(Registry, LccExtractsLargestComponent) {

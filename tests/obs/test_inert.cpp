@@ -113,8 +113,8 @@ TEST(Inert, AuditAndGracefulFaultStormStayInertToo) {
   core::audit::set_level(2);
   core::audit::set_throw_on_violation(true);  // a violation fails the test
   util::fault::arm_plan(util::fault::FaultPlan::parse(
-      "frontier.dense_alloc@2%0.5,frontier.materialize_alloc%0.5,"
-      "frontier.worker_bits_alloc%0.5,trace.write@3%0.5"));
+      "frontier.dense_alloc@2%0.5,frontier.worker_bits_alloc%0.5,"
+      "trace.write@3%0.5"));
   par::ThreadPool pool1(1), pool2(2), pool8(8);
   for (par::ThreadPool* pool : {&pool1, &pool2, &pool8}) {
     EXPECT_EQ(run_case(make, 1234, pool, true), reference);
